@@ -17,17 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coeff import FieldElem
-from .metagroup import QuadCharParams
 
 __all__ = [
     "TameChar",
     "SChar",
     "HChar",
-    "char_mul",
     "char_restrict_S",
     "quadratic_chars",
-    "h_bracket",
-    "h_swap",
     "parse_tame_char",
 ]
 
@@ -154,11 +150,6 @@ class HChar:
         return HChar(self.p, self.e1 + other.e1, self.e2 + other.e2)
 
 
-def char_mul(a, b):
-    """Componentwise product of two characters of the same kind."""
-    return a.mul(b)
-
-
 def char_restrict_S(chi):
     """Restriction of a tame character of Qp^* to the squares S."""
     return SChar(chi.unram ** 2, chi.tame)
@@ -181,26 +172,6 @@ def quadratic_chars(spec):
 def quadchar_to_tame(q, spec):
     """Embed QuadCharParams (sign data) into the tame-character family."""
     return TameChar(spec.from_int(q.unram), q.tame)
-
-
-def tame_to_quadchar(chi):
-    """The inverse embedding for characters of order <= 2."""
-    p = chi.spec.p
-    if not chi.square_is_trivial() or chi.tame not in (0, (p - 1) // 2):
-        raise ValueError("not a quadratic character")
-    unram = 1 if chi.unram.is_one() else -1
-    if not (chi.unram.is_one() or chi.unram == chi.spec.from_int(-1)):
-        raise ValueError("not a quadratic character")
-    return QuadCharParams(unram, chi.tame)
-
-
-def h_bracket(chi, i, j):
-    """The bracket twist chi[i, j] shifting both exponents by (p-1)/2 steps."""
-    return chi.bracket(i, j)
-
-
-def h_swap(chi):
-    return chi.swap()
 
 
 def parse_tame_char(text, spec):

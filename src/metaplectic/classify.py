@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .coeff import FieldElem, FieldSpec, factorial_in
 from .chars import HChar
 from .galois import InducedParams
-from .laurent import LaurentSeries, binom_mod_p, binom_neg_mod_p, frobenius_phi
+from .laurent import LaurentSeries, binom_mod_p, binom_neg_mod_p, frobenius_phi, gamma_act
 
 __all__ = [
     "SSData",
@@ -275,6 +275,8 @@ def e_exponents(data, i, m):
     if m < 1:
         raise ValueError("level must be >= 1")
     n = data.n
+    if not 1 <= i <= n:
+        raise ValueError(f"basis index must be in 1..{n}")
     p = data.p
     e = sum(p ** (n - 1 - j) * data.s[(i - 1 + j) % n] for j in range(n))
     e_m = e * (p ** (n * m) - 1) // (p ** n - 1)
@@ -303,30 +305,17 @@ class _CycleQuotient:
     def monomial(self, e):
         return {e: self.data.spec.one()}
 
-    def v_vector(self):
-        return self.monomial(self.cutoff)
-
     def top_coeff(self, elem):
         """The value of the functional f_i at this level."""
         return elem.get(self.cutoff, self.data.spec.zero())
-
-    def mul_sparse(self, elem, other):
-        out = {}
-        for e1, a1 in elem.items():
-            for e2, a2 in other.items():
-                e = e1 + e2
-                if e <= self.cutoff:
-                    prod = a1 * a2
-                    cur = out.get(e)
-                    out[e] = prod if cur is None else cur + prod
-        return self.reduce(out)
 
     def frobenius_map(self, elem):
         """F: level (i, m) -> level (i+1, m+1)."""
         data, p, n = self.data, self.data.p, self.data.n
         e_next, _ = e_exponents(data, self.i % n + 1, 1)
         s_i = data.s[self.i - 1]
-        assert (e_next - s_i) % p == 0
+        if (e_next - s_i) % p:
+            raise AssertionError("cycle exponents break F's divisibility")
         d_i = (e_next - s_i) // p
         shift = p ** (n * self.m + 1) * d_i
         target = _CycleQuotient(data, self.i % n + 1, self.m + 1)
@@ -340,57 +329,12 @@ class _CycleQuotient:
 
     def gamma_map(self, elem, c_exact):
         """The action of a unit with exact integer representative c_exact."""
-        data = self.data
-        p = data.spec.p
-        a_i = data.gamma_exponents()[self.i - 1]
-        chi_val = data.spec.from_int(pow(c_exact % p, a_i, p))
-        subst = _binomial_substitution(c_exact, data.spec, self.cutoff)
-        out = {}
-        for e, a in elem.items():
-            pw = _sparse_pow(subst, e, self.cutoff, data.spec)
-            for ee, b in pw.items():
-                term = a * b * chi_val
-                cur = out.get(ee)
-                out[ee] = term if cur is None else cur + term
-        return self.reduce(out)
-
-
-def _binomial_substitution(c, spec, cutoff):
-    """(1+X)^c - 1 as a sparse table up to degree cutoff."""
-    p = spec.p
-    out = {}
-    for k in range(1, cutoff + 1):
-        b = binom_mod_p(c, k, p)
-        if b:
-            out[k] = spec.from_int(b)
-    return out
-
-
-def _sparse_pow(base, e, cutoff, spec):
-    if e == 0:
-        return {0: spec.one()}
-    result = None
-    b = base
-    t = e
-
-    def mul(x, y):
-        out = {}
-        for e1, a1 in x.items():
-            for e2, a2 in y.items():
-                s = e1 + e2
-                if s <= cutoff:
-                    prod = a1 * a2
-                    cur = out.get(s)
-                    out[s] = prod if cur is None else cur + prod
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    while t:
-        if t & 1:
-            result = b if result is None else mul(result, b)
-        t >>= 1
-        if t:
-            b = mul(b, b)
-    return result
+        spec = self.data.spec
+        p = spec.p
+        a_i = self.data.gamma_exponents()[self.i - 1]
+        chi_val = spec.from_int(pow(c_exact % p, a_i, p))
+        image = gamma_act(c_exact, LaurentSeries(spec, elem, self.cutoff + 1))
+        return self.reduce(image.scale(chi_val).coeffs)
 
 
 def _choose_level(data, i, K):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .coeff import field_make
@@ -72,6 +73,15 @@ def _load_json(path):
         return json.load(sys.stdin)
     with open(path) as handle:
         return json.load(handle)
+
+
+@contextmanager
+def _malformed_input():
+    """Turn a JSON document of the wrong shape into ValueError (exit 1)."""
+    try:
+        yield
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed input: {type(exc).__name__} {exc}") from exc
 
 
 def _emit(obj, fmt):
@@ -245,7 +255,8 @@ def _run(args):
         _emit(module_to_json(D, units=_units_list(args.units)), fmt)
         return 0
     if cmd in ("twist", "dual", "psi"):
-        D = module_from_json(_load_json(args.module), spec)
+        with _malformed_input():
+            D = module_from_json(_load_json(args.module), spec)
         if cmd == "twist":
             out = module_twist(D, parse_tame_char(args.chi, spec))
             _emit(module_to_json(out, units=_units_list(args.units)), fmt)
@@ -253,7 +264,8 @@ def _run(args):
             out = module_dual(D)
             _emit(module_to_json(out, units=_units_list(args.units)), fmt)
         else:
-            vec = [series_from_json(item, spec) for item in _load_json(args.vector)]
+            with _malformed_input():
+                vec = [series_from_json(item, spec) for item in _load_json(args.vector)]
             out = psi(D, vec)
             _emit([entry.to_json() for entry in out], fmt)
         return 0
@@ -263,17 +275,18 @@ def _run(args):
         from .classify import CyclicForm
         from .laurent import series_from_json as series_load
 
-        form = CyclicForm(
-            spec,
-            obj["n"],
-            tuple(elem_from_json(x) for x in obj["d"]),
-            tuple(obj["t"]),
-            tuple(obj["b"]),
-            tuple(
-                series_load(g, spec) if g is not None else None
-                for g in obj.get("noise", [None] * obj["n"])
-            ),
-        )
+        with _malformed_input():
+            form = CyclicForm(
+                spec,
+                obj["n"],
+                tuple(elem_from_json(x) for x in obj["d"]),
+                tuple(obj["t"]),
+                tuple(obj["b"]),
+                tuple(
+                    series_load(g, spec) if g is not None else None
+                    for g in obj.get("noise", [None] * obj["n"])
+                ),
+            )
         nf, hs = normalize_cyclic(form, args.prec)
         _emit(
             {
@@ -332,8 +345,9 @@ def _run(args):
         )
         return 0
     if cmd == "galois-iso":
-        P1 = params_from_json(_load_json(args.a))
-        P2 = params_from_json(_load_json(args.b))
+        with _malformed_input():
+            P1 = params_from_json(_load_json(args.a))
+            P2 = params_from_json(_load_json(args.b))
         _emit(iso_test(P1, P2), fmt)
         return 0
     if cmd == "ps-image":

@@ -19,7 +19,6 @@ __all__ = [
     "FieldSpec",
     "FieldElem",
     "field_make",
-    "field_arith",
     "nth_roots",
     "omega_of_unit",
     "factorial_in",
@@ -85,18 +84,8 @@ def _poly_powmod(a, e, modulus, p):
 def _poly_gcd(a, b, p):
     a, b = _trim(a), _trim(b)
     while b:
-        # reduce a mod b (b made monic on the fly)
         lead_inv = pow(b[-1], p - 2, p)
-        bm = tuple(c * lead_inv % p for c in b)
-        r = list(a)
-        db = len(bm) - 1
-        for i in range(len(r) - 1, db - 1, -1):
-            q = r[i]
-            if q:
-                r[i] = 0
-                for j in range(db):
-                    r[i - db + j] = (r[i - db + j] - q * bm[j]) % p
-        a, b = b, _trim(r[:db] if len(r) >= db else r)
+        a, b = b, _poly_rem(a, tuple(c * lead_inv % p for c in b), p)
     return a
 
 
@@ -254,7 +243,8 @@ def field_make(p, m=1):
             if _is_irreducible(cand, p):
                 modulus = cand
                 break
-        assert modulus is not None
+        if modulus is None:
+            raise AssertionError(f"no irreducible monic of degree {m} over F_{p}")
     spec = FieldSpec(p, m, modulus)
     _FIELD_CACHE[key] = spec
     return spec
@@ -438,25 +428,6 @@ class FieldElem:
 def elem_from_json(obj):
     spec = field_make(obj["p"], obj["m"])
     return FieldElem(spec, tuple(obj["coeffs"]))
-
-
-def field_arith(a, b=None, op="add", e=None):
-    """Dispatch table over the basic field operations.
-
-    op is one of "add", "mul", "inv", "pow"; inv ignores b, pow takes the
-    integer exponent e and accepts negative e for nonzero a.
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        if a.is_zero():
-            raise ZeroDivisionError("zero inverse")
-        return a.inv()
-    if op == "pow":
-        return a ** e
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def nth_roots(x, n):

@@ -197,7 +197,8 @@ def lemma2_reduce(h, p):
             hp = p + 2
     if hp == 1:
         hp = p
-    assert hp % 2 == 1 and 3 <= hp <= 2 * p - 1, (h, hp)
+    if hp % 2 == 0 or not 3 <= hp <= 2 * p - 1:
+        raise AssertionError(f"reduction of {h} left the window: {hp}")
     return a_total % (p - 1), hp
 
 

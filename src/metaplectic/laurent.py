@@ -25,13 +25,11 @@ from .coeff import FieldElem
 
 __all__ = [
     "LaurentSeries",
-    "GammaUnit",
     "binom_mod_p",
     "binom_neg_mod_p",
     "gamma_transform",
     "frobenius_phi",
     "gamma_act",
-    "invert",
     "one_unit_root",
     "phi_basis_decompose",
     "psi_ring",
@@ -65,25 +63,6 @@ def binom_neg_mod_p(j, t, p):
         return 1
     sign = -1 if t % 2 else 1
     return sign * binom_mod_p(j + t - 1, t, p) % p
-
-
-class GammaUnit:
-    """An exact representative of an element of Gamma = Z_p^*.
-
-    Stored as a positive integer coprime to p; all constructions in scope
-    only evaluate the Gamma-action at integer units.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        if c < 1:
-            raise ValueError("positive unit required")
-        self.c = c
-
-    def check(self, p):
-        if self.c % p == 0:
-            raise ValueError("unit must be coprime to p")
 
 
 class LaurentSeries:
@@ -361,14 +340,15 @@ def gamma_transform(c, spec, prec):
 def gamma_act(c, f):
     """f((1+X)^c - 1) to the input precision.
 
-    c is an exact positive integer coprime to p (a GammaUnit or raw int).
-    Negative exponents of the substituted variable are handled by series
-    inversion at a boosted internal working precision, so no precision is
-    lost against the contract.
+    c is an exact positive integer coprime to p, the representative of an
+    element of Gamma = Z_p^* at which every construction in scope evaluates
+    the action.  Negative exponents of the substituted variable are handled
+    by series inversion at a boosted internal working precision, so no
+    precision is lost against the contract.
     """
-    if isinstance(c, GammaUnit):
-        c = c.c
     spec = f.spec
+    if c < 1:
+        raise ValueError("positive unit required")
     if c % spec.p == 0:
         raise ValueError("unit must be coprime to p")
     if c == 1 or f.is_zero():
@@ -397,11 +377,6 @@ def gamma_act(c, f):
     for e in sorted(f.coeffs):
         acc = acc + g_power(e).scale(f.coeffs[e]).truncate(N)
     return acc.truncate(N)
-
-
-def invert(f):
-    """Series inverse (errors on a known-zero series)."""
-    return f.invert_series()
 
 
 def one_unit_root(f, n):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coeff import FieldSpec, factorial_in
-from .chars import SChar, TameChar, char_restrict_S, quadratic_chars
+from .chars import SChar, TameChar, char_restrict_S
 from .galois import (
     InducedParams,
     canonicalize,
@@ -51,7 +51,6 @@ __all__ = [
     "least_nonsquare_unit",
     "coset_quad_chars",
     "ss_class_key",
-    "theta_candidates",
 ]
 
 
@@ -204,12 +203,6 @@ class MetaPhiGamma:
     summands: tuple
 
 
-def _summand_params(obj):
-    if isinstance(obj, InducedParams):
-        return obj
-    raise ValueError("undecidable at this rank")
-
-
 def meta_ind(s_char, base):
     """Induction from the squares: the 4 coset summands of quadratic twists."""
     quads = coset_quad_chars(s_char.spec.p)
@@ -344,21 +337,6 @@ def _is_fourth_power(x):
     return (x ** ((q - 1) // gcd(4, q - 1))).is_one()
 
 
-def theta_candidates(M):
-    """The four candidate actions of the covering center on a twist-invariant
-    image, as a diagnostic.
-
-    When the underlying parameter is absolutely irreducible, any two
-    compatible center actions differ by a character of order at most 2;
-    the candidates are therefore the quadratic twists of the recorded
-    one.  Deciding which candidate extends the Borel action to the full
-    cover is out of scope (it needs the functor back to representations),
-    so the list is reported rather than resolved.
-    """
-    spec = M.s_char.spec
-    return [(eps, M.s_char) for eps in quadratic_chars(spec)]
-
-
 def invert_ss_image(M, spec=None):
     """Recover a supersingular parameter from a degree-4 Galois parameter.
 
@@ -369,7 +347,9 @@ def invert_ss_image(M, spec=None):
     value is not a norm from the field (enlarge m).
     """
     if isinstance(M, MetaPhiGamma):
-        M = _summand_params(M.base)
+        M = M.base
+        if not isinstance(M, InducedParams):
+            raise ValueError("undecidable at this rank")
     if spec is None:
         spec = M.spec
     p = spec.p
@@ -389,8 +369,7 @@ def enumerate_tame_chars(spec):
     p = spec.p
     for tame in range(p - 1):
         for u in spec.nonzero_elements():
-            if not u.is_zero():
-                yield TameChar(u, tame)
+            yield TameChar(u, tame)
 
 
 def _image_key(rep):
@@ -440,7 +419,8 @@ def verify_bijection(spec):
     qualifying = set()
     for H in canonical_H:
         hprime = lemma1_classify(InducedParams(4, H, spec.one()))
-        assert hprime is not None
+        if hprime is None:
+            raise AssertionError(f"canonical exponent {H} has no window exponent")
         lam0 = ss_lam0(spec, _r_of_hprime(p, hprime))
         for lam in spec.nonzero_elements():
             if _is_fourth_power(lam * lam0.inv()):

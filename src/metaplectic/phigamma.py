@@ -265,6 +265,8 @@ def make_induced(spec, n, h, lam_n=None, tame=0, prec=40):
     of omega(gamma) X / gamma(X) among 1-units.  Requires h >= 0 (shift
     by p^n - 1 beforehand when needed).
     """
+    if n < 1:
+        raise ValueError("degree must be >= 1")
     if h < 0:
         raise ValueError("exponent must be nonnegative")
     if prec < 2:

@@ -4,10 +4,7 @@ from metaplectic.coeff import field_make
 from metaplectic.chars import (
     HChar,
     TameChar,
-    char_mul,
     char_restrict_S,
-    h_bracket,
-    h_swap,
     parse_tame_char,
     quadratic_chars,
     quadchar_to_tame,
@@ -74,10 +71,10 @@ def test_chi_z_matches_quadratic_family():
 
 def test_h_bracket_examples():
     chi = HChar(5, 3, 1)
-    assert h_bracket(chi, 0, 0) == chi
-    assert h_bracket(h_bracket(chi, 1, 1), 1, 1) == chi
+    assert chi.bracket(0, 0) == chi
+    assert chi.bracket(1, 1).bracket(1, 1) == chi
     r = 3
-    lhs = h_bracket(h_swap(HChar(5, r, 0)), 1, 0)
+    lhs = HChar(5, r, 0).swap().bracket(1, 0)
     assert lhs == HChar(5, 2, r)
 
 
@@ -87,16 +84,16 @@ def test_h_bracket_swap_commutation():
             chi = HChar(5, e1, e2)
             for i in (0, 1):
                 for j in (0, 1):
-                    assert h_swap(h_bracket(chi, i, j)) == h_bracket(h_swap(chi), j, i)
+                    assert chi.bracket(i, j).swap() == chi.swap().bracket(j, i)
 
 
 def test_char_mul():
     a = TameChar(F5.from_int(2), 1)
     b = TameChar(F5.from_int(3), 2)
-    ab = char_mul(a, b)
+    ab = a.mul(b)
     assert int(ab.unram) == 6 % 5 and ab.tame == 3
     sa, sb = char_restrict_S(a), char_restrict_S(b)
-    assert char_mul(sa, sb) == char_restrict_S(ab)
+    assert sa.mul(sb) == char_restrict_S(ab)
 
 
 def test_parse_tame_char():

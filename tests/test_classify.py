@@ -189,6 +189,15 @@ def test_simulation_gamma_leading():
                     assert H.coeff(0) == expect
 
 
+def test_simulation_basis_index_bounds():
+    data = ss_data(F3, 0)
+    for i in (0, -1, 5, 7):
+        with pytest.raises(ValueError, match="basis index"):
+            simulate_dual_frobenius(data, i, 3)
+        with pytest.raises(ValueError, match="basis index"):
+            simulate_dual_gamma(data, i, 2)
+
+
 def test_simulation_level_independence():
     from metaplectic.classify import _choose_level
 

@@ -183,3 +183,36 @@ def test_table_format(capsys):
 def test_bad_prime_rejected(capsys):
     code, _, err = run_cli(["hilbert", "--p", "4", "3", "2"], capsys)
     assert code == 1 and "odd prime" in json.loads(err)["error"]
+
+
+LAM3 = {"p": 3, "m": 1, "coeffs": [1]}
+
+
+@pytest.mark.parametrize(
+    "args, files, message",
+    [
+        (["galois-iso", "--p", "3", "{a}", "{b}"],
+         {"a": {"n": 4, "Lam": LAM3}, "b": {"n": 4, "H": 25, "Lam": LAM3}},
+         "malformed input"),
+        (["psi", "--p", "3", "{m}", "{v}"], {"m": {"n": 4, "H": 25, "Lam": LAM3}, "v": []},
+         "malformed input"),
+        (["psi", "--p", "3", "{m}", "{v}"], {"m": [1, 2], "v": []}, "malformed input"),
+        (["normalize", "--p", "5", "{f}"], {"f": {"n": 4}}, "malformed input"),
+        (["build-induced", "--p", "3", "--n", "0", "--h", "1"], {}, "degree"),
+        (["simulate-dual", "--p", "3", "--r", "0", "--i", "7"], {}, "basis index"),
+        (["simulate-dual", "--p", "3", "--r", "0", "--i", "0"], {}, "basis index"),
+        (["simulate-dual", "--p", "3", "--r", "0", "--i", "-1"], {}, "basis index"),
+    ],
+)
+def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, message):
+    paths = {}
+    for key, obj in files.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(obj))
+    argv = [a.format(**paths) for a in args]
+    proc = subprocess.run(
+        [sys.executable, "-m", "metaplectic.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert message in json.loads(proc.stderr)["error"]

@@ -8,7 +8,6 @@ from metaplectic.laurent import (
     binom_neg_mod_p,
     frobenius_phi,
     gamma_act,
-    invert,
     one_unit_root,
     phi_basis_decompose,
     psi_ring,
@@ -109,18 +108,18 @@ def test_phi_gamma_commute_on_ring():
 
 def test_invert_examples():
     f = LaurentSeries.from_int_coeffs(F3, {0: 1, 1: 1}, 4)
-    assert invert(f).agrees_with(
+    assert f.invert_series().agrees_with(
         LaurentSeries.from_int_coeffs(F3, {0: 1, 1: 2, 2: 1, 3: 2}, 4)
     )
     x = LaurentSeries.monomial(F3, 1, 5)
-    assert invert(x).valuation == -1
+    assert x.invert_series().valuation == -1
     with pytest.raises(ValueError, match="not invertible"):
-        invert(LaurentSeries.zero(F3, 5))
+        LaurentSeries.zero(F3, 5).invert_series()
     for _ in range(20):
         f = rand_series(F5, 14)
         if f.is_zero():
             continue
-        prod = f * invert(f)
+        prod = f * f.invert_series()
         assert prod.agrees_with(LaurentSeries.one(F5, prod.prec))
 
 
@@ -212,14 +211,10 @@ def test_precision_contracts():
     assert frobenius_phi(g).prec == 33
 
 
-def test_gamma_unit_type():
-    from metaplectic.laurent import GammaUnit
-
-    u = GammaUnit(4)
-    u.check(3)
+def test_gamma_act_rejects_non_units():
+    f = LaurentSeries.from_int_coeffs(F3, {0: 1, 1: 1, 2: 2}, 6)
     with pytest.raises(ValueError, match="coprime"):
-        GammaUnit(6).check(3)
-    with pytest.raises(ValueError, match="positive"):
-        GammaUnit(0)
-    f = LaurentSeries.monomial(F3, 1, 8)
-    assert gamma_act(u, f).agrees_with(gamma_act(4, f))
+        gamma_act(6, f)
+    for c in (0, -1, -2):
+        with pytest.raises(ValueError, match="positive"):
+            gamma_act(c, f)

@@ -220,13 +220,3 @@ def test_verify_bijection_small_field():
     assert report["class_function_consistent"]
     assert report["up_to_twist_ss"] == 2 and report["up_to_twist_galois"] == 2
     assert report["ss_classes"] == report["galois_classes"] == 2
-
-
-def test_theta_candidates_diagnostic():
-    M = ss_image(SSRep.plain(F5, 1))
-    cands = __import__("metaplectic.meta", fromlist=["theta_candidates"]).theta_candidates(M)
-    assert len(cands) == 4
-    # quadratic characters restrict trivially to the squares, so every
-    # candidate carries the same S-character
-    assert all(s == M.s_char for _, s in cands)
-    assert len({(tuple(eps.unram.coeffs), eps.tame) for eps, _ in cands}) == 4
