@@ -356,6 +356,8 @@ def simulate_dual_frobenius(data, i, K, m=None):
 
         sum_j (1+X)^j phi(((1+X)^{-j} f) o F) = f  at  f = X^{s_i} f_{i+1}.
     """
+    if K < 1:
+        raise ValueError(f"K (digits of the 1-unit) must be >= 1, got {K}")
     p = data.p
     spec = data.spec
     if m is None:

@@ -93,7 +93,7 @@ def _emit(obj, fmt):
 
 
 def _field(args):
-    return field_make(args.p, getattr(args, "m", 1) or 1)
+    return field_make(args.p, getattr(args, "m", 1))
 
 
 def _check_prec(args):

@@ -273,13 +273,13 @@ class FieldElem:
         raise AttributeError("FieldElem is immutable")
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_one(self):
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
     def in_prime_field(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def _coerce(self, other):
         if isinstance(other, FieldElem):

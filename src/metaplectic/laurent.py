@@ -21,7 +21,9 @@ The semilinear structure implemented here:
 
 from __future__ import annotations
 
-from .coeff import FieldElem
+import sys
+
+from .coeff import FieldElem, _poly_rem
 
 __all__ = [
     "LaurentSeries",
@@ -182,44 +184,37 @@ class LaurentSeries:
             return self.scale(self.spec.from_int(other))
         v1, v2 = self.val_or_prec(), other.val_or_prec()
         prec = min(v1 + other.prec, v2 + self.prec)
-        out = {}
-        for e1, a1 in self.coeffs.items():
-            for e2, a2 in other.coeffs.items():
-                e = e1 + e2
-                if e < prec:
-                    b = out.get(e)
-                    prod = a1 * a2
-                    out[e] = prod if b is None else b + prod
-        return LaurentSeries(self.spec, out, prec)
+        coeffs = _kronecker_mul(self.spec, self.coeffs, other.coeffs, prec)
+        return LaurentSeries(self.spec, coeffs, prec)
 
     __rmul__ = __mul__
 
     def invert_series(self):
-        """The inverse series; valuation negates, precision drops by 2*val."""
+        """The inverse series; valuation negates, precision drops by 2*val.
+
+        Newton iteration b <- b + b(1 - u*b) on the unit part u doubles the
+        known digits of b = u^-1 each step.
+        """
         v = self.valuation
         if v is None:
             raise ValueError("not invertible")
-        lead = self.coeffs[v]
+        spec = self.spec
+        lead_inv = self.coeffs[v].inv()
         n = self.prec - v  # number of known coefficients of the unit part
-        # unit part u = X^{-v} * self / lead, u = 1 + h with h of val >= 1
-        lead_inv = lead.inv()
-        h = {}
-        for e, a in self.coeffs.items():
-            if e != v:
-                h[e - v] = a * lead_inv
-        # invert 1 + h by successive coefficients: b_0 = 1, b_d = -sum h_j b_{d-j}
-        b = {0: self.spec.one()}
-        for d in range(1, n):
-            acc = self.spec.zero()
-            for j, hj in h.items():
-                if j <= d:
-                    bd = b.get(d - j)
-                    if bd is not None:
-                        acc = acc + hj * bd
-            if not acc.is_zero():
-                b[d] = -acc
-        out = {e - v: a * lead_inv for e, a in b.items()}
-        return LaurentSeries(self.spec, out, n - v)
+        # w = -u for the unit part u = X^-v self / lead, so w*b = r - 1 with
+        # r = 1 - u*b
+        minus_lead_inv = -lead_inv
+        w = {e - v: a * minus_lead_inv for e, a in self.coeffs.items()}
+        b = {0: spec.one()}
+        known = 1
+        while known < n:
+            # b is u^-1 mod X^known as an exact polynomial, so r = 0 below
+            # known: b + b*r adds the digits known..2*known-1
+            known = min(2 * known, n)
+            r = _kronecker_mul(spec, w, b, known)
+            del r[0]
+            b.update(_kronecker_mul(spec, b, r, known))
+        return LaurentSeries(spec, {e - v: a * lead_inv for e, a in b.items()}, n - v)
 
     def pow(self, e):
         """self**e; negative e requires an invertible series.
@@ -313,6 +308,74 @@ class LaurentSeries:
         }
 
 
+# memoryview format for each slot width in bytes, narrowest first
+_SLOT_CODES = sorted((memoryview(bytes(8)).cast(code).itemsize, code) for code in "BHIQ")
+
+
+def _pack(coeffs, lo, hi, stride, width, code):
+    """The coefficients at exponents lo..hi-1 as one int, `stride` slots of
+    `width` bytes per exponent, w-degree j in slot j."""
+    buf = bytearray((hi - lo) * stride * width)
+    slots = memoryview(buf).cast(code)
+    for e, a in coeffs.items():
+        if e < hi:
+            i = (e - lo) * stride
+            for c in a.coeffs:
+                slots[i] = c
+                i += 1
+    return int.from_bytes(buf, sys.byteorder)
+
+
+def _kronecker_mul(spec, a, b, prec):
+    """The coefficients of the product of the coefficient tables a and b
+    below prec, from one big-int product.
+
+    Each operand is packed into one int (Kronecker substitution) with a slot
+    per (exponent, w-degree) pair and 2m-1 slots per exponent, so the
+    w-degree products of F_{p^m} coefficients cannot overlap.  Only
+    exponents below prec - v_other are packed.  A slot sums at most
+    min(na, nb)*m products of two residues, so a slot of that bound never
+    carries.  Each slot is then reduced mod p and mod the field modulus.
+    """
+    if not a or not b:
+        return {}
+    v1, v2 = min(a), min(b)
+    hi1 = min(max(a) + 1, prec - v2)
+    hi2 = min(max(b) + 1, prec - v1)
+    if hi1 <= v1 or hi2 <= v2:
+        return {}
+    p, m = spec.p, spec.m
+    stride = 2 * m - 1
+    bound = min(hi1 - v1, hi2 - v2) * m * (p - 1) ** 2
+    width, code = next(wc for wc in _SLOT_CODES if bound >> (8 * wc[0]) == 0)
+    x = _pack(a, v1, hi1, stride, width, code)
+    y = x if b is a else _pack(b, v2, hi2, stride, width, code)
+    count = min(hi1 - v1 + hi2 - v2 - 1, prec - v1 - v2)
+    total = (hi1 - v1 + hi2 - v2 - 1) * stride * width
+    slots = memoryview((x * y).to_bytes(total, sys.byteorder)).cast(code)[: count * stride]
+    out = {}
+    base = v1 + v2
+    elems = {}  # one FieldElem per distinct coefficient of this product
+    if m == 1:  # over F_p a slot mod p is the coefficient
+        for k, s in enumerate(slots):
+            s %= p
+            if s:
+                elem = elems.get(s)
+                if elem is None:
+                    elem = elems[s] = FieldElem(spec, (s,))
+                out[base + k] = elem
+        return out
+    modulus = spec.modulus
+    for k in range(count):
+        r = _poly_rem([s % p for s in slots[k * stride : (k + 1) * stride]], modulus, p)
+        if r:
+            elem = elems.get(r)
+            if elem is None:
+                elem = elems[r] = FieldElem(spec, r + (0,) * (m - len(r)))
+            out[base + k] = elem
+    return out
+
+
 def series_from_json(obj, spec):
     from .coeff import elem_from_json
 
@@ -343,8 +406,8 @@ def gamma_act(c, f):
     c is an exact positive integer coprime to p, the representative of an
     element of Gamma = Z_p^* at which every construction in scope evaluates
     the action.  Negative exponents of the substituted variable are handled
-    by series inversion at a boosted internal working precision, so no
-    precision is lost against the contract.
+    by inverting the unit part of (1+X)^c - 1 at the precision the output
+    needs, so no precision is lost against the contract.
     """
     spec = f.spec
     if c < 1:
@@ -353,30 +416,24 @@ def gamma_act(c, f):
         raise ValueError("unit must be coprime to p")
     if c == 1 or f.is_zero():
         return f
+    # f = X^v P(X) and g = (1+X)^c - 1 = X*u, so f(g) = X^v u^v P(g): only
+    # u^v P(g) mod X^(N-v) is needed.  P(g) is evaluated by Horner's rule
+    # over the gaps between f's exponents, with one power of g per gap.
     N = f.prec
-    v = f.val_or_prec()
-    work = N + (2 * (-v) + 2 if v < 0 else 0)
-    g = gamma_transform(c, spec, work)
-    # unit part of g = X * u with u a unit known to work-1 digits
-    u = g.shift(-1)
-    u_inv = u.invert_series() if v < 0 else None
-    pow_cache = {}
-
-    def g_power(e):
-        got = pow_cache.get(e)
-        if got is not None:
-            return got
-        if e >= 0:
-            out = g.pow(e) if e else LaurentSeries.one(spec, work)
-        else:
-            out = u_inv.pow(-e).shift(e)
-        pow_cache[e] = out
-        return out
-
-    acc = LaurentSeries.zero(spec, N)
-    for e in sorted(f.coeffs):
-        acc = acc + g_power(e).scale(f.coeffs[e]).truncate(N)
-    return acc.truncate(N)
+    exps = sorted(f.coeffs)
+    v = exps[0]
+    known = N - v
+    g = gamma_transform(c, spec, known + 1)
+    gap_powers = {}
+    acc = {0: f.coeffs[exps[-1]]}
+    for lo, hi in zip(reversed(exps[:-1]), reversed(exps)):
+        gd = gap_powers.get(hi - lo)
+        if gd is None:
+            gd = gap_powers[hi - lo] = g.pow(hi - lo).coeffs
+        # acc * g^d has valuation >= 1, so the next digit goes in slot 0
+        acc = _kronecker_mul(spec, acc, gd, known)
+        acc[0] = f.coeffs[lo]
+    return (LaurentSeries(spec, acc, known) * g.shift(-1).pow(v)).shift(v)
 
 
 def one_unit_root(f, n):

@@ -20,6 +20,7 @@ field), and invert_ss_image reports exactly this failure mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .coeff import FieldSpec, factorial_in
 from .chars import SChar, TameChar, char_restrict_S
@@ -185,11 +186,14 @@ def least_nonsquare_unit(p):
     raise ValueError("no nonsquare unit (p must be odd)")
 
 
+@lru_cache(maxsize=None)
 def coset_quad_chars(p):
     """The quadratic characters chi_g for the fixed coset representatives
-    {1, u0, p, u0 p} of the squares, u0 the least positive nonsquare."""
+    {1, u0, p, u0 p} of the squares, u0 the least positive nonsquare.
+
+    Memoized per p; the tuple and its frozen entries cannot be mutated."""
     u0 = least_nonsquare_unit(p)
-    return [chi_z(g, p) for g in (1, u0, p, u0 * p)]
+    return tuple(chi_z(g, p) for g in (1, u0, p, u0 * p))
 
 
 @dataclass(frozen=True)

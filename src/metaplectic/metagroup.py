@@ -42,7 +42,8 @@ __all__ = [
 
 def vp(x, p):
     """p-adic valuation of a nonzero rational."""
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if x == 0:
         raise ValueError("nonzero required")
     v = 0
@@ -80,14 +81,21 @@ def hilbert(a, b, p):
     return _omega_sign(r, p)
 
 
+def _dot(x, y, z, w):
+    """x*y + z*w for Fractions, normalized once."""
+    d1 = x.denominator * y.denominator
+    d2 = z.denominator * w.denominator
+    return Fraction(x.numerator * y.numerator * d2 + z.numerator * w.numerator * d1, d1 * d2)
+
+
 class PMatrix:
     """An invertible 2x2 matrix over Q with exact rational entries."""
 
     __slots__ = ("a", "b", "c", "d", "det")
 
     def __init__(self, a, b, c, d):
-        a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-        det = a * d - b * c
+        a, b, c, d = (x if type(x) is Fraction else Fraction(x) for x in (a, b, c, d))
+        det = _dot(a, d, -b, c)
         if det == 0:
             raise ValueError("singular matrix")
         object.__setattr__(self, "a", a)
@@ -101,10 +109,10 @@ class PMatrix:
 
     def __mul__(self, other):
         return PMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+            _dot(self.a, other.a, self.b, other.c),
+            _dot(self.a, other.b, self.b, other.d),
+            _dot(self.c, other.a, self.d, other.c),
+            _dot(self.c, other.b, self.d, other.d),
         )
 
     def inv(self):

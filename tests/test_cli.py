@@ -202,6 +202,9 @@ LAM3 = {"p": 3, "m": 1, "coeffs": [1]}
         (["simulate-dual", "--p", "3", "--r", "0", "--i", "7"], {}, "basis index"),
         (["simulate-dual", "--p", "3", "--r", "0", "--i", "0"], {}, "basis index"),
         (["simulate-dual", "--p", "3", "--r", "0", "--i", "-1"], {}, "basis index"),
+        (["simulate-dual", "--p", "3", "--r", "0", "--K", "0"], {}, "K (digits"),
+        (["simulate-dual", "--p", "3", "--r", "0", "--K", "-2"], {}, "K (digits"),
+        (["build-rank1", "--p", "5", "--m", "0"], {}, "extension degree"),
     ],
 )
 def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, message):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaplectic.coeff import field_make
 from metaplectic.laurent import (
@@ -8,6 +10,7 @@ from metaplectic.laurent import (
     binom_neg_mod_p,
     frobenius_phi,
     gamma_act,
+    gamma_transform,
     one_unit_root,
     phi_basis_decompose,
     psi_ring,
@@ -218,3 +221,161 @@ def test_gamma_act_rejects_non_units():
     for c in (0, -1, -2):
         with pytest.raises(ValueError, match="positive"):
             gamma_act(c, f)
+
+
+# -- the packed product kernel against schoolbook oracles ---------------------
+#
+# The oracles are the arithmetic the kernel replaced: the schoolbook double
+# loop for products, the coefficient recurrence for inverses and one power
+# of (1+X)^c - 1 per exponent for gamma_act.  Coefficients and precisions
+# must agree exactly.
+
+KERNEL_FIELDS = [field_make(p, m) for p in (3, 5, 7) for m in (1, 2, 4)]
+kernel_settings = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+def schoolbook_mul(a, b):
+    v1, v2 = a.val_or_prec(), b.val_or_prec()
+    prec = min(v1 + b.prec, v2 + a.prec)
+    out = {}
+    for e1, a1 in a.coeffs.items():
+        for e2, a2 in b.coeffs.items():
+            e = e1 + e2
+            if e < prec:
+                out[e] = out[e] + a1 * a2 if e in out else a1 * a2
+    return LaurentSeries(a.spec, out, prec)
+
+
+def recurrence_invert(f):
+    v = f.valuation
+    lead_inv = f.coeffs[v].inv()
+    n = f.prec - v
+    h = {e - v: a * lead_inv for e, a in f.coeffs.items() if e != v}
+    # b_0 = 1, b_d = -sum_j h_j b_{d-j}
+    b = {0: f.spec.one()}
+    for d in range(1, n):
+        acc = f.spec.zero()
+        for j, hj in h.items():
+            if j <= d and d - j in b:
+                acc = acc + hj * b[d - j]
+        if not acc.is_zero():
+            b[d] = -acc
+    return LaurentSeries(f.spec, {e - v: a * lead_inv for e, a in b.items()}, n - v)
+
+
+def chain_pow(f, e):
+    """f**e as a chain of schoolbook products (the inverse first if e < 0)."""
+    if e == 0:
+        return LaurentSeries.one(f.spec, f.prec)
+    if e < 0:
+        f, e = recurrence_invert(f), -e
+    out = f
+    for _ in range(e - 1):
+        out = schoolbook_mul(out, f)
+    return out
+
+
+def per_exponent_gamma(c, f):
+    """sum_e a_e g^e mod X^N with g = (1+X)^c - 1, one power of g per exponent."""
+    spec, N = f.spec, f.prec
+    v = f.val_or_prec()
+    work = N + (2 * (-v) + 2 if v < 0 else 0)
+    g = gamma_transform(c, spec, work)
+    powers = {0: LaurentSeries.one(spec, work)}
+    for e in range(1, max(f.coeffs) + 1):
+        powers[e] = schoolbook_mul(powers[e - 1], g).truncate(N)
+    if v < 0:
+        u_inv = recurrence_invert(g.shift(-1))
+        inv_power = LaurentSeries.one(spec, work)
+        for e in range(-1, v - 1, -1):
+            inv_power = schoolbook_mul(inv_power, u_inv)
+            powers[e] = inv_power.shift(e)
+    acc = LaurentSeries.zero(spec, N)
+    for e, a in f.coeffs.items():
+        acc = acc + powers[e].scale(a).truncate(N)
+    return acc
+
+
+@st.composite
+def kernel_series(draw, spec, max_len=24, stride_powers=(1, 2)):
+    """A series over spec: the zero series, or dense, sparse or
+    Frobenius-stretched (exponents v + p^k*i) terms after valuation v."""
+    shape = draw(st.sampled_from(["zero", "dense", "sparse", "stretched"]))
+    v = draw(st.integers(-4, 3))
+    extra = draw(st.integers(0, 3))
+    if shape == "zero":
+        return LaurentSeries.zero(spec, v + extra)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    length = draw(st.integers(1, max_len))
+    p = spec.p
+    stride = p ** draw(st.sampled_from(stride_powers)) if shape == "stretched" else 1
+    exps = [v + stride * i for i in range(length)]
+    if shape == "sparse":
+        exps = [v] + [e for e in exps[1:] if rng.random() < 0.2]
+
+    def unit():
+        while True:
+            a = spec.elem([rng.randrange(p) for _ in range(spec.m)])
+            if not a.is_zero():
+                return a
+
+    return LaurentSeries(spec, {e: unit() for e in exps}, exps[-1] + 1 + extra)
+
+
+def same(got, want):
+    assert got.prec == want.prec
+    assert got.coeffs == want.coeffs
+
+
+@kernel_settings
+@given(st.data())
+def test_kernel_mul_matches_schoolbook(data):
+    spec = data.draw(st.sampled_from(KERNEL_FIELDS))
+    a = data.draw(kernel_series(spec))
+    b = data.draw(kernel_series(spec))
+    same(a * b, schoolbook_mul(a, b))
+    same(a * a, schoolbook_mul(a, a))
+
+
+@kernel_settings
+@given(st.data())
+def test_kernel_invert_matches_recurrence(data):
+    spec = data.draw(st.sampled_from(KERNEL_FIELDS))
+    f = data.draw(kernel_series(spec).filter(lambda f: not f.is_zero()))
+    same(f.invert_series(), recurrence_invert(f))
+
+
+@kernel_settings
+@given(st.data())
+def test_kernel_pow_matches_product_chain(data):
+    spec = data.draw(st.sampled_from(KERNEL_FIELDS))
+    f = data.draw(kernel_series(spec, max_len=12))
+    e = data.draw(st.integers(0 if f.is_zero() else -3, 2 * spec.p + 1))
+    same(f.pow(e), chain_pow(f, e))
+
+
+@kernel_settings
+@given(st.data())
+def test_kernel_gamma_act_matches_per_exponent(data):
+    spec = data.draw(st.sampled_from(KERNEL_FIELDS))
+    f = data.draw(kernel_series(spec, max_len=16, stride_powers=(1,)))
+    c = data.draw(st.integers(2, 3 * spec.p ** 2).filter(lambda c: c % spec.p))
+    out = gamma_act(c, f)
+    same(out, per_exponent_gamma(c, f) if not f.is_zero() else f)
+    assert out.prec == f.prec
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=repr)
+def test_kernel_slot_width_holds_worst_case_sums(spec):
+    # Every coefficient is (p-1)(1 + w + ... + w^(m-1)), so the middle slot
+    # of a*a sums exactly n*m*(p-1)^2, the bound that sets the slot width.
+    # n is the least length at which that sum needs 2 bytes, then 3.
+    p, m = spec.p, spec.m
+    top = spec.elem([p - 1] * m)
+    multiples = [top * top * spec.from_int(j) for j in range(p)]
+    for limit in (1 << 8, 1 << 16):
+        n = -(-limit // (m * (p - 1) ** 2))
+        a = LaurentSeries(spec, {e: top for e in range(n)}, n)
+        square = a * a
+        assert square.prec == n
+        assert all(square.coeff(k) == multiples[(k + 1) % p] for k in range(n))

@@ -183,3 +183,24 @@ def test_chi_z_homomorphism():
             prod = chi_z(z1 * z2, p)
             assert prod.unram == chi_z(z1, p).unram * chi_z(z2, p).unram
             assert prod.tame == (chi_z(z1, p).tame + chi_z(z2, p).tame) % (p - 1)
+
+
+def test_pmatrix_product_and_det_match_fraction_arithmetic():
+    local = random.Random(5)
+
+    def q():
+        return Fraction(local.randrange(-40, 41), local.randrange(1, 30))
+
+    checked = 0
+    while checked < 300:
+        x = [q() for _ in range(4)]
+        y = [q() for _ in range(4)]
+        try:
+            g, h = PMatrix(*x), PMatrix(*y)
+        except ValueError:
+            continue
+        a, b, c, d = x
+        e, f, u, w = y
+        assert g.det == a * d - b * c
+        assert (g * h).entries() == (a * e + b * u, a * f + b * w, c * e + d * u, c * f + d * w)
+        checked += 1
