@@ -9,6 +9,14 @@ every serialized element reproducible across runs.
 
 The vector (a_0, ..., a_{m-1}) stands for a_0 + a_1 w + ... + a_{m-1} w^{m-1}
 where w is the class of X.  The prime subfield embeds as constant vectors.
+
+Addition is coordinate-wise.  Multiplication, inversion and powers in a
+field of order q <= TABLE_MAX_ORDER go through a log/antilog table built on
+the first such operation: g is the least primitive element in counting
+order, log sends each coefficient vector to k with g^k equal to it (zero to
+None) and exp lists g^0, ..., g^{q-2}, so a*b = exp[(log a + log b) % (q-1)]
+returns an existing element.  Larger fields multiply polynomials modulo the
+modulus and invert as a^(q-2).
 """
 
 from __future__ import annotations
@@ -24,6 +32,11 @@ __all__ = [
     "factorial_in",
     "is_prime",
 ]
+
+# Fields up to this order get log/antilog tables (7^4 = 2401 and 13^3 = 2197
+# fit).  A table costs q - 1 products to build, which a large field such as
+# F_1000003 in `ss-image --p 1000003` would never earn back.
+TABLE_MAX_ORDER = 4096
 
 
 def is_prime(n):
@@ -89,6 +102,29 @@ def _poly_gcd(a, b, p):
     return a
 
 
+def _digits(idx, p, m):
+    """The m base-p digits of idx, least significant first (counting order)."""
+    coeffs = []
+    for _ in range(m):
+        coeffs.append(idx % p)
+        idx //= p
+    return tuple(coeffs)
+
+
+def _prime_factors(n):
+    primes = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def _is_irreducible(modulus, p):
     """Deterministic irreducibility test for a monic polynomial over F_p."""
     m = len(modulus) - 1
@@ -104,18 +140,7 @@ def _is_irreducible(modulus, p):
     if _trim(diff):
         return False
     # gcd(X^{p^{m/q}} - X, f) == 1 for each prime q | m
-    q = 2
-    mm = m
-    primes = set()
-    while q * q <= mm:
-        if mm % q == 0:
-            primes.add(q)
-            while mm % q == 0:
-                mm //= q
-        q += 1
-    if mm > 1:
-        primes.add(mm)
-    for q in primes:
+    for q in _prime_factors(m):
         t = x
         for _ in range(m // q):
             t = _poly_powmod(t, p, modulus, p)
@@ -133,7 +158,7 @@ class FieldSpec:
     Immutable and shareable; all element operations are pure.
     """
 
-    __slots__ = ("p", "m", "modulus", "_one", "_zero")
+    __slots__ = ("p", "m", "modulus", "_one", "_zero", "_log", "_exp")
 
     def __init__(self, p, m, modulus):
         if p == 2 or not is_prime(p):
@@ -149,6 +174,8 @@ class FieldSpec:
         object.__setattr__(self, "modulus", tuple(modulus))
         object.__setattr__(self, "_zero", None)
         object.__setattr__(self, "_one", None)
+        object.__setattr__(self, "_log", None)
+        object.__setattr__(self, "_exp", None)
 
     def __setattr__(self, *a):
         raise AttributeError("FieldSpec is immutable")
@@ -177,6 +204,34 @@ class FieldSpec:
             object.__setattr__(self, "_one", e)
         return e
 
+    def _tables(self):
+        """The log dict of this field, built on first use; False above
+        TABLE_MAX_ORDER.  The antilog list is left in self._exp."""
+        log = self._log
+        if log is not None:
+            return log
+        q, p, m, modulus = self.order, self.p, self.m, self.modulus
+        if q > TABLE_MAX_ORDER:
+            object.__setattr__(self, "_log", False)
+            return False
+        n = q - 1
+        primes = _prime_factors(n)
+        for idx in range(2, q):
+            g = _trim(_digits(idx, p, m))
+            if all(_poly_powmod(g, n // ell, modulus, p) != (1,) for ell in primes):
+                break
+        log = {(0,) * m: None}
+        exp = []
+        x = (1,)
+        for k in range(n):
+            elem = FieldElem(self, x + (0,) * (m - len(x)))
+            log[elem.coeffs] = k
+            exp.append(elem)
+            x = _poly_mulmod(x, g, modulus, p)
+        object.__setattr__(self, "_exp", exp)
+        object.__setattr__(self, "_log", log)
+        return log
+
     def gen(self):
         if self.m == 1:
             return self.from_int(1)
@@ -186,12 +241,7 @@ class FieldSpec:
         """All field elements in counting order of coefficient vectors."""
         p, m = self.p, self.m
         for idx in range(p ** m):
-            coeffs = []
-            t = idx
-            for _ in range(m):
-                coeffs.append(t % p)
-                t //= p
-            yield FieldElem(self, tuple(coeffs))
+            yield FieldElem(self, _digits(idx, p, m))
 
     def nonzero_elements(self):
         for e in self.elements():
@@ -234,12 +284,7 @@ def field_make(p, m=1):
     else:
         modulus = None
         for idx in range(p ** m):
-            coeffs = []
-            t = idx
-            for _ in range(m):
-                coeffs.append(t % p)
-                t //= p
-            cand = tuple(coeffs) + (1,)
+            cand = _digits(idx, p, m) + (1,)
             if _is_irreducible(cand, p):
                 modulus = cand
                 break
@@ -283,7 +328,7 @@ class FieldElem:
 
     def _coerce(self, other):
         if isinstance(other, FieldElem):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise ValueError("elements live in different fields")
             return other
         if isinstance(other, int):
@@ -319,51 +364,20 @@ class FieldElem:
         if other is NotImplemented:
             return NotImplemented
         spec = self.spec
-        if spec.m == 1:
-            return FieldElem(spec, (self.coeffs[0] * other.coeffs[0] % spec.p,))
+        log = spec._tables()
+        if log:
+            i, j = log[self.coeffs], log[other.coeffs]
+            if i is None or j is None:
+                return spec.zero()
+            exp = spec._exp
+            return exp[(i + j) % len(exp)]
         prod = _poly_mulmod(_trim(self.coeffs), _trim(other.coeffs), spec.modulus, spec.p)
         return FieldElem(spec, prod + (0,) * (spec.m - len(prod)))
 
     __rmul__ = __mul__
 
     def inv(self):
-        if self.is_zero():
-            raise ZeroDivisionError("zero inverse")
-        spec = self.spec
-        if spec.m == 1:
-            return FieldElem(spec, (pow(self.coeffs[0], spec.p - 2, spec.p),))
-        # extended Euclid in F_p[X] against the modulus
-        p = spec.p
-        r0, r1 = spec.modulus, _trim(self.coeffs)
-        s0, s1 = (), (1,)
-        while r1:
-            lead_inv = pow(r1[-1], p - 2, p)
-            q = [0] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for i in range(len(rem) - 1, len(r1) - 2, -1):
-                coef = rem[i] * lead_inv % p
-                if coef:
-                    q[i - len(r1) + 1] = coef
-                    for j, c in enumerate(r1):
-                        rem[i - len(r1) + 1 + j] = (rem[i - len(r1) + 1 + j] - coef * c) % p
-            r0, r1 = r1, _trim(rem[: len(r1) - 1])
-            # s_{k+1} = s_{k-1} - q s_k  (no modulus reduction needed, degrees stay < m)
-            qs = [0] * (len(q) + len(s1) - 1 if s1 else 0)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs[i + j] = (qs[i + j] + qi * sj) % p
-            new_s = [0] * max(len(s0), len(qs))
-            for i, c in enumerate(s0):
-                new_s[i] = c
-            for i, c in enumerate(qs):
-                new_s[i] = (new_s[i] - c) % p
-            s0, s1 = s1, _trim(new_s)
-        # r0 is the gcd, a nonzero constant
-        c_inv = pow(r0[0], p - 2, p)
-        out = tuple(c * c_inv % p for c in s0)
-        out = _poly_rem(out, spec.modulus, p)
-        return FieldElem(spec, out + (0,) * (spec.m - len(out)))
+        return self ** -1
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -375,16 +389,20 @@ class FieldElem:
         return self.inv() * other
 
     def __pow__(self, e):
+        """self^e; a negative e needs a nonzero element, and 0^0 = 1."""
+        spec = self.spec
+        log = spec._tables()
+        if log:
+            k = log[self.coeffs]
+            if k is not None:
+                exp = spec._exp
+                return exp[k * e % len(exp)]
+        elif not self.is_zero():
+            r = _poly_powmod(_trim(self.coeffs), e % (spec.order - 1), spec.modulus, spec.p)
+            return FieldElem(spec, r + (0,) * (spec.m - len(r)))
         if e < 0:
-            return self.inv() ** (-e)
-        result = self.spec.one()
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+            raise ZeroDivisionError("zero inverse")
+        return spec.one() if e == 0 else self
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -463,7 +481,8 @@ def factorial_in(spec, r):
     """r! as an element of F_p inside spec; 0! = 1."""
     if r < 0:
         raise ValueError("negative factorial")
-    acc = spec.one()
+    p = spec.p
+    acc = 1
     for i in range(2, r + 1):
-        acc = acc * spec.from_int(i)
-    return acc
+        acc = acc * i % p
+    return spec.from_int(acc)

@@ -199,13 +199,11 @@ class LaurentSeries:
         if v is None:
             raise ValueError("not invertible")
         spec = self.spec
-        lead_inv = self.coeffs[v].inv()
         n = self.prec - v  # number of known coefficients of the unit part
-        # w = -u for the unit part u = X^-v self / lead, so w*b = r - 1 with
-        # r = 1 - u*b
-        minus_lead_inv = -lead_inv
-        w = {e - v: a * minus_lead_inv for e, a in self.coeffs.items()}
-        b = {0: spec.one()}
+        # w = -u for the unit part u = X^-v self; b starts at u^-1 mod X, so
+        # w*b = r - 1 with r = 1 - u*b
+        w = {e - v: -a for e, a in self.coeffs.items()}
+        b = {0: self.coeffs[v].inv()}
         known = 1
         while known < n:
             # b is u^-1 mod X^known as an exact polynomial, so r = 0 below
@@ -214,7 +212,7 @@ class LaurentSeries:
             r = _kronecker_mul(spec, w, b, known)
             del r[0]
             b.update(_kronecker_mul(spec, b, r, known))
-        return LaurentSeries(spec, {e - v: a * lead_inv for e, a in b.items()}, n - v)
+        return LaurentSeries(spec, {e - v: a for e, a in b.items()}, n - v)
 
     def pow(self, e):
         """self**e; negative e requires an invertible series.

@@ -313,6 +313,14 @@ def ss_sprime(p, r):
     return p - 2 * r if r < half else 3 * p - 2 * r
 
 
+def _ss_base(r, eta, lam0):
+    """The degree-4 base parameter of ss_image, given lam0 = ss_lam0(spec, r)."""
+    p = eta.spec.p
+    step = (p ** 4 - 1) // (p - 1)
+    H = (p * p + 1) // 2 * ss_sprime(p, r) + (r - 1 + eta.tame) * step
+    return InducedParams(4, H, lam0 * eta.unram ** 4)
+
+
 def ss_image(rep):
     """The metaplectic image of a supersingular parameter (r, eta).
 
@@ -321,11 +329,7 @@ def ss_image(rep):
     S-character is omega^r * eta^2 restricted to S.
     """
     spec, r, eta = rep.spec, rep.r, rep.eta
-    p = spec.p
-    step = (p ** 4 - 1) // (p - 1)
-    H = (p * p + 1) // 2 * ss_sprime(p, r) + (r - 1 + eta.tame) * step
-    lam = ss_lam0(spec, r) * eta.unram ** 4
-    base = InducedParams(4, H, lam)
+    base = _ss_base(r, eta, ss_lam0(spec, r))
     s_char = SChar(eta.unram ** 4, r + 2 * eta.tame)
     return meta_ind(s_char, base)
 
@@ -376,11 +380,6 @@ def enumerate_tame_chars(spec):
             yield TameChar(u, tame)
 
 
-def _image_key(rep):
-    base = canonicalize(ss_image(rep).base)
-    return (base.H, base.Lam.coeffs)
-
-
 def verify_bijection(spec):
     """Enumerate both sides of the supersingular correspondence and report.
 
@@ -396,14 +395,15 @@ def verify_bijection(spec):
     mod = p ** 4 - 1
     step = mod // (p - 1)
     admissible = [r for r in range(p) if r != (p - 1) // 2]
+    lam0s = {r: ss_lam0(spec, r) for r in admissible}
 
     class_to_image = {}
     consistent = True
     for r in admissible:
         for eta in enumerate_tame_chars(spec):
-            rep = SSRep(spec, r, eta)
-            key = ss_class_key(rep)
-            img = _image_key(rep)
+            key = ss_class_key(SSRep(spec, r, eta))
+            base = canonicalize(_ss_base(r, eta, lam0s[r]))
+            img = (base.H, base.Lam.coeffs)
             if key in class_to_image:
                 if class_to_image[key] != img:
                     consistent = False
@@ -420,14 +420,15 @@ def verify_bijection(spec):
     for H in range(1, mod):
         if is_half_twist_invariant(H, p) and primitive(H, 4, p):
             canonical_H.add(orbit_min(H))
+    lam0_invs = {r: lam0.inv() for r, lam0 in lam0s.items()}
     qualifying = set()
     for H in canonical_H:
         hprime = lemma1_classify(InducedParams(4, H, spec.one()))
         if hprime is None:
             raise AssertionError(f"canonical exponent {H} has no window exponent")
-        lam0 = ss_lam0(spec, _r_of_hprime(p, hprime))
+        lam0_inv = lam0_invs[_r_of_hprime(p, hprime)]
         for lam in spec.nonzero_elements():
-            if _is_fourth_power(lam * lam0.inv()):
+            if _is_fourth_power(lam * lam0_inv):
                 qualifying.add((H, lam.coeffs))
     surjective = image_set == qualifying
 

@@ -2,8 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metaplectic import coeff
 from metaplectic.coeff import (
+    TABLE_MAX_ORDER,
+    FieldElem,
+    _poly_mulmod,
+    _poly_powmod,
+    _trim,
     factorial_in,
     field_make,
     nth_roots,
@@ -128,6 +136,8 @@ def test_factorials():
     assert factorial_in(F5, 0).is_one()
     assert int(factorial_in(F5, 4)) == 24 % 5
     assert int(factorial_in(F3, 2)) == 2
+    big = 1000003
+    assert int(factorial_in(field_make(big), big - 1)) == big - 1  # Wilson
 
 
 def test_serialization_round_trip():
@@ -136,3 +146,114 @@ def test_serialization_round_trip():
     a = F625.elem((1, 0, 4, 2))
     assert elem_from_json(a.to_json()) == a
     assert a.to_json() == {"p": 5, "m": 4, "coeffs": [1, 0, 4, 2]}
+
+
+# -- log/antilog tables against polynomial arithmetic --
+
+table_settings = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+SMALL_FIELDS = [(p, m) for p in (3, 5, 7) for m in (1, 2, 3, 4)]
+
+
+def poly_elem(spec, poly):
+    return FieldElem(spec, poly + (0,) * (spec.m - len(poly)))
+
+
+def poly_mul(a, b):
+    spec = a.spec
+    return poly_elem(spec, _poly_mulmod(_trim(a.coeffs), _trim(b.coeffs), spec.modulus, spec.p))
+
+
+def poly_pow(a, e):
+    spec = a.spec
+    return poly_elem(spec, _poly_powmod(_trim(a.coeffs), e, spec.modulus, spec.p))
+
+
+@pytest.mark.parametrize("p,m", SMALL_FIELDS)
+@table_settings
+@given(data=st.data())
+def test_table_arithmetic_matches_polynomial_arithmetic(p, m, data):
+    spec = field_make(p, m)
+    q = spec.order
+    vec = st.lists(st.integers(0, p - 1), min_size=m, max_size=m)
+    a, b = (spec.elem(data.draw(st.one_of(st.just((0,) * m), vec))) for _ in range(2))
+    e = data.draw(st.integers(-2 * q, 2 * q))
+    assert spec._tables()
+    assert a * b == poly_mul(a, b)
+    assert a * 0 == 0 and 1 * a == a
+    if a.is_zero():
+        assert a ** 0 == 1
+        assert a ** abs(e) == (1 if e == 0 else 0)
+        with pytest.raises(ZeroDivisionError, match="zero inverse"):
+            a.inv()
+        with pytest.raises(ZeroDivisionError, match="zero inverse"):
+            a ** -1
+        return
+    inv = poly_pow(a, q - 2)
+    assert poly_mul(a, inv) == 1
+    assert a.inv() == inv
+    assert a ** e == (poly_pow(a, e) if e >= 0 else poly_pow(inv, -e))
+    if not b.is_zero():
+        assert a / b == poly_mul(a, poly_pow(b, q - 2))
+
+
+@pytest.mark.parametrize("p,m", SMALL_FIELDS)
+def test_table_zero_powers_and_inverse(p, m):
+    zero = field_make(p, m).zero()
+    assert zero ** 0 == 1 and zero ** 3 == 0 and zero * zero == 0
+    with pytest.raises(ZeroDivisionError, match="zero inverse"):
+        zero.inv()
+    with pytest.raises(ZeroDivisionError, match="zero inverse"):
+        zero ** -1
+
+
+def test_table_generator_is_least_primitive_element():
+    for spec in (F3, F25, field_make(3, 3), field_make(7, 2)):
+        log = spec._tables()
+        exp = spec._exp
+        q = spec.order
+        assert len(exp) == q - 1 and len(log) == q
+        assert all(log[x.coeffs] == k for k, x in enumerate(exp))
+
+        def order(x):
+            y, k = x, 1
+            while not y.is_one():
+                y, k = poly_mul(y, x), k + 1
+            return k
+
+        primitive = [x for x in spec.nonzero_elements() if order(x) == q - 1]
+        assert exp[1] == primitive[0]
+
+
+def test_products_are_table_entries():
+    a, b = F625.elem((1, 2, 0, 3)), F625.elem((4, 0, 1, 1))
+    assert a * b is b * a
+    assert a.inv() is a ** (F625.order - 2)
+    assert a * 0 is F625.zero()
+
+
+def test_field_make_builds_no_table(monkeypatch):
+    monkeypatch.setattr(coeff, "_FIELD_CACHE", {})
+    spec = field_make(7, 4)
+    assert spec._log is None and spec._exp is None
+    x = spec.elem((1, 2, 3, 4))
+    assert x + x - x == x and len(list(spec.elements())) == 7 ** 4
+    assert spec._log is None
+    assert x * x == poly_mul(x, x)
+    assert len(spec._tables()) == spec.order
+
+
+def test_large_field_uses_polynomial_arithmetic(monkeypatch):
+    monkeypatch.setattr(coeff, "_FIELD_CACHE", {})
+    spec = field_make(67, 2)
+    q = spec.order
+    assert q > TABLE_MAX_ORDER >= max(7 ** 4, 13 ** 3)
+    for x in (spec.elem((3, 5)), spec.elem((0, 66)), spec.from_int(2)):
+        assert (x * x.inv()).is_one()
+        assert (x ** (q - 1)).is_one()
+        assert x ** -3 == x.inv() ** 3
+        assert x * x == poly_mul(x, x)
+    zero = spec.zero()
+    assert zero ** 0 == 1 and zero ** 5 == 0
+    with pytest.raises(ZeroDivisionError, match="zero inverse"):
+        zero.inv()
+    assert spec._log is False and spec._exp is None
