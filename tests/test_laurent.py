@@ -15,20 +15,12 @@ from metaplectic.laurent import (
     phi_basis_decompose,
     psi_ring,
 )
+from metaplectic.selftest import gamma_law, rand_series, reassembly_law, root_law
 
 F3 = field_make(3)
 F5 = field_make(5)
 
 rng = random.Random(101)
-
-
-def rand_series(spec, prec, val=-2, density=0.4):
-    coeffs = {
-        e: spec.from_int(rng.randrange(spec.p))
-        for e in range(val, prec)
-        if rng.random() < density
-    }
-    return LaurentSeries(spec, coeffs, prec)
 
 
 def root_oracle(f, n):
@@ -93,20 +85,12 @@ def test_gamma_on_power_of_p_exponent():
 
 
 def test_gamma_composition_property():
-    for _ in range(25):
-        f = rand_series(F3, 12)
-        assert gamma_act(2, gamma_act(4, f)).agrees_with(gamma_act(8, f))
-    for _ in range(10):
-        f = rand_series(F5, 14)
-        assert gamma_act(2, gamma_act(3, f)).agrees_with(gamma_act(6, f))
+    gamma_law(rng, F3, 25, 12, 2, 4)
+    gamma_law(rng, F5, 10, 14, 2, 3)
 
 
 def test_phi_gamma_commute_on_ring():
-    for _ in range(25):
-        f = rand_series(F5, 15)
-        lhs = frobenius_phi(gamma_act(7, f))
-        rhs = gamma_act(7, frobenius_phi(f))
-        assert lhs.agrees_with(rhs)
+    gamma_law(rng, F5, 25, 15, 7, 2)
 
 
 def test_invert_examples():
@@ -119,7 +103,7 @@ def test_invert_examples():
     with pytest.raises(ValueError, match="not invertible"):
         LaurentSeries.zero(F3, 5).invert_series()
     for _ in range(20):
-        f = rand_series(F5, 14)
+        f = rand_series(rng, F5, 14)
         if f.is_zero():
             continue
         prod = f * f.invert_series()
@@ -139,15 +123,8 @@ def test_one_unit_root_examples_and_oracle():
 
 
 def test_one_unit_root_random_vs_oracle():
-    for _ in range(12):
-        tail = rand_series(F5, 12, val=1, density=0.6)
-        f = LaurentSeries.one(F5, 12) + tail
-        if not f.is_one_unit():
-            continue
-        for n in (2, 3, 7, 5 ** 4 - 1):
-            r = one_unit_root(f, n)
-            assert r.agrees_with(root_oracle(f, n))
-            assert r.pow(n).agrees_with(f)
+    for f, n, r in root_law(rng, F5, 12, 12, (2, 3, 7, 5 ** 4 - 1)):
+        assert r.agrees_with(root_oracle(f, n))
 
 
 def test_one_unit_root_errors():
@@ -164,7 +141,7 @@ def test_decompose_examples():
     assert comps[0].agrees_with(LaurentSeries.one(F3, comps[0].prec))
     assert all(c.is_zero() for c in comps[1:])
     # f = (1+X)^2 phi(h) has only the index-2 component
-    h = rand_series(F3, 6, val=0)
+    h = rand_series(rng, F3, 6, lo=0)
     one_plus = LaurentSeries.from_int_coeffs(F3, {0: 1, 1: 1}, 20)
     f = (one_plus.pow(2) * frobenius_phi(h)).truncate(18)
     comps = phi_basis_decompose(f)
@@ -177,20 +154,7 @@ def test_decompose_examples():
 
 def test_decompose_reassembly_property():
     for spec in (F3, F5):
-        p = spec.p
-        for _ in range(20):
-            f = rand_series(spec, 21)
-            comps = phi_basis_decompose(f)
-            bound = min(c.prec for c in comps) * p
-            assert bound >= (21 // p - 1) * p
-            one_plus = LaurentSeries.from_int_coeffs(spec, {0: 1, 1: 1}, bound + p)
-            acc = LaurentSeries.zero(spec, bound)
-            for i, gi in enumerate(comps):
-                term = frobenius_phi(gi)
-                if i:
-                    term = term * one_plus.pow(i)
-                acc = acc + term
-            assert acc.agrees_with(f)
+        reassembly_law(rng, spec, 20, 21)
 
 
 def test_psi_ring_example():
@@ -206,10 +170,10 @@ def test_binom_neg():
 
 
 def test_precision_contracts():
-    f = rand_series(F5, 23)
+    f = rand_series(rng, F5, 23)
     for c in phi_basis_decompose(f):
         assert c.prec >= 23 // 5 - 1
-    g = rand_series(F3, 11, val=-3)
+    g = rand_series(rng, F3, 11, lo=-3)
     assert gamma_act(2, g).prec == 11
     assert frobenius_phi(g).prec == 33
 

