@@ -71,8 +71,11 @@ def _meta_json(M):
 def _load_json(path):
     if path == "-":
         return json.load(sys.stdin)
-    with open(path) as handle:
-        return json.load(handle)
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 @contextmanager

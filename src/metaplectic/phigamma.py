@@ -54,48 +54,44 @@ def identity_matrix(spec, n, prec):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
+def _fma(acc, a, b):
+    """acc + a*b under the matrix ops' one precision rule; acc None is 0.
+
+    A zero known mod X^k is an unknown of valuation >= k, so its product
+    with b is an unknown of valuation >= k + v(b): the precision a*b would
+    claim (Caruso-Roe-Vaccon).  Such a product is not formed; it caps the
+    precision of acc, and changes nothing when acc claims no digit past it.
+    """
+    if a.is_zero():
+        cap = a.prec + b.val_or_prec()
+    elif b.is_zero():
+        cap = b.prec + a.val_or_prec()
+    else:
+        term = a * b
+        if acc is None:
+            return term
+        # a zero acc only caps the precision of the term
+        return term.truncate(acc.prec) if acc.is_zero() else acc + term
+    return LaurentSeries.zero(a.spec, cap) if acc is None else acc.truncate(cap)
+
+
 def mat_mul(A, B):
-    """Matrix product; known-zero entries are treated as structural zeros
-    (they do not drag the precision of the accumulated sums down)."""
-    n, mid, m = len(A), len(B), len(B[0])
+    """Matrix product; each entry sums its terms with `_fma`."""
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
+    for row in A:
+        out_row = []
+        for col in zip(*B):
             acc = None
-            for k in range(mid):
-                a, b = A[i][k], B[k][j]
-                if a.is_zero() or b.is_zero():
-                    continue
-                term = a * b
-                acc = term if acc is None else acc + term
-            if acc is None:
-                prec = min(
-                    min(A[i][k].prec for k in range(mid)),
-                    min(B[k][j].prec for k in range(mid)),
-                )
-                acc = LaurentSeries.zero(A[i][0].spec, prec)
-            row.append(acc)
-        out.append(row)
+            for a, b in zip(row, col, strict=True):
+                acc = _fma(acc, a, b)
+            out_row.append(acc)
+        out.append(out_row)
     return out
 
 
 def mat_vec(A, v):
-    """Matrix-vector product with the same structural-zero convention."""
-    out = []
-    for i in range(len(A)):
-        acc = None
-        for k in range(len(v)):
-            a, b = A[i][k], v[k]
-            if a.is_zero() or b.is_zero():
-                continue
-            term = a * b
-            acc = term if acc is None else acc + term
-        if acc is None:
-            prec = min(min(e.prec for e in A[i]), min(e.prec for e in v))
-            acc = LaurentSeries.zero(A[i][0].spec, prec)
-        out.append(acc)
-    return out
+    """Matrix-vector product: mat_mul on the column v."""
+    return [row[0] for row in mat_mul(A, [[x] for x in v])]
 
 
 def mat_transpose(A):
@@ -123,64 +119,53 @@ def mat_kron(A, B):
     return out
 
 
-def _pivot_row(M, col, start):
-    best, pivot = None, None
-    for i in range(start, len(M)):
-        e = M[i][col]
-        if not e.is_zero():
-            v = e.valuation
-            if best is None or v < best:
-                best, pivot = v, i
-    return pivot
+def _gauss_jordan(A):
+    """Gauss-Jordan elimination of [A | I] with least-valuation pivots.
+
+    Returns (pivots, A^-1); det A is the product of the pivots, each
+    negated when its row was swapped.  When no entry left in column j is
+    known to be nonzero, A is singular to the known digits: the inverse is
+    None, and the last pivot is a zero known to the valuation that every
+    term of the remaining block's Leibniz expansion (one entry per column)
+    reaches.
+    """
+    n = len(A)
+    spec = A[0][0].spec
+    ident = identity_matrix(spec, n, max(e.prec for row in A for e in row))
+    M = [list(row) + ident[i] for i, row in enumerate(A)]
+    pivots = []
+    for j in range(n):
+        rows = [i for i in range(j, n) if not M[i][j].is_zero()]
+        if not rows:
+            known = sum(min(M[i][k].val_or_prec() for i in range(j, n)) for k in range(j, n))
+            return pivots + [LaurentSeries.zero(spec, known)], None
+        pivot = min(rows, key=lambda i: M[i][j].valuation)
+        pivots.append(M[j][j] if pivot == j else -M[pivot][j])
+        M[j], M[pivot] = M[pivot], M[j]
+        piv_inv = M[j][j].invert_series()
+        M[j] = [e * piv_inv for e in M[j]]
+        for i in range(n):
+            if i != j:
+                factor = -M[i][j]
+                M[i] = [_fma(a, factor, b) for a, b in zip(M[i], M[j])]
+    return pivots, [row[n:] for row in M]
 
 
 def mat_det(A):
-    """Determinant by elimination with minimal-valuation pivoting."""
-    n = len(A)
-    M = [row[:] for row in A]
-    sign = 1
-    det = None
-    for j in range(n):
-        pivot = _pivot_row(M, j, j)
-        if pivot is None:
-            prec = min(e.prec for row in M for e in row)
-            return LaurentSeries.zero(A[0][0].spec, prec)
-        if pivot != j:
-            M[j], M[pivot] = M[pivot], M[j]
-            sign = -sign
-        piv = M[j][j]
-        det = piv if det is None else det * piv
-        piv_inv = piv.invert_series()
-        for i in range(j + 1, n):
-            if not M[i][j].is_zero():
-                factor = M[i][j] * piv_inv
-                for k in range(j + 1, n):
-                    M[i][k] = M[i][k] - factor * M[j][k]
-                M[i][j] = LaurentSeries.zero(piv.spec, M[i][j].prec)
-    if sign < 0:
-        det = -det
+    """Determinant: the product of the pivots of the elimination behind `mat_inv`."""
+    pivots = _gauss_jordan(A)[0]
+    det = pivots[0]
+    for piv in pivots[1:]:
+        det = det * piv
     return det
 
 
 def mat_inv(A):
     """Inverse by Gauss-Jordan elimination; raises on a known-singular input."""
-    n = len(A)
-    spec = A[0][0].spec
-    prec = max(e.prec for row in A for e in row)
-    M = [row[:] + identity_matrix(spec, n, prec)[i] for i, row in enumerate(A)]
-    for j in range(n):
-        pivot = _pivot_row(M, j, j)
-        if pivot is None:
-            raise ValueError("not etale")
-        if pivot != j:
-            M[j], M[pivot] = M[pivot], M[j]
-        piv_inv = M[j][j].invert_series()
-        M[j] = [e * piv_inv for e in M[j]]
-        for i in range(n):
-            if i != j and not M[i][j].is_zero():
-                factor = M[i][j]
-                M[i] = [M[i][k] - factor * M[j][k] for k in range(2 * n)]
-    return [row[n:] for row in M]
+    inv = _gauss_jordan(A)[1]
+    if inv is None:
+        raise ValueError("not etale")
+    return inv
 
 
 # -- the module class -------------------------------------------------------
@@ -231,17 +216,6 @@ class PhiGammaModule:
     def apply_gamma(self, c, vec, prec=None):
         G = self.gamma_matrix(c, prec)
         return mat_vec(G, [gamma_act(c, f) for f in vec])
-
-    def zero_vector(self):
-        return [LaurentSeries.zero(self.spec, self.prec) for _ in range(self.n)]
-
-    def basis_vector(self, i):
-        return [
-            LaurentSeries.one(self.spec, self.prec)
-            if j == i
-            else LaurentSeries.zero(self.spec, self.prec)
-            for j in range(self.n)
-        ]
 
 
 def make_rank1(chi, prec):
@@ -317,9 +291,6 @@ def twist(D, chi):
 
 def dual(D):
     """The dual module: inverse-transpose matrices, making evaluation equivariant."""
-    det = mat_det(D.phi)
-    if det.is_zero():
-        raise ValueError("not etale")
     phi = mat_transpose(mat_inv(D.phi))
 
     def oracle(c, prec):
@@ -348,6 +319,8 @@ def psi(D, vec):
     The output precision is whatever the chain of exact operations
     supports and is carried on the returned series.
     """
+    if len(vec) != D.n:
+        raise ValueError(f"vector length {len(vec)} differs from the rank {D.n}")
     c = mat_vec(D.phi_inv(), vec)
     out = []
     for entry in c:

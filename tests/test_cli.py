@@ -185,6 +185,9 @@ def test_bad_prime_rejected(capsys):
 
 
 LAM3 = {"p": 3, "m": 1, "coeffs": [1]}
+ONE3 = {"coeffs": {"0": LAM3}, "precision": 20}
+RANK1 = {"rank": 1, "precision": 10, "phi": [[ONE3]]}
+MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
 
 
 @pytest.mark.parametrize(
@@ -204,17 +207,23 @@ LAM3 = {"p": 3, "m": 1, "coeffs": [1]}
         (["simulate-dual", "--p", "3", "--r", "0", "--K", "0"], {}, "K (digits"),
         (["simulate-dual", "--p", "3", "--r", "0", "--K", "-2"], {}, "K (digits"),
         (["build-rank1", "--p", "5", "--m", "0"], {}, "extension degree"),
+        (["normalize", "--p", "5", "{f}"], {"f": MISSING}, "cannot read {f}"),
+        (["twist", "--p", "5", "{m}", "--chi", "omega"], {"m": DIRECTORY}, "cannot read {m}"),
+        (["psi", "--p", "3", "{m}", "{v}"], {"m": RANK1, "v": [ONE3, ONE3]}, "vector length 2"),
     ],
 )
 def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, message):
     paths = {}
     for key, obj in files.items():
         paths[key] = tmp_path / f"{key}.json"
-        paths[key].write_text(json.dumps(obj))
+        if obj is DIRECTORY:
+            paths[key].mkdir()
+        elif obj is not MISSING:
+            paths[key].write_text(json.dumps(obj))
     argv = [a.format(**paths) for a in args]
     proc = subprocess.run(
         [sys.executable, "-m", "metaplectic.cli", *argv], capture_output=True, text=True
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert message in json.loads(proc.stderr)["error"]
+    assert message.format(**paths) in json.loads(proc.stderr)["error"]

@@ -1,8 +1,10 @@
-"""The README's CLI commands that need no input file, pinned byte for byte.
+"""The README's CLI commands, and the commands that read a file, pinned byte
+for byte.
 
-Each file under tests/golden/ is the stdout of one command below.  A diff
-here means the CLI's output changed; regenerate a file only when that change
-is intended.
+Each .out file under tests/golden/ is the stdout of one command below; the
+files the commands read are in tests/golden/inputs/ ({inputs} in a command).
+A diff here means the CLI's output changed; regenerate a file only when that
+change is intended.
 """
 
 import shlex
@@ -28,12 +30,18 @@ COMMANDS = {
     "ss-image": 'ss-image --p 5 --r 1 --eta "omega^2"',
     "verify-bijection": "verify-bijection --p 5 --m 4",
     "selftest": "selftest --seed 0",
+    # inputs/module.json is the output of build-induced above
+    "twist": 'twist --p 5 {inputs}/module.json --chi "mu(2)*omega^1"',
+    "dual": "dual --p 5 {inputs}/module.json",
+    "psi": "psi --p 5 {inputs}/module.json {inputs}/vector.json",
+    "normalize": "normalize --p 5 {inputs}/form.json",
+    "galois-iso": "galois-iso --p 5 {inputs}/params-a.json {inputs}/params-b.json",
 }
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden_cli_output(name, capsys):
-    code = main(shlex.split(COMMANDS[name]))
+    code = main([arg.format(inputs=GOLDEN / "inputs") for arg in shlex.split(COMMANDS[name])])
     out, _ = capsys.readouterr()
     assert code == 0
     assert out == (GOLDEN / f"{name}.out").read_text()

@@ -13,8 +13,10 @@ from metaplectic.phigamma import (
     identity_matrix,
     make_induced,
     make_rank1,
+    mat_det,
     mat_inv,
     mat_mul,
+    mat_vec,
     module_from_json,
     module_to_json,
     phi_gamma_commutes,
@@ -22,7 +24,13 @@ from metaplectic.phigamma import (
     tensor,
     twist,
 )
-from metaplectic.selftest import psi_gamma_law, psi_law, rand_series, rank1_lattice_law
+from metaplectic.selftest import (
+    psi_gamma_law,
+    psi_law,
+    rand_series,
+    rand_vector,
+    rank1_lattice_law,
+)
 
 F3 = field_make(3)
 F5 = field_make(5)
@@ -170,8 +178,9 @@ def test_module_serialization():
 
 # -- truncation soundness -----------------------------------------------------
 #
-# Given an input cut to fewer digits, psi and mat_inv may claim fewer digits
-# of output than on the full input, but every digit they claim must be right.
+# Given an input cut to fewer digits, psi and the matrix ops may claim fewer
+# digits of output than on the full input, but every digit they claim must be
+# right.
 
 TRUNCATION_MODULES = [
     D
@@ -200,29 +209,48 @@ def test_psi_of_truncated_vector_claims_only_true_digits(data):
         claims_only_true_digits(got, want)
 
 
+def cut(x, M):
+    """x truncated to M digits, for a series or a nested list of them."""
+    return x.truncate(M) if isinstance(x, LaurentSeries) else [cut(y, M) for y in x]
+
+
+def entries(x):
+    return [x] if isinstance(x, LaurentSeries) else [e for y in x for e in entries(y)]
+
+
 @truncation_settings
 @given(st.data())
-def test_mat_inv_of_truncated_matrix_claims_only_true_digits(data):
+def test_matrix_op_of_truncated_input_claims_only_true_digits(data):
     D = data.draw(st.sampled_from(TRUNCATION_MODULES))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     G = D.gamma_matrix(data.draw(st.sampled_from((2, 1 + D.spec.p))))
-    A = data.draw(st.sampled_from((D.phi, G, mat_mul(D.phi, G))))
-    M = data.draw(st.integers(1, max(e.prec for row in A for e in row)))
+    # entries of positive valuation become zeros known mod X^M when cut
+    R = [
+        [rand_series(rng, D.spec, D.prec, lo=rng.randrange(6), density=0.3) for _ in range(D.n)]
+        for _ in range(D.n)
+    ]
+    matrices = st.sampled_from((D.phi, G, mat_mul(D.phi, G), R, mat_mul(D.phi, R)))
+    op = data.draw(st.sampled_from((mat_inv, mat_det, mat_mul, mat_vec)))
+    args = [data.draw(matrices)]
+    if op is mat_mul:
+        args.append(data.draw(matrices))
+    elif op is mat_vec:
+        args.append(rand_vector(rng, D))
+    M = data.draw(st.integers(1, max(e.prec for e in entries(args))))
     try:
-        inv = mat_inv([[e.truncate(M) for e in row] for row in A])
+        got = op(*cut(args, M))
     except ValueError as exc:
         if "not etale" not in str(exc):
             raise
         assume(False)
-    for got_row, want_row in zip(inv, mat_inv(A)):
-        for got, want in zip(got_row, want_row):
-            claims_only_true_digits(got, want)
+    for got_entry, want_entry in zip(entries(got), entries(op(*args)), strict=True):
+        claims_only_true_digits(got_entry, want_entry)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="mat_inv skips rows whose entry is zero to finite precision")
 def test_mat_inv_of_truncated_matrix_with_imprecise_zeros():
     # [[0, X^2], [1, X^5]] has inverse [[-X^3, 1], [X^-2, 0]]; cut to 5
     # digits, its (1,1) entry is a zero known mod X^5, so the (0,0) entry of
-    # the inverse is known only mod X^3, but mat_inv claims 5 digits.
+    # the inverse is known only mod X^3.
     A = [
         [LaurentSeries.zero(F5, 10), LaurentSeries.monomial(F5, 2, 10)],
         [LaurentSeries.one(F5, 10), LaurentSeries.monomial(F5, 5, 10)],
@@ -230,3 +258,13 @@ def test_mat_inv_of_truncated_matrix_with_imprecise_zeros():
     inv = mat_inv([[e.truncate(5) for e in row] for row in A])
     for got, want in zip(inv[0], mat_inv(A)[0]):
         claims_only_true_digits(got, want)
+
+
+def test_mat_vec_with_imprecise_zero():
+    # X^2 cut to 2 digits is a zero known mod X^2: [[X^2, 1]] . [1, 1] is
+    # 1 + X^2, so the cut product is known only mod X^2.
+    one = LaurentSeries.one(F5, 40)
+    A = [[LaurentSeries.monomial(F5, 2, 40), one]]
+    got = mat_vec([[A[0][0].truncate(2), one]], [one, one])[0]
+    assert got.prec == 2
+    claims_only_true_digits(got, mat_vec(A, [one, one])[0])
