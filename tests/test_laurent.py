@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metaplectic.coeff import field_make
@@ -343,3 +343,54 @@ def test_kernel_slot_width_holds_worst_case_sums(spec):
         square = a * a
         assert square.prec == n
         assert all(square.coeff(k) == multiples[(k + 1) % p] for k in range(n))
+
+
+# -- truncation soundness: a cut input claims only digits the full one confirms --
+
+
+def claims_only_true_digits(got, want):
+    assert got.prec <= want.prec
+    assert got.agrees_with(want)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.data())
+def test_series_op_of_truncated_input_claims_only_true_digits(data):
+    spec = data.draw(st.sampled_from(KERNEL_FIELDS))
+    p = spec.p
+    f = data.draw(kernel_series(spec))
+    name = data.draw(
+        st.sampled_from(
+            ["+", "*", "invert_series", "pow", "gamma_act", "phi_basis_decompose", "one_unit_root"]
+        )
+    )
+    # the lowest cut: below the valuation a cut leaves a zero known mod X^M,
+    # which a unit-only op refuses
+    low = f.val_or_prec() - 2
+    if name in ("+", "*"):
+        h = data.draw(kernel_series(spec))
+        op = (lambda x: [x + h]) if name == "+" else (lambda x: [x * h])
+    elif name == "invert_series":
+        assume(not f.is_zero())
+        low = f.valuation + 1
+        op = lambda x: [x.invert_series()]
+    elif name == "pow":
+        e = data.draw(st.integers(0 if f.is_zero() else -3, 2 * p + 1))
+        if e < 0:
+            low = f.valuation + 1
+        op = lambda x: [x.pow(e)]
+    elif name == "gamma_act":
+        c = data.draw(st.integers(2, 3 * p ** 2).filter(lambda c: c % p))
+        op = lambda x: [gamma_act(c, x)]
+    elif name == "phi_basis_decompose":
+        op = phi_basis_decompose
+    else:
+        # 1 + X^(1-v) f is a 1-unit; a cut at M >= 1 keeps it one
+        f = f.shift(1 - f.val_or_prec())
+        f = LaurentSeries.one(spec, f.prec) + f
+        low = 1
+        n = data.draw(st.sampled_from([n for n in (2, 3, 4, 5, 7) if n % p]))
+        op = lambda x: [one_unit_root(x, n)]
+    M = data.draw(st.integers(min(low, f.prec), f.prec))
+    for got, want in zip(op(f.truncate(M)), op(f), strict=True):
+        claims_only_true_digits(got, want)
