@@ -398,14 +398,31 @@ def gamma_transform(c, spec, prec):
     return LaurentSeries(spec, coeffs, prec)
 
 
+_GAMMA_LEAF = 16  # a P needed to at most this many digits is composed by Horner's rule
+
+
 def gamma_act(c, f):
     """f((1+X)^c - 1) to the input precision.
 
     c is an exact positive integer coprime to p, the representative of an
     element of Gamma = Z_p^* at which every construction in scope evaluates
-    the action.  Negative exponents of the substituted variable are handled
-    by inverting the unit part of (1+X)^c - 1 at the precision the output
-    needs, so no precision is lost against the contract.
+    the action.  With f = X^v P(X) and g = (1+X)^c - 1 = X u, f(g) =
+    X^v u^v P(g), and only u^v P(g) mod X^K, K = N - v, is needed.
+
+    P(g) is composed by the Frobenius recursion (Bernstein, "Composing power
+    series over a finite ring in essentially linear time", J. Symb. Comput.
+    26, 1998).  g has coefficients in F_p, so g^p = frobenius_phi(g).  Split
+    by exponent residue, P = sum_{j<p} X^j P_j(X^p), and
+
+        P(g) = sum_j g^j phi(P_j(g))  mod X^K,
+
+    where each P_j(g) comes from the same recursion and is needed only mod
+    X^ceil((K-j)/p): X^j phi(P_j(g)) is then known below
+    j + p*ceil((K-j)/p) >= K.  A P needed to at most _GAMMA_LEAF digits, or
+    with at most two terms, is evaluated by Horner's rule over the gaps
+    between its exponents.  Negative exponents of the substituted variable
+    are handled by inverting u at the precision the output needs, so no
+    precision is lost against the contract.
     """
     spec = f.spec
     if c < 1:
@@ -414,24 +431,44 @@ def gamma_act(c, f):
         raise ValueError("unit must be coprime to p")
     if c == 1 or f.is_zero():
         return f
-    # f = X^v P(X) and g = (1+X)^c - 1 = X*u, so f(g) = X^v u^v P(g): only
-    # u^v P(g) mod X^(N-v) is needed.  P(g) is evaluated by Horner's rule
-    # over the gaps between f's exponents, with one power of g per gap.
-    N = f.prec
-    exps = sorted(f.coeffs)
-    v = exps[0]
-    known = N - v
+    p = spec.p
+    v = min(f.coeffs)
+    known = f.prec - v
     g = gamma_transform(c, spec, known + 1)
-    gap_powers = {}
-    acc = {0: f.coeffs[exps[-1]]}
-    for lo, hi in zip(reversed(exps[:-1]), reversed(exps)):
-        gd = gap_powers.get(hi - lo)
-        if gd is None:
-            gd = gap_powers[hi - lo] = g.pow(hi - lo).coeffs
-        # acc * g^d has valuation >= 1, so the next digit goes in slot 0
-        acc = _kronecker_mul(spec, acc, gd, known)
-        acc[0] = f.coeffs[lo]
-    return (LaurentSeries(spec, acc, known) * g.shift(-1).pow(v)).shift(v)
+    powers = {}  # d -> g^d, at the highest precision a level has asked for
+
+    def power(d, prec):
+        gd = powers.get(d)
+        if gd is None or gd.prec < prec:
+            gd = powers[d] = LaurentSeries(spec, g.coeffs, prec).pow(d)
+        return gd.coeffs
+
+    def compose(P, K):
+        """The coefficients of P(g) mod X^K, for P with exponents below K."""
+        if K <= _GAMMA_LEAF or len(P) <= 2:
+            terms = [(e, {0: a}) for e, a in sorted(P.items())]
+        else:
+            parts = [{} for _ in range(p)]
+            for e, a in P.items():
+                parts[e % p][e // p] = a
+            terms = []
+            for j, part in enumerate(parts):
+                if part:
+                    sub = compose(part, -(-(K - j) // p))
+                    terms.append((j, {p * i: a for i, a in sub.items() if p * i < K - j}))
+        # Horner's rule over the gaps between the terms' exponents: the terms
+        # from exponent lo up are summed mod X^(K - lo)
+        hi, acc = terms[-1]
+        for lo, a in reversed(terms[:-1]):
+            acc = _kronecker_mul(spec, acc, power(hi - lo, K), K - lo)
+            for e, b in a.items():
+                s = acc.get(e)
+                acc[e] = b if s is None else s + b
+            hi = lo
+        return _kronecker_mul(spec, acc, power(hi, K), K) if hi else acc
+
+    P = compose({e - v: a for e, a in f.coeffs.items()}, known)
+    return (LaurentSeries(spec, P, known) * g.shift(-1).pow(v)).shift(v)
 
 
 def one_unit_root(f, n):

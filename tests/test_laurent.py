@@ -261,9 +261,10 @@ def per_exponent_gamma(c, f):
 
 
 @st.composite
-def kernel_series(draw, spec, max_len=24, stride_powers=(1, 2)):
+def kernel_series(draw, spec, max_len=24, stride_powers=(1, 2), max_span=None):
     """A series over spec: the zero series, or dense, sparse or
-    Frobenius-stretched (exponents v + p^k*i) terms after valuation v."""
+    Frobenius-stretched (exponents v + p^k*i) terms after valuation v.
+    With max_span, the terms span at most that many exponents."""
     shape = draw(st.sampled_from(["zero", "dense", "sparse", "stretched"]))
     v = draw(st.integers(-4, 3))
     extra = draw(st.integers(0, 3))
@@ -273,6 +274,8 @@ def kernel_series(draw, spec, max_len=24, stride_powers=(1, 2)):
     length = draw(st.integers(1, max_len))
     p = spec.p
     stride = p ** draw(st.sampled_from(stride_powers)) if shape == "stretched" else 1
+    if max_span is not None:
+        length = min(length, max_span // stride + 1)
     exps = [v + stride * i for i in range(length)]
     if shape == "sparse":
         exps = [v] + [e for e in exps[1:] if rng.random() < 0.2]
@@ -322,7 +325,8 @@ def test_kernel_pow_matches_product_chain(data):
 @given(st.data())
 def test_kernel_gamma_act_matches_per_exponent(data):
     spec = data.draw(st.sampled_from(KERNEL_FIELDS))
-    f = data.draw(kernel_series(spec, max_len=16, stride_powers=(1,)))
+    # 80 terms over 96 exponents take p = 3 two levels into the recursion
+    f = data.draw(kernel_series(spec, max_len=80, max_span=96))
     c = data.draw(st.integers(2, 3 * spec.p ** 2).filter(lambda c: c % spec.p))
     out = gamma_act(c, f)
     same(out, per_exponent_gamma(c, f) if not f.is_zero() else f)
