@@ -373,9 +373,18 @@ def module_to_json(D, units=()):
 def module_from_json(obj, spec):
     from .laurent import series_from_json
 
-    phi = [[series_from_json(e, spec) for e in row] for row in obj["phi"]]
+    n = obj["rank"]
+
+    def matrix(rows, name):
+        widths = sorted({len(row) for row in rows})
+        if len(rows) != n or widths != [n]:
+            shape = f"{len(rows)}x{'/'.join(map(str, widths))}"
+            raise ValueError(f"{name} has shape {shape}, not {n}x{n} for rank {n}")
+        return [[series_from_json(e, spec) for e in row] for row in rows]
+
+    phi = matrix(obj["phi"], "phi")
     samples = {
-        item["c"]: [[series_from_json(e, spec) for e in row] for row in item["matrix"]]
+        item["c"]: matrix(item["matrix"], f"gamma sample {item['c']}")
         for item in obj.get("gamma_samples", [])
     }
 

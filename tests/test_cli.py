@@ -210,6 +210,14 @@ MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
         (["normalize", "--p", "5", "{f}"], {"f": MISSING}, "cannot read {f}"),
         (["twist", "--p", "5", "{m}", "--chi", "omega"], {"m": DIRECTORY}, "cannot read {m}"),
         (["psi", "--p", "3", "{m}", "{v}"], {"m": RANK1, "v": [ONE3, ONE3]}, "vector length 2"),
+        (["dual", "--p", "3", "{m}"], {"m": {**RANK1, "phi": [[ONE3, ONE3]]}},
+         "phi has shape 1x2, not 1x1"),
+        (["dual", "--p", "3", "{m}"],
+         {"m": {**RANK1, "gamma_samples": [{"c": 2, "matrix": [[ONE3], [ONE3]]}]}},
+         "gamma sample 2 has shape 2x1, not 1x1"),
+        (["psi", "--p", "3", "{m}", "{v}"],
+         {"m": RANK1, "v": [{"coeffs": {"0": {"p": 5, "m": 1, "coeffs": [2]}}, "precision": 20}]},
+         "coefficient at X^0 lies in F_5^1, not F_3^1"),
     ],
 )
 def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, message):
