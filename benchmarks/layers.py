@@ -79,7 +79,8 @@ def rows(seed, scale):
     for p, m in GAMMA_FIELDS:
         spec = field_make(p, m)
         f = dense(rng, spec, max(2, round(GAMMA_SIZE * scale)))
-        out.append((f"laurent.gamma_act p={p} m={m} N={GAMMA_SIZE}", lambda f=f, c=p + 1: gamma_act(c, f)))
+        name = f"laurent.gamma_act p={p} m={m} N={GAMMA_SIZE}"
+        out.append((name, lambda f=f, c=p + 1: gamma_act(c, f)))
     return out
 
 
@@ -118,9 +119,11 @@ def machine():
     model = platform.processor()
     try:
         with open("/proc/cpuinfo") as fh:
-            model = next(line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
-    except (OSError, StopIteration):
-        pass
+            names = [line.split(":", 1)[1] for line in fh if line.startswith("model name")]
+    except OSError:
+        names = []
+    if names:
+        model = names[0].strip()
     return {"platform": platform.platform(), "cpu": model, "cpus": os.cpu_count()}
 
 

@@ -12,7 +12,9 @@ The semilinear structure implemented here:
   k((X)) over k);
 * gamma_act(c, f) = f((1+X)^c - 1) for an exact positive integer c
   coprime to p, with binomial coefficients taken mod p by Lucas digit
-  products;
+  products, composed by the Frobenius recursion: g = (1+X)^c - 1 has
+  coefficients in F_p, so g^p = frobenius(g), and f(g) splits into p
+  compositions of series with about N/p digits;
 * one_unit_root(f, n): the unique n-th root of a 1-unit when gcd(n,p)=1;
 * phi_basis_decompose(f): the components of f in the basis
   {(1+X)^i}_{0<=i<p} over k((X^p)), which underlies the left inverse
@@ -472,8 +474,8 @@ def gamma_act(c, f):
             hi = lo
         return _kronecker_mul(spec, acc, power(hi, K), K) if hi else acc
 
-    P = compose({e - v: a for e, a in f.coeffs.items()}, known)
-    return (LaurentSeries(spec, P, known) * g.shift(-1).pow(v)).shift(v)
+    composed = compose({e - v: a for e, a in f.coeffs.items()}, known)
+    return (LaurentSeries(spec, composed, known) * g.shift(-1).pow(v)).shift(v)
 
 
 def one_unit_root(f, n):

@@ -374,6 +374,8 @@ def module_from_json(obj, spec):
     from .laurent import series_from_json
 
     n = obj["rank"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"rank {n!r} is not a positive integer")
 
     def matrix(rows, name):
         widths = sorted({len(row) for row in rows})

@@ -212,6 +212,7 @@ MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
         (["psi", "--p", "3", "{m}", "{v}"], {"m": RANK1, "v": [ONE3, ONE3]}, "vector length 2"),
         (["dual", "--p", "3", "{m}"], {"m": {**RANK1, "phi": [[ONE3, ONE3]]}},
          "phi has shape 1x2, not 1x1"),
+        (["dual", "--p", "3", "{m}"], {"m": {**RANK1, "rank": "1"}}, "rank '1' is not"),
         (["dual", "--p", "3", "{m}"],
          {"m": {**RANK1, "gamma_samples": [{"c": 2, "matrix": [[ONE3], [ONE3]]}]}},
          "gamma sample 2 has shape 2x1, not 1x1"),
