@@ -447,7 +447,7 @@ def gamma_act(c, f):
     def power(d, prec):
         gd = powers.get(d)
         if gd is None or gd.prec < prec:
-            gd = powers[d] = LaurentSeries(spec, g.coeffs, prec).pow(d)
+            gd = powers[d] = g.truncate(prec).pow(d)
         return gd.coeffs
 
     def compose(P, K):
