@@ -12,8 +12,8 @@ coefficient at each exponent below N, so a row's cost does not depend on
 the seed.
 
 A repetition calls the operation `number` times, with `number` raised until
-one repetition lasts at least MIN_REP_S; a row reports the best of
-`--repeat` repetitions per call.  `ms` is wall time.  `ref_ms` is the same
+one repetition lasts at least MIN_REP_S; a row reports the best of REPEAT
+repetitions per call.  `ms` is wall time.  `ref_ms` is the same
 time at reference speed: scaled by perfbench's reference loop read around
 each repetition (see perfbench/speed.py), so two files from one machine
 compare even when its speed changed between the runs.  `--compare a b`
@@ -43,6 +43,8 @@ from metaplectic.coeff import field_make  # noqa: E402
 from metaplectic.laurent import LaurentSeries, gamma_act, phi_basis_decompose  # noqa: E402
 
 MIN_REP_S = 0.05
+REPEAT = 3
+SEED = 1
 SERIES_FIELD = (7, 1)
 SERIES_SIZES = (1000, 10000)
 GAMMA_FIELDS = [(p, m) for p in (5, 7, 13) for m in (1, 2, 4)]
@@ -61,9 +63,9 @@ def dense(rng, spec, N):
     return LaurentSeries(spec, {e: unit() for e in range(-1, N)}, N)
 
 
-def rows(seed, scale):
+def rows(scale):
     """(name, zero-argument callable) for every row, inputs built up front."""
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     out = []
     spec = field_make(*SERIES_FIELD)
     for N in SERIES_SIZES:
@@ -84,8 +86,8 @@ def rows(seed, scale):
     return out
 
 
-def time_row(fn, repeat, min_rep_s):
-    """(best wall ms, best reference-speed ms) per call over `repeat` repetitions."""
+def time_row(fn, min_rep_s):
+    """(best wall ms, best reference-speed ms) per call over REPEAT repetitions."""
     number = 1
     while True:
         t0 = time.perf_counter()
@@ -95,7 +97,7 @@ def time_row(fn, repeat, min_rep_s):
             break
         number *= 2
     times, readings = [], [speed.reading()]
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter()
         for _ in range(number):
             fn()
@@ -127,19 +129,19 @@ def machine():
     return {"platform": platform.platform(), "cpu": model, "cpus": os.cpu_count()}
 
 
-def measure(seed, repeat, scale):
+def measure(scale):
     speed.warm_up()
     layers = {}
-    for name, fn in rows(seed, scale):
-        ms, ref_ms = time_row(fn, repeat, MIN_REP_S * min(scale, 1.0))
+    for name, fn in rows(scale):
+        ms, ref_ms = time_row(fn, MIN_REP_S * min(scale, 1.0))
         layers[name] = {"ms": round(ms, 4), "ref_ms": round(ref_ms, 4)}
         print(f"{name:45s} {ms:10.3f} ms {ref_ms:10.3f} ref_ms", file=sys.stderr)
     return {
         "commit": commit(),
         "python": platform.python_version(),
         "machine": machine(),
-        "seed": seed,
-        "repeat": repeat,
+        "seed": SEED,
+        "repeat": REPEAT,
         "scale": scale,
         "layers": layers,
     }
@@ -158,8 +160,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", help="write the measurements to this BENCH_<n>.json")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"), help="print ratios of two files")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--repeat", type=int, default=3, help="repetitions per row (best of k)")
     ap.add_argument("--scale", type=float, default=1.0, help="multiply every N (smoke runs)")
     args = ap.parse_args(argv)
     if args.compare:
@@ -167,9 +167,9 @@ def main(argv=None):
         return 0
     if not args.out:
         ap.error("--out or --compare is required")
-    if args.repeat < 1 or args.scale <= 0:
-        ap.error("--repeat must be at least 1 and --scale positive")
-    result = measure(args.seed, args.repeat, args.scale)
+    if args.scale <= 0:
+        ap.error("--scale must be positive")
+    result = measure(args.scale)
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0
 

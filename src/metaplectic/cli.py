@@ -282,7 +282,7 @@ def _run(args):
             form = CyclicForm(
                 spec,
                 obj["n"],
-                tuple(elem_from_json(x) for x in obj["d"]),
+                tuple(elem_from_json(x, spec) for x in obj["d"]),
                 tuple(obj["t"]),
                 tuple(obj["b"]),
                 tuple(
@@ -349,8 +349,8 @@ def _run(args):
         return 0
     if cmd == "galois-iso":
         with _malformed_input():
-            P1 = params_from_json(_load_json(args.a))
-            P2 = params_from_json(_load_json(args.b))
+            P1 = params_from_json(_load_json(args.a), spec)
+            P2 = params_from_json(_load_json(args.b), spec)
         _emit(iso_test(P1, P2), fmt)
         return 0
     if cmd == "ps-image":

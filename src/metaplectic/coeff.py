@@ -443,8 +443,12 @@ class FieldElem:
         return {"p": self.spec.p, "m": self.spec.m, "coeffs": list(self.coeffs)}
 
 
-def elem_from_json(obj):
-    spec = field_make(obj["p"], obj["m"])
+def elem_from_json(obj, spec):
+    """The element `obj` (as written by `FieldElem.to_json`), which must lie in spec."""
+    if (obj["p"], obj["m"]) != (spec.p, spec.m):
+        raise ValueError(
+            f"coefficients {obj['coeffs']} lie in F_{obj['p']}^{obj['m']}, not F_{spec.p}^{spec.m}"
+        )
     return FieldElem(spec, tuple(obj["coeffs"]))
 
 

@@ -60,10 +60,10 @@ class InducedParams:
         return {"n": self.n, "H": self.H, "Lam": self.Lam.to_json()}
 
 
-def params_from_json(obj):
+def params_from_json(obj, spec):
     from .coeff import elem_from_json
 
-    return InducedParams(obj["n"], obj["H"], elem_from_json(obj["Lam"]))
+    return InducedParams(obj["n"], obj["H"], elem_from_json(obj["Lam"], spec))
 
 
 def orbit(P):

@@ -16,7 +16,7 @@ def layers(*args):
 
 def test_layer_benchmark_writes_and_compares(tmp_path):
     out = tmp_path / "BENCH_0.json"
-    layers("--scale", "0.005", "--repeat", "1", "--out", str(out))
+    layers("--scale", "0.005", "--out", str(out))
     bench = json.loads(out.read_text())
     assert {"commit", "python", "machine", "layers"} <= set(bench)
     assert len(bench["layers"]) == 17

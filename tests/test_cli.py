@@ -218,7 +218,12 @@ MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
          "gamma sample 2 has shape 2x1, not 1x1"),
         (["psi", "--p", "3", "{m}", "{v}"],
          {"m": RANK1, "v": [{"coeffs": {"0": {"p": 5, "m": 1, "coeffs": [2]}}, "precision": 20}]},
-         "coefficient at X^0 lies in F_5^1, not F_3^1"),
+         "coefficients [2] lie in F_5^1, not F_3^1"),
+        (["normalize", "--p", "5", "{f}"], {"f": {"n": 1, "d": [LAM3], "t": [0], "b": [0]}},
+         "coefficients [1] lie in F_3^1, not F_5^1"),
+        (["galois-iso", "--p", "3", "--m", "2", "{a}", "{b}"],
+         {"a": {"n": 4, "H": 25, "Lam": LAM3}, "b": {"n": 4, "H": 25, "Lam": LAM3}},
+         "coefficients [1] lie in F_3^1, not F_3^2"),
     ],
 )
 def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, message):

@@ -126,7 +126,7 @@ def test_serialization_round_trip():
     from metaplectic.coeff import elem_from_json
 
     a = F625.elem((1, 0, 4, 2))
-    assert elem_from_json(a.to_json()) == a
+    assert elem_from_json(a.to_json(), F625) == a
     assert a.to_json() == {"p": 5, "m": 4, "coeffs": [1, 0, 4, 2]}
 
 

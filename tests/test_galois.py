@@ -132,4 +132,4 @@ def test_dual():
 
 def test_serialization():
     P = InducedParams(4, 39, F81.elem((1, 2, 0, 1)))
-    assert params_from_json(P.to_json()) == P
+    assert params_from_json(P.to_json(), F81) == P
