@@ -11,9 +11,10 @@ basis f_i with
 which this module normalizes (killing the 1-unit noise by the convergent
 change-of-basis product) and converts to induced Galois parameters in
 closed form.  A finite-level simulation of the dual Frobenius provides
-an independent oracle for the containments above: it builds the actual
-finite quotients k[[X]]/(X^{e(i)_m + 1}) with their transition, X, F and
-Gamma maps and reconstructs phi(f_i) from functional pairings alone.
+an independent oracle for the containments above: on the finite quotients
+k[[X]]/(X^{e(i)_m + 1}) it reconstructs phi(f_i) and gamma(f_i) from
+functional pairings alone, each pairing a single coefficient read off a
+binomial or off laurent.gamma_act.
 
 Sign bookkeeping: writing gamma(f_i) = omega(gamma)^{b_i} (1-unit) f_i
 and phi(f_i) = d_i (1-unit) X^{t_i} f_{i+1}, commutation of phi and gamma
@@ -35,6 +36,7 @@ __all__ = [
     "SSData",
     "CyclicForm",
     "NormalForm",
+    "ss_partner",
     "ss_data",
     "dual_basis_form",
     "cycle_form",
@@ -84,6 +86,13 @@ class SSData:
         }
 
 
+def ss_partner(p, r):
+    """The supersingular partner r' of r: (p-1)/2 - r below (p-1)/2,
+    3(p-1)/2 - r above it."""
+    half = (p - 1) // 2
+    return half - r if r < half else 3 * half - r
+
+
 def ss_data(spec, r):
     """All tables for the supersingular parameter r (excluded: r = (p-1)/2)."""
     p = spec.p
@@ -92,10 +101,7 @@ def ss_data(spec, r):
     half = (p - 1) // 2
     if r == half:
         raise ValueError("excluded parameter")
-    if r < half:
-        r_prime = half - r
-    else:
-        r_prime = 3 * half - r
+    r_prime = ss_partner(p, r)
     chi = HChar(p, r, 0)
     chis = (
         chi,
@@ -213,6 +219,8 @@ def normalize_cyclic(form, prec):
     of the noise, truncated after ceil(log_p N) + 1 factors; the invariants
     are t = -(sum p^{n-j} t_j)/(p-1), d = prod d_i and b1.
     """
+    if prec < 1:
+        raise ValueError(f"prec (X-adic precision) must be >= 1, got {prec}")
     p = form.spec.p
     n = form.n
     weighted = sum(p ** (n - j) * form.t[j - 1] for j in range(1, n + 1))
@@ -283,60 +291,6 @@ def e_exponents(data, i, m):
     return e, e_m
 
 
-class _CycleQuotient:
-    """The finite quotient pi_{i,m} = k[[X]]/(X^{e(i)_m + 1}) of a cycle.
-
-    Elements are sparse exponent -> coefficient tables.  The model
-    realizes v_i as X^{e(i)_m}, the functional f_i as extraction of the
-    top coefficient, the transition to level m+1 as multiplication by
-    X^{p^{nm} e(i)} and F as f(X) -> c_i f(X^p) X^{p^{nm+1} d_i} with
-    d_i = (e(i+1) - s_i)/p, all forced by the defining relations.
-    """
-
-    def __init__(self, data, i, m):
-        self.data = data
-        self.i = i  # 1-based
-        self.m = m
-        _, self.cutoff = e_exponents(data, i, m)
-
-    def reduce(self, elem):
-        return {e: a for e, a in elem.items() if e <= self.cutoff and not a.is_zero()}
-
-    def monomial(self, e):
-        return {e: self.data.spec.one()}
-
-    def top_coeff(self, elem):
-        """The value of the functional f_i at this level."""
-        return elem.get(self.cutoff, self.data.spec.zero())
-
-    def frobenius_map(self, elem):
-        """F: level (i, m) -> level (i+1, m+1)."""
-        data, p, n = self.data, self.data.p, self.data.n
-        e_next, _ = e_exponents(data, self.i % n + 1, 1)
-        s_i = data.s[self.i - 1]
-        if (e_next - s_i) % p:
-            raise AssertionError("cycle exponents break F's divisibility")
-        d_i = (e_next - s_i) // p
-        shift = p ** (n * self.m + 1) * d_i
-        target = _CycleQuotient(data, self.i % n + 1, self.m + 1)
-        c_i = data.c[self.i - 1]
-        out = {}
-        for e, a in elem.items():
-            ee = p * e + shift
-            if ee <= target.cutoff:
-                out[ee] = a * c_i
-        return target, target.reduce(out)
-
-    def gamma_map(self, elem, c_exact):
-        """The action of a unit with exact integer representative c_exact."""
-        spec = self.data.spec
-        p = spec.p
-        a_i = self.data.gamma_exponents()[self.i - 1]
-        chi_val = spec.from_int(pow(c_exact % p, a_i, p))
-        image = gamma_act(c_exact, LaurentSeries(spec, elem, self.cutoff + 1))
-        return self.reduce(image.scale(chi_val).coeffs)
-
-
 def _choose_level(data, i, K):
     p = data.p
     need = p * K + (p - 1)
@@ -350,15 +304,24 @@ def simulate_dual_frobenius(data, i, K, m=None):
     """Finite-level computation of phi(f_i), reported as a Laurent series
     in the coefficient of f_{i+1}, with its 1-unit part exact to K digits.
 
-    Builds the finite quotients, evaluates the functionals
-    (1+X)^{-j} X^{s_i} f_{i+1} composed with F on the monomial basis of
-    pi_{i,m}, and reconstructs phi(f_i) through the identity
+    The model is the finite quotient pi_{i,m} = k[[X]]/(X^{e(i)_m + 1}) of
+    the cycle.  It realizes v_i as X^{e(i)_m}, the functional f_i as
+    extraction of the top coefficient and F: pi_{i,m} -> pi_{i+1,m+1} as
+    f(X) -> c_i f(X^p) X^{shift}, shift = p^{nm} (e(i+1) - s_i), all forced
+    by the defining relations.  phi(f_i) is reconstructed through the
+    identity
 
-        sum_j (1+X)^j phi(((1+X)^{-j} f) o F) = f  at  f = X^{s_i} f_{i+1}.
+        sum_j (1+X)^j phi(((1+X)^{-j} f) o F) = f  at  f = X^{s_i} f_{i+1}
+
+    from the pairings of (1+X)^{-j} X^{s_i} f_{i+1} with F(X^{e(i)_m - l}).
+    F sends that monomial to the single term c_i X^e, e = p (e(i)_m - l) +
+    shift, so the pairing is c_i binom(-j, top - s_i - e) with top =
+    e(i+1)_{m+1}; it is 0 when e > top, where the binomial's lower index is
+    negative.
     """
     if K < 1:
         raise ValueError(f"K (digits of the 1-unit) must be >= 1, got {K}")
-    p = data.p
+    p, n = data.p, data.n
     spec = data.spec
     if m is None:
         m = _choose_level(data, i, K)
@@ -366,26 +329,20 @@ def simulate_dual_frobenius(data, i, K, m=None):
     if e_m < p * K + (p - 1):
         raise ValueError("window too small")
     s_i = data.s[i - 1]
+    c_i = data.c[i - 1]
+    e_next, _ = e_exponents(data, i % n + 1, 1)
+    if (e_next - s_i) % p:
+        raise AssertionError("cycle exponents break F's divisibility")
+    shift = p ** (n * m) * (e_next - s_i)
+    _, top = e_exponents(data, i % n + 1, m + 1)
     digits = (p - 1 + K) // p + 2
-    if e_m < digits:
-        raise ValueError("window too small")
-    source = _CycleQuotient(data, i, m)
     h_tables = []
     for j in range(p):
         coeffs = {}
         for l in range(digits):
-            basis_elem = source.monomial(e_m - l)
-            target, image = source.frobenius_map(basis_elem)
-            # pair against (1+X)^{-j} X^{s_i} f_{i+1}: multiply and read the
-            # top coefficient of the target quotient
-            acc = spec.zero()
-            for e, a in image.items():
-                tpow = target.cutoff - s_i - e
-                b = binom_neg_mod_p(j, tpow, p)
-                if b:
-                    acc = acc + a * spec.from_int(b)
-            if not acc.is_zero():
-                coeffs[l] = acc
+            b = binom_neg_mod_p(j, top - s_i - p * (e_m - l) - shift, p)
+            if b:
+                coeffs[l] = c_i * spec.from_int(b)
         h_tables.append(LaurentSeries(spec, coeffs, digits))
     # A(X) = sum_j (1+X)^j H_j(X^p); phi(f_i) = X^{s_i} A^{-1} f_{i+1}
     acc = None
@@ -406,7 +363,10 @@ def simulate_dual_gamma(data, i, c, digits=3, m=None):
     """Finite-level computation of gamma(f_i) = H(X) f_i for an integer unit c.
 
     Returns H as a Laurent series with `digits` known coefficients; its
-    leading coefficient is the inverse eigenvalue chi_i(c)^{-1}.
+    leading coefficient is the inverse eigenvalue chi_i(c)^{-1}.  On the
+    quotient pi_{i,m} of simulate_dual_frobenius, coefficient l of H is the
+    top coefficient of chi_i(c^{-1}) gamma_{c^{-1}}(X^{e(i)_m - l}), with
+    c^{-1} exact modulo a power of p above e(i)_m.
     """
     p = data.p
     spec = data.spec
@@ -417,16 +377,15 @@ def simulate_dual_gamma(data, i, c, digits=3, m=None):
     _, e_m = e_exponents(data, i, m)
     if e_m < digits:
         raise ValueError("window too small")
-    quotient = _CycleQuotient(data, i, m)
-    # exact inverse unit on the truncated quotient
     M = 1
     while p ** M <= e_m + 1:
         M += 1
     c_inv = pow(c, -1, p ** M)
+    chi_val = spec.from_int(pow(c_inv % p, data.gamma_exponents()[i - 1], p))
     coeffs = {}
     for l in range(digits):
-        image = quotient.gamma_map(quotient.monomial(e_m - l), c_inv)
-        val = quotient.top_coeff(image)
+        image = gamma_act(c_inv, LaurentSeries.monomial(spec, e_m - l, e_m + 1))
+        val = image.coeff(e_m) * chi_val
         if not val.is_zero():
             coeffs[l] = val
     return LaurentSeries(spec, coeffs, digits)

@@ -96,7 +96,7 @@ def _emit(obj, fmt):
 
 
 def _field(args):
-    return field_make(args.p, getattr(args, "m", 1))
+    return field_make(args.p, args.m)
 
 
 def _check_prec(args):
@@ -114,39 +114,40 @@ def build_parser():
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, prec_default=40):
+    def common(p, m=True, prec=False):
         p.add_argument("--p", type=int, required=True, help="odd prime")
-        p.add_argument("--m", type=int, default=1, help="coefficient field degree")
-        p.add_argument("--prec", type=int, default=prec_default, help="X-adic precision")
-        p.add_argument("--seed", type=int, default=0)
+        if m:
+            p.add_argument("--m", type=int, default=1, help="coefficient field degree")
+        if prec:
+            p.add_argument("--prec", type=int, default=40, help="X-adic precision")
         p.add_argument("--format", choices=("json", "table"), default="json")
 
     sp = sub.add_parser("hilbert", help="quadratic Hilbert symbol (a, b)")
-    common(sp)
+    common(sp, m=False)
     sp.add_argument("a")
     sp.add_argument("b")
 
     sp = sub.add_parser("cocycle", help="the 2-cocycle sigma(g1, g2)")
-    common(sp)
+    common(sp, m=False)
     sp.add_argument("--g1", required=True, help="a,b,c,d")
     sp.add_argument("--g2", required=True, help="a,b,c,d")
 
     sp = sub.add_parser("split", help="the fixed splitting over the maximal compact")
-    common(sp)
+    common(sp, m=False)
     sp.add_argument("--g", required=True, help="a,b,c,d")
     sp.add_argument("--zeta", type=int, default=1, choices=(1, -1))
 
     sp = sub.add_parser("chi-z", help="quadratic character of a central element")
-    common(sp)
+    common(sp, m=False)
     sp.add_argument("z")
 
     sp = sub.add_parser("build-rank1", help="rank-1 module of a tame character")
-    common(sp)
+    common(sp, prec=True)
     sp.add_argument("--chi", default="1", help='e.g. "mu(2)*omega^1"')
     sp.add_argument("--units", default="2", help="comma list of sampled units")
 
     sp = sub.add_parser("build-induced", help="induced module of degree n")
-    common(sp)
+    common(sp, prec=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--h", type=int, required=True)
     sp.add_argument("--chi", default="1", help="tame twist")
@@ -169,7 +170,7 @@ def build_parser():
     sp.add_argument("vector", help="JSON list of series, or - for stdin")
 
     sp = sub.add_parser("normalize", help="normalize a cyclic form JSON")
-    common(sp)
+    common(sp, prec=True)
     sp.add_argument("form", help="cyclic form JSON file")
 
     sp = sub.add_parser("classify-ss", help="all tables for a supersingular parameter")
@@ -303,7 +304,8 @@ def _run(args):
     if cmd == "classify-ss":
         data = ss_data(spec, args.r)
         form = dual_basis_form(data)
-        nf, _ = normalize_cyclic(form, args.prec)
+        # the basis change is not printed, so one digit of it is enough
+        nf, _ = normalize_cyclic(form, 1)
         params = galois_of_ss(data)
         _emit(
             {

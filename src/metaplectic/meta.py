@@ -24,6 +24,7 @@ from functools import lru_cache
 
 from .coeff import FieldSpec, factorial_in
 from .chars import SChar, TameChar, char_restrict_S
+from .classify import ss_partner
 from .galois import (
     InducedParams,
     canonicalize,
@@ -138,12 +139,9 @@ def hecke_cokernel(spec, r, lam):
 
 
 def _swap_partner(p, r):
-    half = (p - 1) // 2
-    if 0 < r < half:
-        return half - r
-    if half < r < p - 1:
-        return 3 * half - r
-    return None
+    """ss_partner(p, r), or None when that is (p-1)/2 (r = 0 or p-1)."""
+    partner = ss_partner(p, r)
+    return None if partner == (p - 1) // 2 else partner
 
 
 def ss_class_key(rep):
@@ -307,10 +305,8 @@ def ps_image(chi1, chi2):
 def ss_lam0(spec, r):
     """The closed-form fourth power of the unramified value at (r, eta = 1)."""
     p = spec.p
-    half = (p - 1) // 2
-    r_prime = half - r if r < half else 3 * half - r
-    sign = spec.from_int((-1) ** (half % 2))
-    return sign * factorial_in(spec, r) ** 2 * factorial_in(spec, r_prime) ** 2
+    sign = spec.from_int((-1) ** ((p - 1) // 2 % 2))
+    return sign * factorial_in(spec, r) ** 2 * factorial_in(spec, ss_partner(p, r)) ** 2
 
 
 def ss_sprime(p, r):

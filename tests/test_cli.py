@@ -1,10 +1,13 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from metaplectic.cli import main
+from metaplectic.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -44,7 +47,7 @@ def test_classify_ss_contains_params(capsys):
 
 
 def test_determinism(capsys):
-    args = ["classify-ss", "--p", "5", "--r", "0", "--seed", "7"]
+    args = ["classify-ss", "--p", "5", "--r", "0"]
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
@@ -224,6 +227,9 @@ MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
         (["galois-iso", "--p", "3", "--m", "2", "{a}", "{b}"],
          {"a": {"n": 4, "H": 25, "Lam": LAM3}, "b": {"n": 4, "H": 25, "Lam": LAM3}},
          "coefficients [1] lie in F_3^1, not F_3^2"),
+        (["normalize", "--p", "5", "{f}", "--prec", "0"],
+         {"f": {"n": 1, "d": [{"p": 5, "m": 1, "coeffs": [1]}], "t": [0], "b": [0]}},
+         "prec (X-adic precision) must be >= 1, got 0"),
     ],
 )
 def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, message):
@@ -241,3 +247,19 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, messag
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert message.format(**paths) in json.loads(proc.stderr)["error"]
+
+
+def readme_cli_lines():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("metaplectic ")]
+
+
+def test_readme_cli_block_has_every_command():
+    assert len(readme_cli_lines()) == 18
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_command_parses(line):
+    command = re.sub(r"\s(#|>).*", "", line)
+    build_parser().parse_args(shlex.split(command)[1:])

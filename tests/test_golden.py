@@ -1,18 +1,24 @@
-"""The README's CLI commands, and the commands that read a file, pinned byte
-for byte.
+"""The README's CLI commands, the commands that read a file and a grid of the
+dual-cycle oracles, pinned byte for byte.
 
 Each .out file under tests/golden/ is the stdout of one command below; the
 files the commands read are in tests/golden/inputs/ ({inputs} in a command).
-A diff here means the CLI's output changed; regenerate a file only when that
+simulate-dual-gamma.json maps "p=.. r=.. i=.. c=.." to the JSON of
+simulate_dual_gamma(ss_data(F_p, r), i, c, digits=3), for p in 3, 5, 7, every
+admissible r, i in 1..4 and c in 2, p + 1.
+A diff here means the output changed; regenerate a file only when that
 change is intended.
 """
 
+import json
 import shlex
 from pathlib import Path
 
 import pytest
 
+from metaplectic.classify import simulate_dual_gamma, ss_data
 from metaplectic.cli import main
+from metaplectic.coeff import field_make
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -25,6 +31,9 @@ COMMANDS = {
     "build-induced": "build-induced --p 5 --n 4 --h 39 --prec 40",
     "classify-ss": "classify-ss --p 5 --r 1",
     "simulate-dual": "simulate-dual --p 3 --r 0 --i 1 --K 4",
+    "simulate-dual-p5": "simulate-dual --p 5 --r 3 --i 2 --K 6",
+    "simulate-dual-p7": "simulate-dual --p 7 --r 1 --i 4 --K 4",
+    "simulate-dual-m2": "simulate-dual --p 3 --m 2 --r 2 --i 3 --K 5",
     "galois-reduce": "galois-reduce --p 3 --h 15",
     "ps-image": 'ps-image --p 5 --chi1 omega --chi2 "mu(2)"',
     "ss-image": 'ss-image --p 5 --r 1 --eta "omega^2"',
@@ -45,3 +54,13 @@ def test_golden_cli_output(name, capsys):
     out, _ = capsys.readouterr()
     assert code == 0
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+GAMMA_TABLE = json.loads((GOLDEN / "simulate-dual-gamma.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(GAMMA_TABLE))
+def test_golden_gamma_oracle(case):
+    p, r, i, c = (int(part.split("=")[1]) for part in case.split())
+    H = simulate_dual_gamma(ss_data(field_make(p), r), i, c, digits=3)
+    assert json.dumps(H.to_json(), sort_keys=True) == json.dumps(GAMMA_TABLE[case], sort_keys=True)
