@@ -5,11 +5,14 @@
 
 Run from anywhere: the library is imported from the `src/` beside this
 directory.  Each row times one operation on seeded dense inputs: series
-mul, add, invert and `phi_basis_decompose` over F_7 at N = 10^3 and 10^4,
-and `gamma_act` at c = p + 1 over F_{p^m} for p in {5, 7, 13} and m in
-{1, 2, 4} at N = 1000.  Every series has valuation -1 and a nonzero
-coefficient at each exponent below N, so a row's cost does not depend on
-the seed.
+mul, add, invert, `phi_basis_decompose` and the power f^(2p+3) of a
+valuation-0 series over F_7 at N = 10^3 and 10^4; `gamma_act` at c = p + 1
+over F_{p^m} for p in {5, 7, 13} and m in {1, 2, 4} at N = 1000; and, for
+the rank-4 induced module D (h = 3) over F_7 whose phi entries are known to
+about N = 1000 digits, `psi` on a vector of four series and `mat_inv` on
+Phi * (I + X S), S a 4x4 matrix of series.  Every series has valuation -1
+(the power's base and S are shifted) and a nonzero coefficient at each
+exponent below N, so a row's cost does not depend on the seed.
 
 A repetition calls the operation `number` times, with `number` raised until
 one repetition lasts at least MIN_REP_S; a row reports the best of REPEAT
@@ -41,6 +44,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import speed  # noqa: E402
 from metaplectic.coeff import field_make  # noqa: E402
 from metaplectic.laurent import LaurentSeries, gamma_act, phi_basis_decompose  # noqa: E402
+from metaplectic.phigamma import identity_matrix, make_induced, mat_inv, mat_mul, psi  # noqa: E402
 
 MIN_REP_S = 0.05
 REPEAT = 3
@@ -49,6 +53,8 @@ SERIES_FIELD = (7, 1)
 SERIES_SIZES = (1000, 10000)
 GAMMA_FIELDS = [(p, m) for p in (5, 7, 13) for m in (1, 2, 4)]
 GAMMA_SIZE = 1000
+MODULE_FIELD = (7, 1)
+MODULE_SIZE = 1000
 
 
 def dense(rng, spec, N):
@@ -72,17 +78,31 @@ def rows(scale):
         n = max(2, round(N * scale))
         f, g = dense(rng, spec, n), dense(rng, spec, n)
         tag = f"p={spec.p} m={spec.m} N={N}"
+        e = 2 * spec.p + 3
         out += [
             (f"laurent.mul {tag}", lambda f=f, g=g: f * g),
             (f"laurent.add {tag}", lambda f=f, g=g: f + g),
             (f"laurent.invert {tag}", f.invert_series),
             (f"laurent.phi_decompose {tag}", lambda f=f: phi_basis_decompose(f)),
+            (f"laurent.pow {tag} e={e}", lambda u=f.shift(1), e=e: u.pow(e)),
         ]
     for p, m in GAMMA_FIELDS:
         spec = field_make(p, m)
         f = dense(rng, spec, max(2, round(GAMMA_SIZE * scale)))
         name = f"laurent.gamma_act p={p} m={m} N={GAMMA_SIZE}"
         out.append((name, lambda f=f, c=p + 1: gamma_act(c, f)))
+    spec = field_make(*MODULE_FIELD)
+    N = max(2 * spec.p, round(MODULE_SIZE * scale))
+    D = make_induced(spec, 4, 3, prec=N // spec.p)
+    vec = [dense(rng, spec, N) for _ in range(4)]
+    ident = identity_matrix(spec, 4, N)
+    R = [[ident[i][j] + dense(rng, spec, N).shift(2) for j in range(4)] for i in range(4)]
+    phi_R = mat_mul(D.phi, R)
+    tag = f"p={spec.p} m={spec.m} n=4 N={MODULE_SIZE}"
+    out += [
+        (f"phigamma.psi {tag}", lambda: psi(D, vec)),
+        (f"phigamma.mat_inv {tag}", lambda: mat_inv(phi_R)),
+    ]
     return out
 
 

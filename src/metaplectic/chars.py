@@ -75,10 +75,6 @@ class TameChar:
     def is_trivial(self):
         return self.unram.is_one() and self.tame == 0
 
-    def square_is_trivial(self):
-        p = self.spec.p
-        return (self.unram ** 2).is_one() and (2 * self.tame) % (p - 1) == 0
-
     def sort_key(self):
         return (self.tame, self.unram.coeffs)
 

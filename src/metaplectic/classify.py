@@ -336,24 +336,14 @@ def simulate_dual_frobenius(data, i, K, m=None):
     shift = p ** (n * m) * (e_next - s_i)
     _, top = e_exponents(data, i % n + 1, m + 1)
     digits = (p - 1 + K) // p + 2
-    h_tables = []
-    for j in range(p):
-        coeffs = {}
-        for l in range(digits):
-            b = binom_neg_mod_p(j, top - s_i - p * (e_m - l) - shift, p)
-            if b:
-                coeffs[l] = c_i * spec.from_int(b)
-        h_tables.append(LaurentSeries(spec, coeffs, digits))
+    low = top - s_i - p * e_m - shift  # the binomial's lower index at l = 0
     # A(X) = sum_j (1+X)^j H_j(X^p); phi(f_i) = X^{s_i} A^{-1} f_{i+1}
     acc = None
     for j in range(p):
-        hj = frobenius_phi(h_tables[j])
-        binomial = LaurentSeries(
-            spec,
-            {k: spec.from_int(binom_mod_p(j, k, p)) for k in range(j + 1)},
-            p * digits,
-        )
-        term = binomial * hj
+        pairings = {l: binom_neg_mod_p(j, low + p * l, p) for l in range(digits)}
+        h = LaurentSeries.from_int_coeffs(spec, pairings, digits).scale(c_i)
+        binomial = {k: binom_mod_p(j, k, p) for k in range(j + 1)}
+        term = LaurentSeries.from_int_coeffs(spec, binomial, p * digits) * frobenius_phi(h)
         acc = term if acc is None else acc + term
     A = acc.truncate(p - 1 + K)
     return A.invert_series().shift(s_i)
@@ -382,10 +372,8 @@ def simulate_dual_gamma(data, i, c, digits=3, m=None):
         M += 1
     c_inv = pow(c, -1, p ** M)
     chi_val = spec.from_int(pow(c_inv % p, data.gamma_exponents()[i - 1], p))
-    coeffs = {}
-    for l in range(digits):
-        image = gamma_act(c_inv, LaurentSeries.monomial(spec, e_m - l, e_m + 1))
-        val = image.coeff(e_m) * chi_val
-        if not val.is_zero():
-            coeffs[l] = val
+    coeffs = {
+        l: gamma_act(c_inv, LaurentSeries.monomial(spec, e_m - l, e_m + 1)).coeff(e_m) * chi_val
+        for l in range(digits)
+    }
     return LaurentSeries(spec, coeffs, digits)

@@ -13,7 +13,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .coeff import field_make
+from .coeff import elem_from_json, field_make, is_prime
 from .chars import parse_tame_char
 from .classify import (
     dual_basis_form,
@@ -38,6 +38,9 @@ from .phigamma import (
 from .selftest import run_selftest
 
 SCHEMA = 1
+
+# Upper bounds on the size options, checked before anything is built
+LIMITS = {"n": 64, "m": 8, "prec": 10 ** 5, "K": 10 ** 5}
 
 
 def _parse_matrix(text):
@@ -219,13 +222,15 @@ def _units_list(text):
 def _run(args):
     cmd = args.command
     fmt = args.format
+    for name, limit in LIMITS.items():
+        value = getattr(args, name, None)
+        if value is not None and value > limit:
+            raise ValueError(f"--{name} {value} is above its limit {limit}")
 
     if cmd == "selftest":
         report = run_selftest(seed=args.seed)
         _emit(report, fmt)
         return 0 if report["ok"] else 1
-
-    from .coeff import is_prime
 
     p = args.p
     if p == 2 or not is_prime(p):
@@ -275,9 +280,7 @@ def _run(args):
         return 0
     if cmd == "normalize":
         obj = _load_json(args.form)
-        from .coeff import elem_from_json
         from .classify import CyclicForm
-        from .laurent import series_from_json as series_load
 
         with _malformed_input():
             form = CyclicForm(
@@ -287,7 +290,7 @@ def _run(args):
                 tuple(obj["t"]),
                 tuple(obj["b"]),
                 tuple(
-                    series_load(g, spec) if g is not None else None
+                    series_from_json(g, spec) if g is not None else None
                     for g in obj.get("noise", [None] * obj["n"])
                 ),
             )

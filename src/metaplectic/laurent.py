@@ -2,9 +2,13 @@
 
 A series carries an explicit precision N: its coefficients at exponents
 e < N are known exactly and everything at e >= N is undetermined.  Every
-operation returns the tightest provable output precision.  The zero
-series is represented with an empty coefficient table ("zero to
-precision N").
+operation returns the tightest provable output precision.  A series is
+stored as its valuation v, one flat list of residues mod p and N: the
+list holds m residues per exponent, w-degree j of the coefficient of
+X^(v+k) at index k*m + j, and its first and last coefficients are nonzero.
+The zero series ("zero to precision N") has no residues and v = N.
+`FieldElem`s appear only where a caller hands in or asks for a
+coefficient: the constructor, `coeff` and `terms`.
 
 The semilinear structure implemented here:
 
@@ -24,8 +28,9 @@ The semilinear structure implemented here:
 from __future__ import annotations
 
 import sys
+from array import array
 
-from .coeff import FieldElem, _poly_rem
+from .coeff import FieldElem
 
 __all__ = [
     "LaurentSeries",
@@ -38,6 +43,10 @@ __all__ = [
     "phi_basis_decompose",
     "psi_ring",
 ]
+
+# A series read from JSON has |precision| <= JSON_LIMIT and no coefficient
+# below -JSON_LIMIT, so its residue list spans at most 2 * JSON_LIMIT exponents.
+JSON_LIMIT = 10 ** 6
 
 
 def binom_mod_p(n, k, p):
@@ -72,16 +81,17 @@ def binom_neg_mod_p(j, t, p):
 class LaurentSeries:
     """A Laurent series over F_{p^m} known modulo X^precision."""
 
-    __slots__ = ("spec", "coeffs", "prec")
+    __slots__ = ("spec", "v", "res", "prec")
 
     def __init__(self, spec, coeffs, prec):
-        cleaned = {}
-        for e, a in coeffs.items():
-            if e < prec and not a.is_zero():
-                cleaned[e] = a
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "prec", prec)
+        """The series sum a X^e over the {e: FieldElem a} in coeffs, mod X^prec."""
+        exps = [e for e, a in coeffs.items() if e < prec and not a.is_zero()]
+        v, m = min(exps, default=prec), spec.m
+        res = [0] * ((max(exps, default=v - 1) + 1 - v) * m)
+        for e in exps:
+            i = (e - v) * m
+            res[i : i + m] = coeffs[e].coeffs
+        _fill(self, spec, v, res, prec)
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentSeries is immutable")
@@ -98,9 +108,7 @@ class LaurentSeries:
 
     @classmethod
     def monomial(cls, spec, exp, prec, coeff=None):
-        if coeff is None:
-            coeff = spec.one()
-        return cls(spec, {exp: coeff}, prec)
+        return cls(spec, {exp: spec.one() if coeff is None else coeff}, prec)
 
     @classmethod
     def from_int_coeffs(cls, spec, terms, prec):
@@ -109,87 +117,74 @@ class LaurentSeries:
     # -- basic structure ----------------------------------------------
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.res
 
     @property
     def valuation(self):
         """Exact valuation of the known part; None for a known-zero series."""
-        if not self.coeffs:
-            return None
-        return min(self.coeffs)
+        return self.v if self.res else None
 
     def val_or_prec(self):
-        return min(self.coeffs) if self.coeffs else self.prec
+        return self.v
 
     def coeff(self, e):
-        a = self.coeffs.get(e)
-        return a if a is not None else self.spec.zero()
+        m = self.spec.m
+        i = (e - self.v) * m
+        if 0 <= i < len(self.res):
+            return FieldElem(self.spec, tuple(self.res[i : i + m]))
+        return self.spec.zero()
+
+    def terms(self):
+        """The nonzero coefficients as {exponent: FieldElem}."""
+        spec, m, res = self.spec, self.spec.m, self.res
+        blocks = (tuple(res[i : i + m]) for i in range(0, len(res), m))
+        return {self.v + k: FieldElem(spec, b) for k, b in enumerate(blocks) if any(b)}
 
     def leading_coeff(self):
-        v = self.valuation
-        if v is None:
+        if not self.res:
             raise ValueError("not invertible")
-        return self.coeffs[v]
+        return self.coeff(self.v)
 
     def truncate(self, prec):
         """Restrict to a lower precision; never extends a claim."""
         if prec >= self.prec:
             return self
-        return LaurentSeries(self.spec, {e: a for e, a in self.coeffs.items() if e < prec}, prec)
+        return _series(self.spec, self.v, self.res, prec)
 
     def is_one_unit(self):
-        return bool(self.coeffs) and self.valuation == 0 and self.coeffs[0].is_one()
-
-    def has_prime_field_coeffs(self):
-        return all(a.in_prime_field() for a in self.coeffs.values())
+        res = self.res
+        return self.v == 0 and bool(res) and res[0] == 1 and not any(res[1 : self.spec.m])
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, FieldElem)):
-            other = LaurentSeries(
-                self.spec,
-                {0: other if isinstance(other, FieldElem) else self.spec.from_int(other)},
-                self.prec,
-            )
-        prec = min(self.prec, other.prec)
-        out = dict(self.coeffs)
-        for e, a in other.coeffs.items():
-            b = out.get(e)
-            out[e] = a if b is None else a + b
-        return LaurentSeries(self.spec, out, prec)
+        if isinstance(other, int):
+            other = LaurentSeries.from_int_coeffs(self.spec, {0: other}, self.prec)
+        return _combine([(1, self), (1, other)], min(self.prec, other.prec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(self.spec, {e: -a for e, a in self.coeffs.items()}, self.prec)
+        return _combine([(-1, self)], self.prec)
 
     def __sub__(self, other):
-        return self + (-other)
+        return _combine([(1, self), (-1, other)], min(self.prec, other.prec))
 
     def scale(self, a):
         """Multiply by a field element."""
-        if a.is_zero():
-            return LaurentSeries.zero(self.spec, self.prec)
-        return LaurentSeries(self.spec, {e: a * b for e, b in self.coeffs.items()}, self.prec)
+        spec = self.spec
+        out = _kronecker_mul(spec, self.res, list(a.coeffs), len(self.res) // spec.m)
+        return _series(spec, self.v, out, self.prec)
 
     def shift(self, k):
         """Multiply by X^k (exact)."""
-        return LaurentSeries(
-            self.spec, {e + k: a for e, a in self.coeffs.items()}, self.prec + k
-        )
+        return _series(self.spec, self.v + k, self.res, self.prec + k)
 
     def __mul__(self, other):
-        if isinstance(other, FieldElem):
-            return self.scale(other)
-        if isinstance(other, int):
-            return self.scale(self.spec.from_int(other))
-        v1, v2 = self.val_or_prec(), other.val_or_prec()
+        v1, v2 = self.v, other.v
         prec = min(v1 + other.prec, v2 + self.prec)
-        coeffs = _kronecker_mul(self.spec, self.coeffs, other.coeffs, prec)
-        return LaurentSeries(self.spec, coeffs, prec)
-
-    __rmul__ = __mul__
+        out = _kronecker_mul(self.spec, self.res, other.res, prec - v1 - v2)
+        return _series(self.spec, v1 + v2, out, prec)
 
     def invert_series(self):
         """The inverse series; valuation negates, precision drops by 2*val.
@@ -201,59 +196,52 @@ class LaurentSeries:
         if v is None:
             raise ValueError("not invertible")
         spec = self.spec
+        p, m = spec.p, spec.m
         n = self.prec - v  # number of known coefficients of the unit part
         # w = -u for the unit part u = X^-v self; b starts at u^-1 mod X, so
         # w*b = r - 1 with r = 1 - u*b
-        w = {e - v: -a for e, a in self.coeffs.items()}
-        b = {0: self.coeffs[v].inv()}
+        w = [-c % p for c in self.res]
+        b = list(self.leading_coeff().inv().coeffs)
         known = 1
         while known < n:
             # b is u^-1 mod X^known as an exact polynomial, so r = 0 below
             # known: b + b*r adds the digits known..2*known-1
             known = min(2 * known, n)
             r = _kronecker_mul(spec, w, b, known)
-            del r[0]
-            b.update(_kronecker_mul(spec, b, r, known))
-        return LaurentSeries(spec, {e - v: a for e, a in b.items()}, n - v)
+            r[:m] = [0] * m
+            b += _kronecker_mul(spec, b, r, known)[len(b) :]
+        return _series(spec, -v, b, n - v)
 
     def pow(self, e):
         """self**e; negative e requires an invertible series.
 
         For series with prime-field coefficients the base-p digits of e
         are handled through the Frobenius (f^{p^k} = f(X^{p^k})), which
-        keeps large exponents cheap and precision tight.
+        keeps large exponents cheap and precision tight.  The result is
+        known to K = prec - v digits past its valuation, so each factor is
+        cut to K digits past its own valuation, before and after stretching.
         """
         if e == 0:
-            return LaurentSeries.one(self.spec, self.prec - 0)
+            return LaurentSeries.one(self.spec, self.prec)
         if e < 0:
             return self.invert_series().pow(-e)
-        p = self.spec.p
-        if e >= p and self.has_prime_field_coeffs() and self.val_or_prec() >= 0:
-            digits = []
-            t = e
-            while t:
-                digits.append(t % p)
-                t //= p
-            small = {1: self}
+        spec, v = self.spec, self.v
+        p, m = spec.p, spec.m
+        if e >= p and v >= 0 and not any(any(self.res[j::m]) for j in range(1, m)):
+            small = [None, self]
             for d in range(2, p):
-                small[d] = small[d - 1] * self
-            result = None
-            for k, d in enumerate(digits):
-                if d == 0:
-                    continue
-                factor = small[d]
-                if k:
-                    scale = p ** k
-                    factor = LaurentSeries(
-                        factor.spec,
-                        {ex * scale: a for ex, a in factor.coeffs.items()},
-                        factor.prec * scale,
-                    )
-                result = factor if result is None else result * factor
-            return result.truncate(min(result.prec, self.prec + self.val_or_prec() * (e - 1)))
-        result = None
-        base = self
-        t = e
+                small.append(small[-1] * self)
+            K = self.prec - v
+            result, s, t = None, 1, e
+            while t:
+                t, d = divmod(t, p)
+                if d:
+                    factor = small[d].truncate(v * d - (-K // s))
+                    factor = _series(spec, factor.v * s, _stretch(factor.res, m, s), v * d * s + K)
+                    result = factor if result is None else result * factor
+                s *= p
+            return result
+        result, base, t = None, self, e
         while t > 0:
             if t & 1:
                 result = base if result is None else result * base
@@ -269,135 +257,178 @@ class LaurentSeries:
         bound = min(self.prec, other.prec)
         if upto is not None:
             bound = min(bound, upto)
-        exps = set(self.coeffs) | set(other.coeffs)
-        for e in exps:
-            if e < bound and self.coeff(e) != other.coeff(e):
-                return False
-        return True
+        a, b = self.truncate(bound), other.truncate(bound)
+        return a.res == b.res and (a.v == b.v or not a.res)
 
     def __eq__(self, other):
         return (
             isinstance(other, LaurentSeries)
             and self.spec == other.spec
             and self.prec == other.prec
-            and self.coeffs == other.coeffs
+            and self.v == other.v
+            and self.res == other.res
         )
 
-    def __hash__(self):
-        return hash((self.prec, tuple(sorted((e, a.coeffs) for e, a in self.coeffs.items()))))
-
     def __repr__(self):
-        if not self.coeffs:
-            return f"O(X^{self.prec})"
         terms = []
-        for e in sorted(self.coeffs):
-            a = self.coeffs[e].as_string()
-            if e == 0:
-                terms.append(a)
-            elif e == 1:
-                terms.append(f"{a}*X" if a != "1" else "X")
-            else:
-                terms.append(f"{a}*X^{e}" if a != "1" else f"X^{e}")
-        return " + ".join(terms) + f" + O(X^{self.prec})"
+        for e, a in self.terms().items():
+            a, x = a.as_string(), "X" if e == 1 else f"X^{e}"
+            terms.append(a if e == 0 else x if a == "1" else f"{a}*{x}")
+        return " + ".join(terms + [f"O(X^{self.prec})"])
 
     def to_json(self):
         return {
-            "valuation": self.valuation if self.coeffs else None,
+            "valuation": self.valuation,
             "precision": self.prec,
-            "coeffs": {str(e): self.coeffs[e].to_json() for e in sorted(self.coeffs)},
+            "coeffs": {str(e): a.to_json() for e, a in self.terms().items()},
         }
 
 
-# memoryview format for each slot width in bytes, narrowest first
-_SLOT_CODES = sorted((memoryview(bytes(8)).cast(code).itemsize, code) for code in "BHIQ")
+def _fill(f, spec, v, res, prec):
+    """Set the fields of f to X^v times the series of the residue list res,
+    mod X^prec: residues at or above prec and zero coefficients at either end
+    of res are dropped."""
+    m, n = spec.m, len(res)
+    if not (n and res[0] and res[-1] and n <= (prec - v) * m):
+        n = max(0, min(n, (prec - v) * m))
+        i = 0
+        while i < n and not res[i]:
+            i += 1
+        if i == n:
+            v, res = prec, []
+        else:
+            j = n - 1
+            while not res[j]:
+                j -= 1
+            v, res = v + i // m, res[i - i % m : j + m - j % m]
+    object.__setattr__(f, "spec", spec)
+    object.__setattr__(f, "v", v)
+    object.__setattr__(f, "res", res)
+    object.__setattr__(f, "prec", prec)
 
 
-def _pack(coeffs, lo, hi, stride, width, code):
-    """The coefficients at exponents lo..hi-1 as one int, `stride` slots of
-    `width` bytes per exponent, w-degree j in slot j."""
-    buf = bytearray((hi - lo) * stride * width)
-    slots = memoryview(buf).cast(code)
-    for e, a in coeffs.items():
-        if e < hi:
-            i = (e - lo) * stride
-            for c in a.coeffs:
-                slots[i] = c
-                i += 1
-    return int.from_bytes(buf, sys.byteorder)
+def _series(spec, v, res, prec):
+    """The series X^v * res mod X^prec (see `_fill`); res is not copied."""
+    f = object.__new__(LaurentSeries)
+    _fill(f, spec, v, res, prec)
+    return f
 
 
-def _kronecker_mul(spec, a, b, prec):
-    """The coefficients of the product of the coefficient tables a and b
-    below prec, from one big-int product.
+def _lincomb(p, terms, length):
+    """sum c * X^at * res mod p over the (int c, offset at, residue list res)
+    in terms, as a residue list cut to at most `length` residues."""
+    length = min(length, max(at + len(res) for _, at, res in terms))
+    out = [0] * length
+    for c, at, res in terms:
+        end = min(at + len(res), length)
+        if at < end:
+            out[at:end] = [a + c * b for a, b in zip(out[at:end], res)]
+    return [a % p for a in out]
+
+
+def _combine(parts, prec):
+    """sum c * f mod X^prec over the (int c, series f) in parts."""
+    spec = parts[0][1].spec
+    m = spec.m
+    lo = min(f.v for _, f in parts)
+    terms = [(c, (f.v - lo) * m, f.res) for c, f in parts]
+    return _series(spec, lo, _lincomb(spec.p, terms, (prec - lo) * m), prec)
+
+
+def _stretch(res, m, k):
+    """The residue list of f(X^k) for the residue list res of f."""
+    out = [0] * ((len(res) // m - 1) * k * m + m)
+    for j in range(m):
+        out[j :: k * m] = res[j::m]
+    return out
+
+
+def _decimate(res, m, start, k):
+    """The residue list of the coefficients start, start+k, start+2k, ... of res."""
+    out = [0] * (len(range(start, len(res) // m, k)) * m)
+    for j in range(m):
+        out[j::m] = res[start * m + j :: k * m]
+    return out
+
+
+# array type code for each slot width in bytes, narrowest first
+_SLOT_CODES = sorted((array(code).itemsize, code) for code in "BHIQ")
+
+
+def _pack(res, n, m, stride, code):
+    """The first n coefficients of res as one int, `stride` slots per
+    coefficient, w-degree j in slot j."""
+    slots = array(code, [0]) * (n * stride)
+    for j in range(m):
+        slots[j::stride] = array(code, res[j : n * m : m])
+    return int.from_bytes(slots, sys.byteorder)
+
+
+def _kronecker_mul(spec, a, b, count):
+    """The residue list of the product of the residue lists a and b below
+    its coefficient `count`, from one big-int product.
 
     Each operand is packed into one int (Kronecker substitution) with a slot
-    per (exponent, w-degree) pair and 2m-1 slots per exponent, so the
-    w-degree products of F_{p^m} coefficients cannot overlap.  Only
-    exponents below prec - v_other are packed.  A slot sums at most
-    min(na, nb)*m products of two residues, so a slot of that bound never
-    carries.  Each slot is then reduced mod p and mod the field modulus.
+    per (coefficient, w-degree) pair and 2m-1 slots per coefficient, so the
+    w-degree products of F_{p^m} coefficients cannot overlap.  Only the
+    first `count` coefficients of each operand are packed.  A slot sums at
+    most min(na, nb)*m products of two residues, so a slot of that bound
+    never carries.  The slots of w-degree 2m-2 down to m are folded into the
+    lower ones by the modulus, one plane of all coefficients at a time, and
+    every slot is reduced mod p.  The list ends at the product's last
+    coefficient below `count`; the coefficients past it are zero.
     """
-    if not a or not b:
-        return {}
-    v1, v2 = min(a), min(b)
-    hi1 = min(max(a) + 1, prec - v2)
-    hi2 = min(max(b) + 1, prec - v1)
-    if hi1 <= v1 or hi2 <= v2:
-        return {}
     p, m = spec.p, spec.m
+    na, nb = min(len(a) // m, count), min(len(b) // m, count)
+    if na <= 0 or nb <= 0:
+        return []
     stride = 2 * m - 1
-    bound = min(hi1 - v1, hi2 - v2) * m * (p - 1) ** 2
+    bound = min(na, nb) * m * (p - 1) ** 2
     width, code = next(wc for wc in _SLOT_CODES if bound >> (8 * wc[0]) == 0)
-    x = _pack(a, v1, hi1, stride, width, code)
-    y = x if b is a else _pack(b, v2, hi2, stride, width, code)
-    count = min(hi1 - v1 + hi2 - v2 - 1, prec - v1 - v2)
-    total = (hi1 - v1 + hi2 - v2 - 1) * stride * width
-    slots = memoryview((x * y).to_bytes(total, sys.byteorder)).cast(code)[: count * stride]
-    out = {}
-    base = v1 + v2
-    elems = {}  # one FieldElem per distinct coefficient of this product
-    if m == 1:  # over F_p a slot mod p is the coefficient
-        for k, s in enumerate(slots):
-            s %= p
-            if s:
-                elem = elems.get(s)
-                if elem is None:
-                    elem = elems[s] = FieldElem(spec, (s,))
-                out[base + k] = elem
-        return out
+    x = _pack(a, na, m, stride, code)
+    y = x if b is a else _pack(b, nb, m, stride, code)
+    n = na + nb - 1
+    slots = array(code, (x * y).to_bytes(n * stride * width, sys.byteorder))
+    n = min(n, count)
+    planes = [slots[j : n * stride : stride] for j in range(stride)]
     modulus = spec.modulus
-    for k in range(count):
-        r = _poly_rem([s % p for s in slots[k * stride : (k + 1) * stride]], modulus, p)
-        if r:
-            elem = elems.get(r)
-            if elem is None:
-                elem = elems[r] = FieldElem(spec, r + (0,) * (m - len(r)))
-            out[base + k] = elem
+    for top in range(stride - 1, m - 1, -1):
+        high = [s % p for s in planes[top]]
+        for j, c in enumerate(modulus[:m]):
+            if c:
+                k = top - m + j
+                planes[k] = [s - c * h for s, h in zip(planes[k], high)]
+    out = [0] * (n * m)
+    for j in range(m):
+        out[j::m] = [s % p for s in planes[j]]
     return out
 
 
 def series_from_json(obj, spec):
     from .coeff import elem_from_json
 
-    coeffs = {int(e): elem_from_json(a, spec) for e, a in obj["coeffs"].items()}
-    return LaurentSeries(spec, coeffs, obj["precision"])
+    prec = obj["precision"]
+    if type(prec) is not int or abs(prec) > JSON_LIMIT:
+        raise ValueError(f"series precision {prec!r} is not an int of size <= {JSON_LIMIT}")
+    coeffs = {int(e): a for e, a in obj["coeffs"].items()}
+    low = min((e for e in coeffs if e < prec), default=prec)
+    if low < -JSON_LIMIT:
+        raise ValueError(f"series exponent {low} is below -{JSON_LIMIT}")
+    return LaurentSeries(spec, {e: elem_from_json(a, spec) for e, a in coeffs.items()}, prec)
 
 
 def frobenius_phi(f):
     """f(X^p) with coefficients unchanged; precision multiplies by p."""
     p = f.spec.p
-    return LaurentSeries(f.spec, {e * p: a for e, a in f.coeffs.items()}, f.prec * p)
+    return _series(f.spec, f.v * p, _stretch(f.res, f.spec.m, p), f.prec * p)
 
 
 def gamma_transform(c, spec, prec):
     """(1+X)^c - 1 modulo X^prec for an exact integer unit c >= 1."""
-    p = spec.p
-    coeffs = {}
-    for k in range(1, max(prec, 1)):
-        b = binom_mod_p(c, k, p)
-        if b:
-            coeffs[k] = spec.from_int(b)
-    return LaurentSeries(spec, coeffs, prec)
+    p, m = spec.p, spec.m
+    res = [0] * (max(prec - 1, 0) * m)
+    res[::m] = [binom_mod_p(c, k, p) for k in range(1, prec)]
+    return _series(spec, 1, res, prec)
 
 
 _GAMMA_LEAF = 16  # a P needed to at most this many digits is composed by Horner's rule
@@ -421,10 +452,10 @@ def gamma_act(c, f):
     where each P_j(g) comes from the same recursion and is needed only mod
     X^ceil((K-j)/p): X^j phi(P_j(g)) is then known below
     j + p*ceil((K-j)/p) >= K.  A P needed to at most _GAMMA_LEAF digits, or
-    with at most two terms, is evaluated by Horner's rule over the gaps
-    between its exponents.  Negative exponents of the substituted variable
-    are handled by inverting u at the precision the output needs, so no
-    precision is lost against the contract.
+    with at most two nonzero residues, is evaluated by Horner's rule over
+    the gaps between its exponents.  Negative exponents of the substituted
+    variable are handled by inverting u at the precision the output needs,
+    so no precision is lost against the contract.
     """
     spec = f.spec
     if c < 1:
@@ -433,44 +464,44 @@ def gamma_act(c, f):
         raise ValueError("unit must be coprime to p")
     if c == 1 or f.is_zero():
         return f
-    p = spec.p
-    v = min(f.coeffs)
+    p, m = spec.p, spec.m
+    v = f.v
     known = f.prec - v
     g = gamma_transform(c, spec, known + 1)
     powers = {}  # d -> g^d, at the highest precision a level has asked for
 
     def power(d, prec):
+        """The residues of g^d from its valuation d, known mod X^prec."""
         gd = powers.get(d)
         if gd is None or gd.prec < prec:
             gd = powers[d] = g.truncate(prec).pow(d)
-        return gd.coeffs
+        return gd.res
 
     def compose(P, K):
-        """The coefficients of P(g) mod X^K, for P with exponents below K."""
-        if K <= _GAMMA_LEAF or len(P) <= 2:
-            terms = [(e, {0: a}) for e, a in sorted(P.items())]
+        """The residues of P(g) mod X^K, for the residue list P of a
+        polynomial of degree below K."""
+        if K <= _GAMMA_LEAF or len(P) - P.count(0) <= 2:
+            terms = [(i // m, P[i : i + m]) for i in range(0, len(P), m) if any(P[i : i + m])]
         else:
-            parts = [{} for _ in range(p)]
-            for e, a in P.items():
-                parts[e % p][e // p] = a
             terms = []
-            for j, part in enumerate(parts):
-                if part:
-                    sub = compose(part, -(-(K - j) // p))
-                    terms.append((j, {p * i: a for i, a in sub.items() if p * i < K - j}))
+            for j in range(p):
+                part = _decimate(P, m, j, p)
+                if any(part):
+                    terms.append((j, _stretch(compose(part, -(-(K - j) // p)), m, p)))
         # Horner's rule over the gaps between the terms' exponents: the terms
         # from exponent lo up are summed mod X^(K - lo)
         hi, acc = terms[-1]
         for lo, a in reversed(terms[:-1]):
-            acc = _kronecker_mul(spec, acc, power(hi - lo, K), K - lo)
-            for e, b in a.items():
-                s = acc.get(e)
-                acc[e] = b if s is None else s + b
+            gap = hi - lo
+            prod = _kronecker_mul(spec, acc, power(gap, K), K - hi)
+            acc = _lincomb(p, [(1, gap * m, prod), (1, 0, a)], (K - lo) * m)
             hi = lo
-        return _kronecker_mul(spec, acc, power(hi, K), K) if hi else acc
+        if hi:
+            acc = [0] * (hi * m) + _kronecker_mul(spec, acc, power(hi, K), K - hi)
+        return acc
 
-    composed = compose({e - v: a for e, a in f.coeffs.items()}, known)
-    return (LaurentSeries(spec, composed, known) * g.shift(-1).pow(v)).shift(v)
+    composed = _series(spec, 0, compose(f.res, known), known)
+    return (composed * g.shift(-1).pow(v)).shift(v)
 
 
 def one_unit_root(f, n):
@@ -480,12 +511,10 @@ def one_unit_root(f, n):
     group of 1-units modulo X^prec; this agrees with the solve-degree-by-
     degree construction by uniqueness of the root.
     """
-    spec = f.spec
-    p = spec.p
+    p = f.spec.p
     if n < 1 or n % p == 0:
         raise ValueError("root not unique")
-    v = f.valuation
-    if v != 0 or not f.coeffs[0].is_one():
+    if not f.is_one_unit():
         raise ValueError("not a one-unit")
     e = 0
     while p ** e < f.prec:
@@ -504,31 +533,20 @@ def phi_basis_decompose(f):
     the reported precision is the tightest provable one (at least that).
     """
     spec = f.spec
-    p = spec.p
+    p, m = spec.p, spec.m
     N = f.prec
-    # residue components u_j with f = sum_j X^j u_j(X^p)
-    u = [dict() for _ in range(p)]
-    for e, a in f.coeffs.items():
-        j = e % p
-        u[j][(e - j) // p] = a
-    # u_j is known modulo X^{Q_j}
-    q = [((N - 1 - j) // p) + 1 for j in range(p)]
+    # residue components u_j with f = sum_j X^j u_j(X^p), u_j known modulo
+    # X^{Q_j}; the coefficient of X^(v+k) with k = (j - v) % p is u_j's first
+    u = []
+    for j in range(p):
+        k = (j - f.v) % p
+        q = (N - 1 - j) // p + 1
+        u.append(_series(spec, (f.v + k - j) // p, _decimate(f.res, m, k, p), q))
     # g_i = sum_{j >= i} (-1)^{j-i} binom(j, i) u_j
     out = []
     for i in range(p):
-        coeffs = {}
-        prec = min(q[i:])
-        for j in range(i, p):
-            b = binom_mod_p(j, i, p)
-            if b == 0:
-                continue
-            sign = -1 if (j - i) % 2 else 1
-            factor = spec.from_int(sign * b)
-            for e, a in u[j].items():
-                cur = coeffs.get(e)
-                term = factor * a
-                coeffs[e] = term if cur is None else cur + term
-        out.append(LaurentSeries(spec, coeffs, prec))
+        parts = [((-1) ** (j - i) * binom_mod_p(j, i, p), u[j]) for j in range(i, p)]
+        out.append(_combine(parts, min(uj.prec for uj in u[i:])))
     return out
 
 

@@ -88,10 +88,6 @@ class PSRep:
         return self.chi1_s.spec
 
     @classmethod
-    def from_chars(cls, chi1, chi2):
-        return cls(char_restrict_S(chi1), char_restrict_S(chi2))
-
-    @classmethod
     def from_hecke(cls, spec, r, lam, eta=None):
         """The principal series attached to a nonzero Hecke eigenvalue.
 

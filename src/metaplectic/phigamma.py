@@ -18,7 +18,6 @@ applying the inverse of the phi-matrix.
 
 from __future__ import annotations
 
-from .coeff import FieldElem
 from .laurent import (
     LaurentSeries,
     frobenius_phi,
@@ -99,7 +98,7 @@ def mat_transpose(A):
 
 
 def mat_scale(A, a):
-    return [[entry.scale(a) if isinstance(a, FieldElem) else entry * a for entry in row] for row in A]
+    return [[entry.scale(a) for entry in row] for row in A]
 
 
 def mat_map(fn, A):

@@ -230,6 +230,17 @@ MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
         (["normalize", "--p", "5", "{f}", "--prec", "0"],
          {"f": {"n": 1, "d": [{"p": 5, "m": 1, "coeffs": [1]}], "t": [0], "b": [0]}},
          "prec (X-adic precision) must be >= 1, got 0"),
+        (["build-induced", "--p", "5", "--n", "100000000", "--h", "1"], {},
+         "--n 100000000 is above its limit 64"),
+        (["build-rank1", "--p", "5", "--m", "9"], {}, "--m 9 is above its limit 8"),
+        (["build-rank1", "--p", "5", "--prec", "100001"], {}, "--prec 100001 is above its limit"),
+        (["simulate-dual", "--p", "5", "--r", "1", "--K", "1000000000"], {},
+         "--K 1000000000 is above its limit"),
+        (["psi", "--p", "3", "{m}", "{v}"], {"m": RANK1, "v": [{**ONE3, "precision": 10 ** 6 + 1}]},
+         "series precision 1000001 is not an int of size <= 1000000"),
+        (["psi", "--p", "3", "{m}", "{v}"],
+         {"m": RANK1, "v": [{"coeffs": {"-1000001": LAM3, "0": LAM3}, "precision": 20}]},
+         "series exponent -1000001 is below -1000000"),
     ],
 )
 def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, message):

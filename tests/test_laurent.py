@@ -14,6 +14,7 @@ from metaplectic.laurent import (
     one_unit_root,
     phi_basis_decompose,
     psi_ring,
+    series_from_json,
 )
 from metaplectic.selftest import gamma_law, rand_series, reassembly_law, root_law
 
@@ -202,8 +203,8 @@ def schoolbook_mul(a, b):
     v1, v2 = a.val_or_prec(), b.val_or_prec()
     prec = min(v1 + b.prec, v2 + a.prec)
     out = {}
-    for e1, a1 in a.coeffs.items():
-        for e2, a2 in b.coeffs.items():
+    for e1, a1 in a.terms().items():
+        for e2, a2 in b.terms().items():
             e = e1 + e2
             if e < prec:
                 out[e] = out[e] + a1 * a2 if e in out else a1 * a2
@@ -212,9 +213,9 @@ def schoolbook_mul(a, b):
 
 def recurrence_invert(f):
     v = f.valuation
-    lead_inv = f.coeffs[v].inv()
+    lead_inv = f.leading_coeff().inv()
     n = f.prec - v
-    h = {e - v: a * lead_inv for e, a in f.coeffs.items() if e != v}
+    h = {e - v: a * lead_inv for e, a in f.terms().items() if e != v}
     # b_0 = 1, b_d = -sum_j h_j b_{d-j}
     b = {0: f.spec.one()}
     for d in range(1, n):
@@ -246,7 +247,7 @@ def per_exponent_gamma(c, f):
     work = N + (2 * (-v) + 2 if v < 0 else 0)
     g = gamma_transform(c, spec, work)
     powers = {0: LaurentSeries.one(spec, work)}
-    for e in range(1, max(f.coeffs) + 1):
+    for e in range(1, max(f.terms()) + 1):
         powers[e] = schoolbook_mul(powers[e - 1], g).truncate(N)
     if v < 0:
         u_inv = recurrence_invert(g.shift(-1))
@@ -255,7 +256,7 @@ def per_exponent_gamma(c, f):
             inv_power = schoolbook_mul(inv_power, u_inv)
             powers[e] = inv_power.shift(e)
     acc = LaurentSeries.zero(spec, N)
-    for e, a in f.coeffs.items():
+    for e, a in f.terms().items():
         acc = acc + powers[e].scale(a).truncate(N)
     return acc
 
@@ -290,8 +291,17 @@ def kernel_series(draw, spec, max_len=24, stride_powers=(1, 2), max_span=None):
 
 
 def same(got, want):
-    assert got.prec == want.prec
-    assert got.coeffs == want.coeffs
+    """Equal valuation, residues and precision."""
+    assert got == want
+
+
+@kernel_settings
+@given(st.data())
+def test_kernel_series_boundary_round_trips(data):
+    spec = data.draw(st.sampled_from(KERNEL_FIELDS))
+    f = data.draw(kernel_series(spec))
+    assert series_from_json(f.to_json(), spec) == f
+    assert LaurentSeries(spec, f.terms(), f.prec) == f
 
 
 @kernel_settings
