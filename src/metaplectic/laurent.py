@@ -196,20 +196,17 @@ class LaurentSeries:
         if v is None:
             raise ValueError("not invertible")
         spec = self.spec
-        p, m = spec.p, spec.m
         n = self.prec - v  # number of known coefficients of the unit part
-        # w = -u for the unit part u = X^-v self; b starts at u^-1 mod X, so
-        # w*b = r - 1 with r = 1 - u*b
-        w = [-c % p for c in self.res]
+        # w = -u for the unit part u = X^-v self; b starts at u^-1 mod X
+        w = [-c % spec.p for c in self.res]
         b = list(self.leading_coeff().inv().coeffs)
         known = 1
         while known < n:
-            # b is u^-1 mod X^known as an exact polynomial, so r = 0 below
-            # known: b + b*r adds the digits known..2*known-1
+            # b is u^-1 mod X^known as an exact polynomial, so b + b(1 - u*b)
+            # adds the digits known..2*known-1; b has none there, so they are
+            # the digits of b*(w*b) = b*(1 - u*b) - b
             known = min(2 * known, n)
-            r = _kronecker_mul(spec, w, b, known)
-            r[:m] = [0] * m
-            b += _kronecker_mul(spec, b, r, known)[len(b) :]
+            b += _kronecker_mul(spec, b, _kronecker_mul(spec, w, b, known), known)[len(b) :]
         return _series(spec, -v, b, n - v)
 
     def pow(self, e):

@@ -257,7 +257,9 @@ def per_exponent_gamma(c, f):
             powers[e] = inv_power.shift(e)
     acc = LaurentSeries.zero(spec, N)
     for e, a in f.terms().items():
-        acc = acc + powers[e].scale(a).truncate(N)
+        # scaled coefficient by coefficient, not by the packed kernel
+        scaled = {k: a * b for k, b in powers[e].terms().items()}
+        acc = acc + LaurentSeries(spec, scaled, powers[e].prec).truncate(N)
     return acc
 
 
