@@ -12,7 +12,12 @@ the rank-4 induced module D (h = 3) over F_7 whose phi entries are known to
 about N = 1000 digits, `psi` on a vector of four series and `mat_inv` on
 Phi * (I + X S), S a 4x4 matrix of series.  Every series has valuation -1
 (the power's base and S are shifted) and a nonzero coefficient at each
-exponent below N, so a row's cost does not depend on the seed.
+exponent below N, so a row's cost does not depend on the seed.  The field
+rows time one pass over 1,000 seeded elements of F_{7^4}, which multiplies
+through its log/antilog table, and of F_{3^8}, which is above
+TABLE_MAX_ORDER and multiplies polynomials: `FieldElem(spec, coeffs)` on
+coefficient tuples, products of nonzero pairs, inverses, and powers to
+exponents drawn from 0..q-2.
 
 A repetition calls the operation `number` times, with `number` raised until
 one repetition lasts at least MIN_REP_S; a row reports the best of REPEAT
@@ -42,7 +47,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import speed  # noqa: E402
-from metaplectic.coeff import field_make  # noqa: E402
+from metaplectic.coeff import FieldElem, field_make  # noqa: E402
 from metaplectic.laurent import LaurentSeries, gamma_act, phi_basis_decompose  # noqa: E402
 from metaplectic.phigamma import identity_matrix, make_induced, mat_inv, mat_mul, psi  # noqa: E402
 
@@ -55,18 +60,20 @@ GAMMA_FIELDS = [(p, m) for p in (5, 7, 13) for m in (1, 2, 4)]
 GAMMA_SIZE = 1000
 MODULE_FIELD = (7, 1)
 MODULE_SIZE = 1000
+ELEM_FIELDS = ((7, 4), (3, 8))  # q = 2401 is tabled, q = 6561 is not
+ELEM_COUNT = 1000
+
+
+def nonzero(rng, spec):
+    while True:
+        a = spec.elem([rng.randrange(spec.p) for _ in range(spec.m)])
+        if not a.is_zero():
+            return a
 
 
 def dense(rng, spec, N):
     """Valuation -1, every coefficient below X^N nonzero."""
-
-    def unit():
-        while True:
-            a = spec.elem([rng.randrange(spec.p) for _ in range(spec.m)])
-            if not a.is_zero():
-                return a
-
-    return LaurentSeries(spec, {e: unit() for e in range(-1, N)}, N)
+    return LaurentSeries(spec, {e: nonzero(rng, spec) for e in range(-1, N)}, N)
 
 
 def rows(scale):
@@ -103,6 +110,20 @@ def rows(scale):
         (f"phigamma.psi {tag}", lambda: psi(D, vec)),
         (f"phigamma.mat_inv {tag}", lambda: mat_inv(phi_R)),
     ]
+    for p, m in ELEM_FIELDS:
+        spec = field_make(p, m)
+        n = max(2, round(ELEM_COUNT * scale))
+        vecs = [tuple(rng.randrange(p) for _ in range(m)) for _ in range(n)]
+        xs = [nonzero(rng, spec) for _ in range(n)]
+        ys = [nonzero(rng, spec) for _ in range(n)]
+        es = [rng.randrange(spec.order - 1) for _ in range(n)]
+        tag = f"p={p} m={m} n={ELEM_COUNT}"
+        out += [
+            (f"coeff.elem {tag}", lambda s=spec, vecs=vecs: [FieldElem(s, c) for c in vecs]),
+            (f"coeff.mul {tag}", lambda xs=xs, ys=ys: [a * b for a, b in zip(xs, ys)]),
+            (f"coeff.inv {tag}", lambda xs=xs: [a.inv() for a in xs]),
+            (f"coeff.pow {tag}", lambda xs=xs, es=es: [a ** e for a, e in zip(xs, es)]),
+        ]
     return out
 
 

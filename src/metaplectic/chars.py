@@ -62,9 +62,6 @@ class TameChar:
     def inv(self):
         return TameChar(self.unram.inv(), -self.tame)
 
-    def pow(self, e):
-        return TameChar(self.unram ** e, self.tame * e)
-
     def value_at_unit(self, c):
         """The value at an integer unit c: omega(c)^tame."""
         spec = self.spec
@@ -74,20 +71,6 @@ class TameChar:
 
     def is_trivial(self):
         return self.unram.is_one() and self.tame == 0
-
-    def sort_key(self):
-        return (self.tame, self.unram.coeffs)
-
-    def to_json(self):
-        return {"unram": self.unram.to_json(), "tame": self.tame}
-
-    def as_string(self):
-        parts = []
-        if not self.unram.is_one():
-            parts.append(f"mu({self.unram.as_string()})")
-        if self.tame:
-            parts.append(f"omega^{self.tame}")
-        return "*".join(parts) if parts else "1"
 
 
 @dataclass(frozen=True)
@@ -119,9 +102,6 @@ class SChar:
     def sort_key(self):
         return (self.tame, self.val_p2.coeffs)
 
-    def to_json(self):
-        return {"val_p2": self.val_p2.to_json(), "tame": self.tame}
-
 
 @dataclass(frozen=True)
 class HChar:
@@ -141,9 +121,6 @@ class HChar:
 
     def swap(self):
         return HChar(self.p, self.e2, self.e1)
-
-    def mul(self, other):
-        return HChar(self.p, self.e1 + other.e1, self.e2 + other.e2)
 
 
 def char_restrict_S(chi):

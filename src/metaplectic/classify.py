@@ -154,19 +154,6 @@ class CyclicForm:
             if g is not None and not g.is_one_unit():
                 raise ValueError("noise must be a 1-unit")
 
-    @property
-    def p(self):
-        return self.spec.p
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "d": [x.to_json() for x in self.d],
-            "t": list(self.t),
-            "b": list(self.b),
-            "noise": [g.to_json() if g is not None else None for g in self.noise],
-        }
-
 
 @dataclass(frozen=True)
 class NormalForm:
@@ -178,9 +165,6 @@ class NormalForm:
     t: int
     d: FieldElem
     b1: int
-
-    def to_json(self):
-        return {"n": self.n, "t": self.t, "d": self.d.to_json(), "b1": self.b1}
 
 
 def cycle_form(spec, s, c, a, noise=None):

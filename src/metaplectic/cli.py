@@ -40,7 +40,7 @@ from .selftest import run_selftest
 SCHEMA = 1
 
 # Upper bounds on the size options, checked before anything is built
-LIMITS = {"n": 64, "m": 8, "prec": 10 ** 5, "K": 10 ** 5}
+LIMITS = {"p": 10 ** 9, "n": 64, "m": 8, "prec": 10 ** 5, "K": 10 ** 5}
 
 
 def _parse_matrix(text):
@@ -50,16 +50,16 @@ def _parse_matrix(text):
     return PMatrix(*parts)
 
 
-def _elem_str(x):
-    return x.as_string()
-
-
 def _params_json(P):
-    return {"n": P.n, "H": P.H, "Lam": _elem_str(P.Lam)}
+    return {"n": P.n, "H": P.H, "Lam": P.Lam.as_string()}
 
 
 def _schar_json(s):
-    return {"val_p2": _elem_str(s.val_p2), "tame": s.tame}
+    return {"val_p2": s.val_p2.as_string(), "tame": s.tame}
+
+
+def _normal_form_json(nf):
+    return {"n": nf.n, "t": nf.t, "d": nf.d.as_string(), "b1": nf.b1}
 
 
 def _meta_json(M):
@@ -96,10 +96,6 @@ def _emit(obj, fmt):
             print(f"{key}: {json.dumps(obj[key], sort_keys=True)}")
     else:
         print(json.dumps(obj, sort_keys=True))
-
-
-def _field(args):
-    return field_make(args.p, args.m)
 
 
 def _check_prec(args):
@@ -250,7 +246,7 @@ def _run(args):
         _emit({"schema": SCHEMA, "unram": q.unram, "tame": q.tame}, fmt)
         return 0
 
-    spec = _field(args)
+    spec = field_make(p, args.m)
     if cmd == "build-rank1":
         D = make_rank1(parse_tame_char(args.chi, spec), _check_prec(args))
         _emit(module_to_json(D, units=_units_list(args.units)), fmt)
@@ -298,7 +294,7 @@ def _run(args):
         _emit(
             {
                 "schema": SCHEMA,
-                "normal_form": {"n": nf.n, "t": nf.t, "d": _elem_str(nf.d), "b1": nf.b1},
+                "normal_form": _normal_form_json(nf),
                 "basis_change": [h.to_json() for h in hs],
             },
             fmt,
@@ -316,14 +312,14 @@ def _run(args):
                 "ss_data": data.to_json(),
                 "cyclic_form": {
                     "n": form.n,
-                    "d": [_elem_str(x) for x in form.d],
+                    "d": [x.as_string() for x in form.d],
                     "t": list(form.t),
                     "b": list(form.b),
                 },
-                "normal_form": {"n": nf.n, "t": nf.t, "d": _elem_str(nf.d), "b1": nf.b1},
+                "normal_form": _normal_form_json(nf),
                 "n": params.n,
                 "H": params.H,
-                "Lam": _elem_str(params.Lam),
+                "Lam": params.Lam.as_string(),
             },
             fmt,
         )
@@ -338,7 +334,7 @@ def _run(args):
                 "schema": SCHEMA,
                 "valuation": out.valuation,
                 "expansion": out.to_json(),
-                "unit_digits": [_elem_str(unit.coeff(k)) for k in range(args.K)],
+                "unit_digits": [unit.coeff(k).as_string() for k in range(args.K)],
             },
             fmt,
         )

@@ -155,7 +155,9 @@ def _is_irreducible(modulus, p):
 class FieldSpec:
     """A finite field F_{p^m} with its fixed monic irreducible modulus.
 
-    Immutable and shareable; all element operations are pure.
+    Shareable and never changed after construction, except that the
+    log/antilog tables are filled in on first use; all element operations
+    are pure.
     """
 
     __slots__ = ("p", "m", "modulus", "_one", "_zero", "_log", "_exp")
@@ -169,16 +171,10 @@ class FieldSpec:
             raise ValueError("modulus must be monic of degree m")
         if not _is_irreducible(modulus, p):
             raise ValueError("modulus is reducible")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "modulus", tuple(modulus))
-        object.__setattr__(self, "_zero", None)
-        object.__setattr__(self, "_one", None)
-        object.__setattr__(self, "_log", None)
-        object.__setattr__(self, "_exp", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldSpec is immutable")
+        self.p, self.m, self.modulus = p, m, tuple(modulus)
+        self._log = self._exp = None
+        self._zero = FieldElem(self, (0,) * m)
+        self._one = FieldElem(self, (1,) + (0,) * (m - 1))
 
     @property
     def order(self):
@@ -191,18 +187,10 @@ class FieldSpec:
         return FieldElem(self, (a % self.p,) + (0,) * (self.m - 1))
 
     def zero(self):
-        z = self._zero
-        if z is None:
-            z = self.from_int(0)
-            object.__setattr__(self, "_zero", z)
-        return z
+        return self._zero
 
     def one(self):
-        e = self._one
-        if e is None:
-            e = self.from_int(1)
-            object.__setattr__(self, "_one", e)
-        return e
+        return self._one
 
     def _tables(self):
         """The log dict of this field, built on first use; False above
@@ -212,7 +200,7 @@ class FieldSpec:
             return log
         q, p, m, modulus = self.order, self.p, self.m, self.modulus
         if q > TABLE_MAX_ORDER:
-            object.__setattr__(self, "_log", False)
+            self._log = False
             return False
         n = q - 1
         primes = _prime_factors(n)
@@ -228,14 +216,8 @@ class FieldSpec:
             log[elem.coeffs] = k
             exp.append(elem)
             x = _poly_mulmod(x, g, modulus, p)
-        object.__setattr__(self, "_exp", exp)
-        object.__setattr__(self, "_log", log)
+        self._exp, self._log = exp, log
         return log
-
-    def gen(self):
-        if self.m == 1:
-            return self.from_int(1)
-        return FieldElem(self, (0, 1) + (0,) * (self.m - 2))
 
     def elements(self):
         """All field elements in counting order of coefficient vectors."""
@@ -261,9 +243,6 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, m={self.m})"
-
-    def to_json(self):
-        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
 
 _FIELD_CACHE = {}
@@ -311,11 +290,8 @@ class FieldElem:
             coeffs = tuple(c % spec.p for c in coeffs)
             if len(coeffs) != spec.m:
                 raise ValueError("coefficient vector has wrong length")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldElem is immutable")
+        self.spec = spec
+        self.coeffs = coeffs
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -356,9 +332,6 @@ class FieldElem:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -384,9 +357,6 @@ class FieldElem:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inv()
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
 
     def __pow__(self, e):
         """self^e; a negative e needs a nonzero element, and 0^0 = 1."""

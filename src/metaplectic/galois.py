@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeff import FieldElem
+from .coeff import FieldElem, elem_from_json
 
 __all__ = [
     "InducedParams",
@@ -61,9 +61,14 @@ class InducedParams:
 
 
 def params_from_json(obj, spec):
-    from .coeff import elem_from_json
+    """The parameter `obj` (as written by `InducedParams.to_json`) over spec;
+    its degree n must be an int in 1..cli.LIMITS["n"]."""
+    from .cli import LIMITS
 
-    return InducedParams(obj["n"], obj["H"], elem_from_json(obj["Lam"], spec))
+    n = obj["n"]
+    if type(n) is not int or not 1 <= n <= LIMITS["n"]:
+        raise ValueError(f"degree n {n!r} is not an int in 1..{LIMITS['n']}")
+    return InducedParams(n, obj["H"], elem_from_json(obj["Lam"], spec))
 
 
 def orbit(P):

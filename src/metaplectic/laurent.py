@@ -93,9 +93,6 @@ class LaurentSeries:
             res[i : i + m] = coeffs[e].coeffs
         _fill(self, spec, v, res, prec)
 
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentSeries is immutable")
-
     # -- constructors ------------------------------------------------
 
     @classmethod
@@ -123,9 +120,6 @@ class LaurentSeries:
     def valuation(self):
         """Exact valuation of the known part; None for a known-zero series."""
         return self.v if self.res else None
-
-    def val_or_prec(self):
-        return self.v
 
     def coeff(self, e):
         m = self.spec.m
@@ -298,10 +292,7 @@ def _fill(f, spec, v, res, prec):
             while not res[j]:
                 j -= 1
             v, res = v + i // m, res[i - i % m : j + m - j % m]
-    object.__setattr__(f, "spec", spec)
-    object.__setattr__(f, "v", v)
-    object.__setattr__(f, "res", res)
-    object.__setattr__(f, "prec", prec)
+    f.spec, f.v, f.res, f.prec = spec, v, res, prec
 
 
 def _series(spec, v, res, prec):

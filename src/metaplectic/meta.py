@@ -83,10 +83,6 @@ class PSRep:
     chi1_s: SChar
     chi2_s: SChar
 
-    @property
-    def spec(self):
-        return self.chi1_s.spec
-
     @classmethod
     def from_hecke(cls, spec, r, lam, eta=None):
         """The principal series attached to a nonzero Hecke eigenvalue.

@@ -98,14 +98,7 @@ class PMatrix:
         det = _dot(a, d, -b, c)
         if det == 0:
             raise ValueError("singular matrix")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "det", det)
-
-    def __setattr__(self, *args):
-        raise AttributeError("PMatrix is immutable")
+        self.a, self.b, self.c, self.d, self.det = a, b, c, d, det
 
     def __mul__(self, other):
         return PMatrix(
@@ -213,15 +206,6 @@ class QuadCharParams:
     def __post_init__(self):
         if self.unram not in (1, -1):
             raise ValueError("unram must be +1 or -1")
-
-    def is_trivial(self):
-        return self.unram == 1 and self.tame == 0
-
-    def mul(self, other, p):
-        return QuadCharParams(self.unram * other.unram, (self.tame + other.tame) % (p - 1))
-
-    def to_json(self):
-        return {"unram": self.unram, "tame": self.tame}
 
 
 def chi_z(z, p):

@@ -62,9 +62,9 @@ def _fma(acc, a, b):
     precision of acc, and changes nothing when acc claims no digit past it.
     """
     if a.is_zero():
-        cap = a.prec + b.val_or_prec()
+        cap = a.prec + b.v
     elif b.is_zero():
-        cap = b.prec + a.val_or_prec()
+        cap = b.prec + a.v
     else:
         term = a * b
         if acc is None:
@@ -136,7 +136,7 @@ def _gauss_jordan(A):
     for j in range(n):
         rows = [i for i in range(j, n) if not M[i][j].is_zero()]
         if not rows:
-            known = sum(min(M[i][k].val_or_prec() for i in range(j, n)) for k in range(j, n))
+            known = sum(min(M[i][k].v for i in range(j, n)) for k in range(j, n))
             return pivots + [LaurentSeries.zero(spec, known)], None
         pivot = min(rows, key=lambda i: M[i][j].valuation)
         pivots.append(M[j][j] if pivot == j else -M[pivot][j])
@@ -173,7 +173,8 @@ def mat_inv(A):
 class PhiGammaModule:
     """A rank-n etale (phi,Gamma)-module at precision N.
 
-    Immutable after construction; the gamma oracle must be pure.  Matrix
+    Never changed after construction but for its caches of phi^-1 and
+    of gamma matrices; the gamma oracle must be pure.  Matrix
     columns hold images of basis vectors, so applying phi to a coordinate
     vector v computes Phi . phi_ring(v).
     """
@@ -181,16 +182,10 @@ class PhiGammaModule:
     __slots__ = ("spec", "n", "phi", "_gamma_oracle", "prec", "_phi_inv", "_gamma_cache")
 
     def __init__(self, spec, phi, gamma_oracle, prec):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "n", len(phi))
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "_gamma_oracle", gamma_oracle)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "_phi_inv", None)
-        object.__setattr__(self, "_gamma_cache", {})
-
-    def __setattr__(self, *a):
-        raise AttributeError("PhiGammaModule is immutable")
+        self.spec, self.n, self.phi, self.prec = spec, len(phi), phi, prec
+        self._gamma_oracle = gamma_oracle
+        self._phi_inv = None
+        self._gamma_cache = {}
 
     def gamma_matrix(self, c, prec=None):
         if prec is None:
@@ -205,8 +200,7 @@ class PhiGammaModule:
     def phi_inv(self):
         inv = self._phi_inv
         if inv is None:
-            inv = mat_inv(self.phi)
-            object.__setattr__(self, "_phi_inv", inv)
+            inv = self._phi_inv = mat_inv(self.phi)
         return inv
 
     def apply_phi(self, vec):

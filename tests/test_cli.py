@@ -188,6 +188,7 @@ def test_bad_prime_rejected(capsys):
 
 
 LAM3 = {"p": 3, "m": 1, "coeffs": [1]}
+LAM5 = {"p": 5, "m": 1, "coeffs": [1]}
 ONE3 = {"coeffs": {"0": LAM3}, "precision": 20}
 RANK1 = {"rank": 1, "precision": 10, "phi": [[ONE3]]}
 MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
@@ -241,6 +242,12 @@ MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
         (["psi", "--p", "3", "{m}", "{v}"],
          {"m": RANK1, "v": [{"coeffs": {"-1000001": LAM3, "0": LAM3}, "precision": 20}]},
          "series exponent -1000001 is below -1000000"),
+        (["galois-iso", "--p", "5", "{a}", "{a}"], {"a": {"n": 10 ** 9, "H": 1, "Lam": LAM5}},
+         "degree n 1000000000 is not an int in 1..64"),
+        (["galois-iso", "--p", "5", "{a}", "{a}"], {"a": {"n": "4", "H": 1, "Lam": LAM5}},
+         "degree n '4' is not an int in 1..64"),
+        (["hilbert", "--p", "1000000000000000003", "3", "2"], {},
+         "--p 1000000000000000003 is above its limit 1000000000"),
     ],
 )
 def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, message):

@@ -200,7 +200,7 @@ kernel_settings = settings(derandomize=True, database=None, deadline=None, max_e
 
 
 def schoolbook_mul(a, b):
-    v1, v2 = a.val_or_prec(), b.val_or_prec()
+    v1, v2 = a.v, b.v
     prec = min(v1 + b.prec, v2 + a.prec)
     out = {}
     for e1, a1 in a.terms().items():
@@ -243,7 +243,7 @@ def chain_pow(f, e):
 def per_exponent_gamma(c, f):
     """sum_e a_e g^e mod X^N with g = (1+X)^c - 1, one power of g per exponent."""
     spec, N = f.spec, f.prec
-    v = f.val_or_prec()
+    v = f.v
     work = N + (2 * (-v) + 2 if v < 0 else 0)
     g = gamma_transform(c, spec, work)
     powers = {0: LaurentSeries.one(spec, work)}
@@ -382,7 +382,7 @@ def test_series_op_of_truncated_input_claims_only_true_digits(data):
     )
     # the lowest cut: below the valuation a cut leaves a zero known mod X^M,
     # which a unit-only op refuses
-    low = f.val_or_prec() - 2
+    low = f.v - 2
     if name in ("+", "*"):
         h = data.draw(kernel_series(spec))
         op = (lambda x: [x + h]) if name == "+" else (lambda x: [x * h])
@@ -402,7 +402,7 @@ def test_series_op_of_truncated_input_claims_only_true_digits(data):
         op = phi_basis_decompose
     else:
         # 1 + X^(1-v) f is a 1-unit; a cut at M >= 1 keeps it one
-        f = f.shift(1 - f.val_or_prec())
+        f = f.shift(1 - f.v)
         f = LaurentSeries.one(spec, f.prec) + f
         low = 1
         n = data.draw(st.sampled_from([n for n in (2, 3, 4, 5, 7) if n % p]))
