@@ -17,7 +17,8 @@ rows time one pass over 1,000 seeded elements of F_{7^4}, which multiplies
 through its log/antilog table, and of F_{3^8}, which is above
 TABLE_MAX_ORDER and multiplies polynomials: `FieldElem(spec, coeffs)` on
 coefficient tuples, products of nonzero pairs, inverses, and powers to
-exponents drawn from 0..q-2.
+exponents drawn from 0..q-2.  The `meta.verify_bijection` rows enumerate
+both sides of the supersingular correspondence over F_{7^4} and F_31.
 
 A repetition calls the operation `number` times, with `number` raised until
 one repetition lasts at least MIN_REP_S; a row reports the best of REPEAT
@@ -26,8 +27,8 @@ time at reference speed: scaled by perfbench's reference loop read around
 each repetition (see perfbench/speed.py), so two files from one machine
 compare even when its speed changed between the runs.  `--compare a b`
 prints each row's ref_ms in a and b and the ratio a/b (above 1: b is
-faster).  `--scale` below 1 shrinks every N and MIN_REP_S alike, for a
-quick smoke run.
+faster).  `--scale` below 1 shrinks every N and MIN_REP_S alike, and runs
+the `verify_bijection` rows over F_{3^4} and F_5, for a quick smoke run.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import speed  # noqa: E402
 from metaplectic.coeff import FieldElem, field_make  # noqa: E402
 from metaplectic.laurent import LaurentSeries, gamma_act, phi_basis_decompose  # noqa: E402
+from metaplectic.meta import verify_bijection  # noqa: E402
 from metaplectic.phigamma import identity_matrix, make_induced, mat_inv, mat_mul, psi  # noqa: E402
 
 MIN_REP_S = 0.05
@@ -62,6 +64,8 @@ MODULE_FIELD = (7, 1)
 MODULE_SIZE = 1000
 ELEM_FIELDS = ((7, 4), (3, 8))  # q = 2401 is tabled, q = 6561 is not
 ELEM_COUNT = 1000
+VERIFY_FIELDS = ((7, 4), (31, 1))
+SMOKE_VERIFY_FIELDS = ((3, 4), (5, 1))  # below --scale 1
 
 
 def nonzero(rng, spec):
@@ -124,6 +128,9 @@ def rows(scale):
             (f"coeff.inv {tag}", lambda xs=xs: [a.inv() for a in xs]),
             (f"coeff.pow {tag}", lambda xs=xs, es=es: [a ** e for a, e in zip(xs, es)]),
         ]
+    for p, m in VERIFY_FIELDS if scale >= 1 else SMOKE_VERIFY_FIELDS:
+        spec = field_make(p, m)
+        out.append((f"meta.verify_bijection p={p} m={m}", lambda s=spec: verify_bijection(s)))
     return out
 
 

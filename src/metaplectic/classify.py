@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .coeff import FieldElem, FieldSpec, factorial_in
 from .chars import HChar
-from .galois import InducedParams
+from .galois import InducedParams, tame_twist
 from .laurent import LaurentSeries, binom_mod_p, binom_neg_mod_p, frobenius_phi, gamma_act
 
 __all__ = [
@@ -245,8 +245,7 @@ def galois_of_cycle(spec, n, s, c, a1):
         if ci.is_zero():
             raise ValueError("cycle constants must be nonzero")
         lam = lam * ci
-    step = (p ** n - 1) // (p - 1)
-    return InducedParams(n, s_tot + (a1 - 1) * step, lam)
+    return tame_twist(InducedParams(n, s_tot, lam), a1 - 1)
 
 
 def galois_of_ss(data):
@@ -256,9 +255,7 @@ def galois_of_ss(data):
 
 def params_of_normal_form(nf):
     """The induced parameter encoded by a NormalForm (no dualization)."""
-    p = nf.spec.p
-    step = (p ** nf.n - 1) // (p - 1)
-    return InducedParams(nf.n, nf.t + nf.b1 * step, nf.d)
+    return tame_twist(InducedParams(nf.n, nf.t, nf.d), nf.b1)
 
 
 def e_exponents(data, i, m):

@@ -39,8 +39,11 @@ from .selftest import run_selftest
 
 SCHEMA = 1
 
-# Upper bounds on the size options, checked before anything is built
+# Upper bounds on the size options, checked before anything is built.  A key
+# "<command> --<option>" bounds the option for that command only: the commands
+# that take --r compute r! and r'! in F_p by a loop of up to p steps.
 LIMITS = {"p": 10 ** 9, "n": 64, "m": 8, "prec": 10 ** 5, "K": 10 ** 5}
+LIMITS.update({f"{cmd} --p": 10 ** 7 for cmd in ("classify-ss", "simulate-dual", "ss-image")})
 
 
 def _parse_matrix(text):
@@ -218,8 +221,9 @@ def _units_list(text):
 def _run(args):
     cmd = args.command
     fmt = args.format
-    for name, limit in LIMITS.items():
-        value = getattr(args, name, None)
+    for key, limit in LIMITS.items():
+        command, _, name = key.rpartition(" --")
+        value = getattr(args, name, None) if command in ("", cmd) else None
         if value is not None and value > limit:
             raise ValueError(f"--{name} {value} is above its limit {limit}")
 

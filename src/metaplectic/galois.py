@@ -24,6 +24,7 @@ __all__ = [
     "iso_test",
     "primitive",
     "quad_twist",
+    "half_twist_exponents",
     "lemma1_classify",
     "lemma2_reduce",
     "lfield_param",
@@ -71,24 +72,22 @@ def params_from_json(obj, spec):
     return InducedParams(n, obj["H"], elem_from_json(obj["Lam"], spec))
 
 
-def orbit(P):
-    """The Frobenius orbit of the exponent H."""
-    mod = P.p ** P.n - 1
-    return {P.H * P.p ** i % mod for i in range(P.n)}
+def orbit(H, n, p):
+    """The Frobenius orbit {H p^i mod p^n - 1 : 0 <= i < n} of an exponent."""
+    mod = p ** n - 1
+    return {H * p ** i % mod for i in range(n)}
 
 
 def canonicalize(P):
     """Replace H by the minimum of its Frobenius orbit; Lam unchanged."""
-    return InducedParams(P.n, min(orbit(P)), P.Lam)
+    return InducedParams(P.n, min(orbit(P.H, P.n, P.p)), P.Lam)
 
 
 def iso_test(P1, P2):
     """Isomorphism of induced parameters: same Frobenius orbit, same Lam."""
-    if P1.n != P2.n:
+    if P1.n != P2.n or P1.spec != P2.spec:
         raise ValueError("incomparable")
-    if P1.spec != P2.spec:
-        raise ValueError("incomparable")
-    return min(orbit(P1)) == min(orbit(P2)) and P1.Lam == P2.Lam
+    return P1.Lam == P2.Lam and P2.H in orbit(P1.H, P1.n, P1.p)
 
 
 def primitive(h, n, p):
@@ -105,13 +104,12 @@ def primitive(h, n, p):
 def quad_twist(P, eps):
     """Twist by a quadratic character given as QuadCharParams.
 
-    The tame part shifts H by tame * (p^n - 1)/(p - 1); the unramified
-    part multiplies Lam by (+-1)^n.
+    The tame part is tame_twist by eps.tame; the unramified part
+    multiplies Lam by (+-1)^n.
     """
-    p = P.p
-    shift = eps.tame * ((p ** P.n - 1) // (p - 1))
-    lam = P.Lam if (eps.unram == 1 or P.n % 2 == 0) else -P.Lam
-    return InducedParams(P.n, P.H + shift, lam)
+    if eps.unram != 1 and P.n % 2:
+        P = InducedParams(P.n, P.H, -P.Lam)
+    return tame_twist(P, eps.tame)
 
 
 def tame_twist(P, a):
@@ -125,14 +123,25 @@ def dual_params(P):
     return InducedParams(P.n, -P.H, P.Lam.inv())
 
 
-def is_half_twist_invariant(H, p):
-    """Invariance under the tame quadratic twist, decided by the congruence
+def half_twist_exponents(p):
+    """The degree-4 exponents H fixed by the tame quadratic twist: the
+    solutions of
 
-    (p^4 - 1)/2 == (p^i - 1) H  mod p^4 - 1  for some 1 <= i <= 3.
+    (p^i - 1) H == (p^4 - 1)/2  mod p^4 - 1  for some 1 <= i <= 3.
+
+    For i in {1, 2}, g = p^i - 1 divides both p^4 - 1 and the right side,
+    so the solutions are H == (p^4 - 1)/(2g) mod (p^4 - 1)/g: g of them.
+    i = 3 adds none: p^3 - 1 is p - 1 times the odd p^2 + p + 1, so its
+    congruence has the solutions of i = 1.
     """
     mod = p ** 4 - 1
     target = mod // 2
-    return any((p ** i - 1) * H % mod == target for i in range(1, 4))
+    out = set()
+    for i in (1, 2):
+        g = p ** i - 1
+        spacing = mod // g
+        out.update(range(target // g % spacing, mod, spacing))
+    return out
 
 
 def lemma1_classify(P):
@@ -145,28 +154,28 @@ def lemma1_classify(P):
     larger p distinct windows can be twist-equivalent, e.g. 3 and 5 at
     p = 7, and the minimum is the canonical representative).  None is
     the negative answer.
+
+    A window exponent is below p^4 - 1, so h' is read off each Frobenius
+    conjugate x of H and each tame shift a by one exact division:
+    x - a (p^4 - 1)/(p - 1) == (p^2 + 1)/2 * h'.  Every window exponent is
+    already twist-invariant, since (p^2 - 1)(p^2 + 1)/2 * h' == (p^4 - 1)/2
+    for odd h', and Frobenius and tame shifts keep that congruence.
     """
     if P.n != 4:
         raise ValueError("incomparable")
-    p = P.p
-    mod = p ** 4 - 1
-    H = P.H % mod
+    p, H = P.p, P.H
     if H == 0 or not primitive(H, 4, p):
         return None
-    if not is_half_twist_invariant(H, p):
-        return None
+    mod = p ** 4 - 1
     step = mod // (p - 1)
+    half = (p * p + 1) // 2
     matches = set()
-    for hp in range(3, 2 * p, 2):
-        base = (p ** 2 + 1) // 2 * hp
+    for x in orbit(H, 4, p):
         for a in range(p - 1):
-            shifted = (base + a * step) % mod
-            for i in range(4):
-                if shifted * p ** i % mod == H:
-                    matches.add(hp)
-    if not matches:
-        return None
-    return min(matches)
+            hp, rem = divmod((x - a * step) % mod, half)
+            if not rem and hp % 2 and 3 <= hp < 2 * p:
+                matches.add(hp)
+    return min(matches, default=None)
 
 
 def lemma2_reduce(h, p):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 from .coeff import FieldSpec, factorial_in
 from .chars import SChar, TameChar, char_restrict_S
@@ -28,9 +29,10 @@ from .classify import ss_partner
 from .galois import (
     InducedParams,
     canonicalize,
-    is_half_twist_invariant,
+    half_twist_exponents,
     iso_test,
     lemma1_classify,
+    orbit,
     primitive,
     quad_twist,
 )
@@ -307,7 +309,10 @@ def ss_sprime(p, r):
 
 
 def _ss_base(r, eta, lam0):
-    """The degree-4 base parameter of ss_image, given lam0 = ss_lam0(spec, r)."""
+    """The degree-4 base parameter of ss_image, given lam0 = ss_lam0(spec, r).
+
+    The tame shift is inlined rather than routed through tame_twist: this
+    runs once per (r, eta) pair of verify_bijection."""
     p = eta.spec.p
     step = (p ** 4 - 1) // (p - 1)
     H = (p * p + 1) // 2 * ss_sprime(p, r) + (r - 1 + eta.tame) * step
@@ -332,10 +337,15 @@ def _r_of_hprime(p, hprime):
 
 
 def _is_fourth_power(x):
-    from math import gcd
-
     q = x.spec.order
     return (x ** ((q - 1) // gcd(4, q - 1))).is_one()
+
+
+def enumerate_tame_chars(spec):
+    p = spec.p
+    for tame in range(p - 1):
+        for u in spec.nonzero_elements():
+            yield TameChar(u, tame)
 
 
 def invert_ss_image(M, spec=None):
@@ -353,24 +363,15 @@ def invert_ss_image(M, spec=None):
             raise ValueError("undecidable at this rank")
     if spec is None:
         spec = M.spec
-    p = spec.p
     hprime = lemma1_classify(M)
     if hprime is None:
         raise ValueError("not twist-invariant-irreducible")
-    r = _r_of_hprime(p, hprime)
-    for tame in range(p - 1):
-        for u in spec.nonzero_elements():
-            rep = SSRep(spec, r, TameChar(u, tame))
-            if iso_test(ss_image(rep).base, M):
-                return rep
+    r = _r_of_hprime(spec.p, hprime)
+    lam0 = ss_lam0(spec, r)
+    for eta in enumerate_tame_chars(spec):
+        if iso_test(_ss_base(r, eta, lam0), M):
+            return SSRep(spec, r, eta)
     raise ValueError("lambda not a norm in field")
-
-
-def enumerate_tame_chars(spec):
-    p = spec.p
-    for tame in range(p - 1):
-        for u in spec.nonzero_elements():
-            yield TameChar(u, tame)
 
 
 def verify_bijection(spec):
@@ -378,15 +379,15 @@ def verify_bijection(spec):
 
     The supersingular side runs over all (r, eta) with eta in the tame
     family over the field, quotiented by the isomorphism test; the Galois
-    side runs over degree-4 parameters that are primitive, invariant
-    under the tame quadratic twist and whose unramified value satisfies
-    the fourth-power norm condition of the field.  The report carries the
-    class counts, injectivity and surjectivity of the forward map, both
-    up-to-twist counts and the (r, h') pair table.
+    side runs over degree-4 parameters whose exponent is a primitive
+    solution of the half-twist congruences (half_twist_exponents) and
+    whose unramified value satisfies the fourth-power norm condition of
+    the field.  The report carries the class counts, injectivity and
+    surjectivity of the forward map, both up-to-twist counts and the
+    (r, h') pair table.
     """
     p = spec.p
-    mod = p ** 4 - 1
-    step = mod // (p - 1)
+    step = (p ** 4 - 1) // (p - 1)
     weights = admissible(p)
     lam0s = {r: ss_lam0(spec, r) for r in weights}
     etas = list(enumerate_tame_chars(spec))
@@ -408,13 +409,9 @@ def verify_bijection(spec):
     image_set = set(class_to_image.values())
     injective = len(image_set) == ss_count
 
-    def orbit_min(x):
-        return min(x * p ** i % mod for i in range(4))
-
-    canonical_H = set()
-    for H in range(1, mod):
-        if is_half_twist_invariant(H, p) and primitive(H, 4, p):
-            canonical_H.add(orbit_min(H))
+    canonical_H = {
+        min(orbit(H, 4, p)) for H in half_twist_exponents(p) if primitive(H, 4, p)
+    }
     lam0_invs = {r: lam0.inv() for r, lam0 in lam0s.items()}
     qualifying = set()
     for H in canonical_H:
@@ -427,34 +424,26 @@ def verify_bijection(spec):
                 qualifying.add((H, lam.coeffs))
     surjective = image_set == qualifying
 
-    # up-to-twist orbits on the Galois side: closure of the canonical
-    # exponents under Frobenius and tame shifts
+    # up-to-twist classes on the Galois side: the tame shift commutes with
+    # Frobenius (p * step == step) and keeps the congruences and primitivity,
+    # so it permutes the canonical exponents; each cycle is one class
     seen = set()
     twist_classes = 0
-    for H in sorted(canonical_H):
-        if H in seen:
+    for x in canonical_H:
+        if x in seen:
             continue
         twist_classes += 1
-        seen.add(H)
-        stack = [H]
-        while stack:
-            x = stack.pop()
-            for i in range(4):
-                y = orbit_min((x * p ** i + step) % mod)
-                if y in canonical_H and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
+        while x not in seen:
+            seen.add(x)
+            x = min(orbit(x + step, 4, p))
     ss_twist_keys = set()
     for r in weights:
         partner = _swap_partner(p, r)
         ss_twist_keys.add(r if partner is None else min(r, partner))
     ss_twist_classes = len(ss_twist_keys)
 
-    pairs = sorted(
-        (r, lemma1_classify(ss_image(SSRep.plain(spec, r)).base)) for r in weights
-    )
-
-    from math import gcd
+    trivial = TameChar.trivial(spec)
+    pairs = sorted((r, lemma1_classify(_ss_base(r, trivial, lam0s[r]))) for r in weights)
 
     return {
         "schema": 1,

@@ -248,6 +248,12 @@ MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
          "degree n '4' is not an int in 1..64"),
         (["hilbert", "--p", "1000000000000000003", "3", "2"], {},
          "--p 1000000000000000003 is above its limit 1000000000"),
+        (["ss-image", "--p", "999999937", "--r", "999999000"], {},
+         "--p 999999937 is above its limit 10000000"),
+        (["classify-ss", "--p", "999999937", "--r", "999999000"], {},
+         "--p 999999937 is above its limit 10000000"),
+        (["simulate-dual", "--p", "10000019", "--r", "0"], {},
+         "--p 10000019 is above its limit 10000000"),
     ],
 )
 def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, message):

@@ -7,7 +7,7 @@ from metaplectic.galois import (
     InducedParams,
     canonicalize,
     dual_params,
-    is_half_twist_invariant,
+    half_twist_exponents,
     iso_test,
     lemma1_classify,
     lemma2_reduce,
@@ -15,6 +15,7 @@ from metaplectic.galois import (
     params_from_json,
     primitive,
     quad_twist,
+    tame_twist,
 )
 from metaplectic.metagroup import QuadCharParams
 from metaplectic.selftest import lemma2_law
@@ -89,14 +90,40 @@ def test_lemma1_examples():
 
 
 def test_invariance_congruence():
-    # brute-force cross-check of the invariance criterion
-    for p, spec in ((3, F3), (5, F5)):
-        mod = p ** 4 - 1
+    # the closed-form solution set against the half twist applied to every exponent
+    for p in (3, 5, 7):
+        one = field_make(p).one()
         half = QuadCharParams(1, (p - 1) // 2)
-        for H in range(1, mod, 7):
-            P = InducedParams(4, H, spec.one())
-            direct = iso_test(quad_twist(P, half), P)
-            assert direct == is_half_twist_invariant(H, p)
+        fixed = set()
+        for H in range(1, p ** 4 - 1):
+            P = InducedParams(4, H, one)
+            if iso_test(quad_twist(P, half), P):
+                fixed.add(H)
+        assert half_twist_exponents(p) == fixed, p
+
+
+def lemma1_oracle(P):
+    """lemma1_classify by its definition: for a primitive P fixed by the half
+    twist, the least odd h' in 3..2p-1 whose window parameter has a tame
+    twist isomorphic to P; None otherwise."""
+    p = P.p
+    if P.H == 0 or not primitive(P.H, 4, p):
+        return None
+    if not iso_test(quad_twist(P, QuadCharParams(1, (p - 1) // 2)), P):
+        return None
+    for hp in range(3, 2 * p, 2):
+        window = InducedParams(4, (p * p + 1) // 2 * hp, P.Lam)
+        if any(iso_test(tame_twist(window, a), P) for a in range(p - 1)):
+            return hp
+    return None
+
+
+def test_lemma1_matches_its_definition():
+    for p in (3, 5, 7):
+        one = field_make(p).one()
+        for H in range(p ** 4 - 1):
+            P = InducedParams(4, H, one)
+            assert lemma1_classify(P) == lemma1_oracle(P), (p, H)
 
 
 def test_lemma2_exhaustive():

@@ -38,6 +38,7 @@ COMMANDS = {
     "ps-image": 'ps-image --p 5 --chi1 omega --chi2 "mu(2)"',
     "ss-image": 'ss-image --p 5 --r 1 --eta "omega^2"',
     "verify-bijection": "verify-bijection --p 5 --m 4",
+    "verify-bijection-p13": "verify-bijection --p 13",
     "selftest": "selftest --seed 0",
     # inputs/module.json is the output of build-induced above
     "twist": 'twist --p 5 {inputs}/module.json --chi "mu(2)*omega^1"',

@@ -165,6 +165,19 @@ def test_invert_ss_image():
         invert_ss_image(InducedParams(4, 5, F3.one()))
 
 
+@pytest.mark.parametrize("spec", [F5, field_make(3, 2)], ids=["F5", "F9"])
+def test_invert_ss_image_returns_the_first_eta(spec):
+    # the first eta, in enumerate_tame_chars order, whose full ss_image matches
+    etas = list(enumerate_tame_chars(spec))
+    for r in admissible(spec.p):
+        for eta in etas:
+            M = ss_image(SSRep(spec, r, eta)).base
+            rec = invert_ss_image(M)
+            first = next(e for e in etas if iso_test(ss_image(SSRep(spec, rec.r, e)).base, M))
+            assert rec == SSRep(spec, rec.r, first)
+            assert irr_iso_test(rec, SSRep(spec, r, eta))
+
+
 def test_functoriality_of_images():
     # isomorphic supersingular parameters have isomorphic images
     for _ in range(40):
