@@ -22,6 +22,7 @@ modulus and invert as a^(q-2).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "FieldSpec",
@@ -425,14 +426,28 @@ def elem_from_json(obj, spec):
 def nth_roots(x, n):
     """All y in the field of x with y^n = x, sorted by coefficient vector.
 
-    Brute force over the (small) multiplicative group; returns exactly
-    gcd(n, p^m - 1) elements when x is an n-th power and none otherwise.
+    Returns exactly d = gcd(n, q - 1) elements when x is an n-th power and
+    none otherwise.  In a tabled field, x = g^j and y = g^k is a root iff
+    n k == j mod q - 1: that needs d | j, and then the roots are the d
+    exponents k0 + t (q - 1)/d with k0 = (j/d) (n/d)^-1 mod (q - 1)/d.
+    Larger fields test every nonzero element.
     """
     if x.is_zero():
         raise ValueError("nonzero required")
     if n < 1:
         raise ValueError("positive n required")
-    roots = [y for y in x.spec.nonzero_elements() if y ** n == x]
+    spec = x.spec
+    log = spec._tables()
+    if log:
+        j = log[x.coeffs]
+        d = gcd(n, spec.order - 1)
+        if j % d:
+            return []
+        period = (spec.order - 1) // d
+        k0 = j // d * pow(n // d, -1, period) % period
+        roots = [spec._exp[k0 + t * period] for t in range(d)]
+    else:
+        roots = [y for y in spec.nonzero_elements() if y ** n == x]
     roots.sort(key=lambda y: y.coeffs)
     return roots
 

@@ -15,6 +15,20 @@ an attainable parameter therefore ranges over a coset of fourth powers;
 the enumeration of qualifying Galois parameters carries that norm
 condition (an unattainable value becomes attainable after enlarging the
 field), and invert_ss_image reports exactly this failure mode.
+
+Both directions of the correspondence are solved on discrete logs rather
+than by enumerating field elements.  Fix a primitive root g0 of F_p and a
+generator g of F_q^* (q = p^m) with norm g^((q-1)/(p-1)) = g0, and write
+eta(p) = g^k.  Such a g exists: the norm is onto F_p^*, so a generator h
+of F_q^* has norm g0^j with j prime to p-1, and g = h^t works for any t
+prime to q-1 with t j == 1 mod p-1; one exists by CRT, since every prime
+of q-1 that does not divide p-1 only asks t to avoid one residue.  lam0(r)
+lies in F_p, so its exponent is L0(r) = (q-1)/(p-1) * log_g0 lam0(r) and
+needs only an O(p) table, never g itself.  Then eta(p)^4 is 4k mod q-1,
+the image's Lam is L0(r) + 4k, and a Lam = g^l is attainable at weight r
+exactly when l == L0(r) mod gcd(4, q-1).  verify_bijection enumerates
+these integer coordinates; invert_ss_image solves the tame shift from the
+Frobenius orbit and eta(p) as a fourth root.
 """
 
 from __future__ import annotations
@@ -23,14 +37,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .coeff import FieldSpec, factorial_in
+from .coeff import FieldSpec, _prime_factors, factorial_in, nth_roots
 from .chars import SChar, TameChar, char_restrict_S
 from .classify import ss_partner
 from .galois import (
     InducedParams,
     canonicalize,
     half_twist_exponents,
-    iso_test,
     lemma1_classify,
     orbit,
     primitive,
@@ -138,21 +151,28 @@ def _swap_partner(p, r):
     return None if partner == (p - 1) // 2 else partner
 
 
+def _class_head(p, r, tame):
+    """The (r, tau) part of a supersingular class key, tau = tame mod (p-1)/2:
+    the lesser of (r, tau) and its partner (partner(r), tau + r).  The
+    fourth power w4 of eta(p) completes the key and is the same on both
+    sides of the identification."""
+    half = (p - 1) // 2
+    tau = tame % half
+    partner = _swap_partner(p, r)
+    if partner is None:
+        return (r, tau)
+    return min((r, tau), (partner, (tau + r) % half))
+
+
 def ss_class_key(rep):
     """A canonical isomorphism-class key for a supersingular parameter.
 
     The class of (r, eta) is determined by r, the tame exponent mod
     (p-1)/2 and the fourth power of eta(p), up to the single partner
-    identification (r, tau) ~ (partner(r), tau + r)."""
-    p = rep.spec.p
-    half = (p - 1) // 2
-    tau = rep.eta.tame % half
-    w4 = (rep.eta.unram ** 4).coeffs
-    cands = [(rep.r, tau, w4)]
-    partner = _swap_partner(p, rep.r)
-    if partner is not None:
-        cands.append((partner, (tau + rep.r) % half, w4))
-    return min(cands)
+    identification (r, tau) ~ (partner(r), tau + r): the key is
+    _class_head(p, r, tame) + (w4,), with w4 the coefficient vector of
+    eta(p)^4 here and its exponent 4k mod q-1 in verify_bijection."""
+    return _class_head(rep.spec.p, rep.r, rep.eta.tame) + ((rep.eta.unram ** 4).coeffs,)
 
 
 def irr_iso_test(a, b):
@@ -225,11 +245,20 @@ def meta_ind(s_char, base):
 
 
 def _primitive_root(p):
-    for g in range(2, p):
-        seen = {pow(g, k, p) for k in range(1, p)}
-        if len(seen) == p - 1:
-            return g
-    raise ValueError("no primitive root")
+    """The least primitive root g0 mod p."""
+    primes = _prime_factors(p - 1)
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in primes))
+
+
+def _log_mod_p(p):
+    """The list log with _primitive_root(p)^log[a] == a mod p for 0 < a < p."""
+    g0 = _primitive_root(p)
+    log = [None] * p
+    x = 1
+    for k in range(p - 1):
+        log[x] = k
+        x = x * g0 % p
+    return log
 
 
 def classify_rank1(D):
@@ -308,15 +337,12 @@ def ss_sprime(p, r):
     return p - 2 * r if r < half else 3 * p - 2 * r
 
 
-def _ss_base(r, eta, lam0):
-    """The degree-4 base parameter of ss_image, given lam0 = ss_lam0(spec, r).
-
-    The tame shift is inlined rather than routed through tame_twist: this
-    runs once per (r, eta) pair of verify_bijection."""
-    p = eta.spec.p
+def _ss_exponent(p, r, tame):
+    """The degree-4 exponent of the image of (r, omega^tame * unramified),
+    not yet reduced mod p^4 - 1: (p^2+1)/2 * s' with the tame twist
+    r - 1 + tame absorbed."""
     step = (p ** 4 - 1) // (p - 1)
-    H = (p * p + 1) // 2 * ss_sprime(p, r) + (r - 1 + eta.tame) * step
-    return InducedParams(4, H, lam0 * eta.unram ** 4)
+    return (p * p + 1) // 2 * ss_sprime(p, r) + (r - 1 + tame) * step
 
 
 def ss_image(rep):
@@ -327,18 +353,14 @@ def ss_image(rep):
     S-character is omega^r * eta^2 restricted to S.
     """
     spec, r, eta = rep.spec, rep.r, rep.eta
-    base = _ss_base(r, eta, ss_lam0(spec, r))
-    s_char = SChar(eta.unram ** 4, r + 2 * eta.tame)
+    u4 = eta.unram ** 4
+    base = InducedParams(4, _ss_exponent(spec.p, r, eta.tame), ss_lam0(spec, r) * u4)
+    s_char = SChar(u4, r + 2 * eta.tame)
     return meta_ind(s_char, base)
 
 
 def _r_of_hprime(p, hprime):
     return (p - hprime) // 2 if hprime <= p else (3 * p - hprime) // 2
-
-
-def _is_fourth_power(x):
-    q = x.spec.order
-    return (x ** ((q - 1) // gcd(4, q - 1))).is_one()
 
 
 def enumerate_tame_chars(spec):
@@ -348,80 +370,94 @@ def enumerate_tame_chars(spec):
             yield TameChar(u, tame)
 
 
-def invert_ss_image(M, spec=None):
+def invert_ss_image(M):
     """Recover a supersingular parameter from a degree-4 Galois parameter.
 
     Classifies the twist-invariant exponent to get h' (hence r), then
-    solves for the tame twist eta by brute force over the finite family,
-    smallest eta first.  Raises when the parameter is not attainable:
-    either it is not twist-invariant-irreducible, or its unramified
-    value is not a norm from the field (enlarge m).
+    solves for the first eta, in enumerate_tame_chars order, whose image
+    is M.  The image exponent depends only on the tame part of eta, so
+    that part is the least tame whose weight-r exponent lies in the
+    Frobenius orbit of M.H; the image's Lam is lam0(r) eta(p)^4, so eta(p)
+    is the least fourth root of Lam / lam0(r) in counting order (index
+    sum c_j p^j, not the lexicographic order of nth_roots).  Raises when
+    the parameter is not attainable: either it is not
+    twist-invariant-irreducible, or its unramified value is not a norm
+    from the field (enlarge m).
     """
     if isinstance(M, MetaPhiGamma):
         M = M.base
         if not isinstance(M, InducedParams):
             raise ValueError("undecidable at this rank")
-    if spec is None:
-        spec = M.spec
+    spec = M.spec
     hprime = lemma1_classify(M)
     if hprime is None:
         raise ValueError("not twist-invariant-irreducible")
-    r = _r_of_hprime(spec.p, hprime)
-    lam0 = ss_lam0(spec, r)
-    for eta in enumerate_tame_chars(spec):
-        if iso_test(_ss_base(r, eta, lam0), M):
-            return SSRep(spec, r, eta)
-    raise ValueError("lambda not a norm in field")
+    p = spec.p
+    r = _r_of_hprime(p, hprime)
+    mod = p ** 4 - 1
+    conjugates = orbit(M.H, 4, p)
+    tame = next((t for t in range(p - 1) if _ss_exponent(p, r, t) % mod in conjugates), None)
+    roots = [] if tame is None else nth_roots(M.Lam / ss_lam0(spec, r), 4)
+    if not roots:
+        raise ValueError("lambda not a norm in field")
+    u = min(roots, key=lambda y: y.coeffs[::-1])
+    return SSRep(spec, r, TameChar(u, tame))
 
 
 def verify_bijection(spec):
     """Enumerate both sides of the supersingular correspondence and report.
 
-    The supersingular side runs over all (r, eta) with eta in the tame
-    family over the field, quotiented by the isomorphism test; the Galois
-    side runs over degree-4 parameters whose exponent is a primitive
-    solution of the half-twist congruences (half_twist_exponents) and
-    whose unramified value satisfies the fourth-power norm condition of
-    the field.  The report carries the class counts, injectivity and
-    surjectivity of the forward map, both up-to-twist counts and the
-    (r, h') pair table.
+    Both sides run in the exponent coordinates of the module docstring,
+    n = q - 1: eta = omega^tame with eta(p) = g^k, and Lam = g^l.  The
+    supersingular side visits every (r, tame, k).  Its class key is
+    _class_head(p, r, tame) with w4 = 4k mod n, the rule of ss_class_key,
+    and its image is the canonical exponent of (r, tame), found once per
+    (r, tame), with Lam exponent L0(r) + 4k mod n.  The Galois side visits
+    every (H, l) with H a canonical primitive solution of the half-twist
+    congruences (half_twist_exponents) and keeps those that meet the
+    fourth-power norm condition l == L0(r(H)) mod gcd(4, n).  k -> g^k is a
+    bijection onto F_q^*, so the counts and verdicts are those of an
+    enumeration of field elements, and no field element is built per pair.
+    The report carries the class counts, injectivity and surjectivity of
+    the forward map, both up-to-twist counts and the (r, h') pair table.
     """
     p = spec.p
+    n = spec.order - 1
     step = (p ** 4 - 1) // (p - 1)
     weights = admissible(p)
-    lam0s = {r: ss_lam0(spec, r) for r in weights}
-    etas = list(enumerate_tame_chars(spec))
-    lams = list(spec.nonzero_elements())
+    log = _log_mod_p(p)
+    L0 = {r: n // (p - 1) * log[int(ss_lam0(spec, r))] % n for r in weights}
 
+    # class head -> {w4: (canonical H, Lam exponent)}
     class_to_image = {}
     consistent = True
     for r in weights:
-        for eta in etas:
-            key = ss_class_key(SSRep(spec, r, eta))
-            base = canonicalize(_ss_base(r, eta, lam0s[r]))
-            img = (base.H, base.Lam.coeffs)
-            if key in class_to_image:
-                if class_to_image[key] != img:
+        lam0 = L0[r]
+        for tame in range(p - 1):
+            H = min(orbit(_ss_exponent(p, r, tame), 4, p))
+            images = class_to_image.setdefault(_class_head(p, r, tame), {})
+            for k in range(n):
+                w4 = 4 * k % n
+                img = (H, (lam0 + w4) % n)
+                if images.setdefault(w4, img) != img:
                     consistent = False
-            else:
-                class_to_image[key] = img
-    ss_count = len(class_to_image)
-    image_set = set(class_to_image.values())
+    ss_count = sum(len(images) for images in class_to_image.values())
+    image_set = {img for images in class_to_image.values() for img in images.values()}
     injective = len(image_set) == ss_count
 
     canonical_H = {
         min(orbit(H, 4, p)) for H in half_twist_exponents(p) if primitive(H, 4, p)
     }
-    lam0_invs = {r: lam0.inv() for r, lam0 in lam0s.items()}
+    index = gcd(4, n)
     qualifying = set()
     for H in canonical_H:
         hprime = lemma1_classify(InducedParams(4, H, spec.one()))
         if hprime is None:
             raise AssertionError(f"canonical exponent {H} has no window exponent")
-        lam0_inv = lam0_invs[_r_of_hprime(p, hprime)]
-        for lam in lams:
-            if _is_fourth_power(lam * lam0_inv):
-                qualifying.add((H, lam.coeffs))
+        lam0 = L0[_r_of_hprime(p, hprime)]
+        for l in range(n):
+            if (l - lam0) % index == 0:
+                qualifying.add((H, l))
     surjective = image_set == qualifying
 
     # up-to-twist classes on the Galois side: the tame shift commutes with
@@ -436,14 +472,13 @@ def verify_bijection(spec):
         while x not in seen:
             seen.add(x)
             x = min(orbit(x + step, 4, p))
-    ss_twist_keys = set()
-    for r in weights:
-        partner = _swap_partner(p, r)
-        ss_twist_keys.add(r if partner is None else min(r, partner))
-    ss_twist_classes = len(ss_twist_keys)
+    # on the supersingular side, r up to the partner identification
+    ss_twist_classes = len({_class_head(p, r, 0)[0] for r in weights})
 
-    trivial = TameChar.trivial(spec)
-    pairs = sorted((r, lemma1_classify(_ss_base(r, trivial, lam0s[r]))) for r in weights)
+    one = spec.one()
+    pairs = sorted(
+        (r, lemma1_classify(InducedParams(4, _ss_exponent(p, r, 0), one))) for r in weights
+    )
 
     return {
         "schema": 1,
@@ -451,8 +486,8 @@ def verify_bijection(spec):
         "m": spec.m,
         "ss_classes": ss_count,
         "galois_classes": len(qualifying),
-        "galois_classes_all_lam": len(canonical_H) * (spec.order - 1),
-        "lam_coset_index": gcd(4, spec.order - 1),
+        "galois_classes_all_lam": len(canonical_H) * n,
+        "lam_coset_index": index,
         "injective": injective,
         "surjective": surjective,
         "class_function_consistent": consistent,

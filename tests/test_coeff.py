@@ -101,6 +101,19 @@ def test_nth_roots_group_structure():
     nth_root_law(random.Random(17), F25, 30)
 
 
+@pytest.mark.parametrize("p,m", [(5, 2), (3, 3), (3, 4)], ids=["F25", "F27", "F81"])
+def test_nth_roots_from_the_log_table_match_a_scan(p, m):
+    # every nonzero x and n in {1, 2, 3, 4, 8}: the same roots in the same order
+    spec = field_make(p, m)
+    assert spec._tables()
+    elems = list(spec.nonzero_elements())
+    powers = {n: [y ** n for y in elems] for n in (1, 2, 3, 4, 8)}
+    for x in elems:
+        for n, ys in powers.items():
+            scan = sorted((y for y, yn in zip(elems, ys) if yn == x), key=lambda y: y.coeffs)
+            assert [y.coeffs for y in nth_roots(x, n)] == [y.coeffs for y in scan]
+
+
 def test_omega_of_unit():
     assert int(omega_of_unit(2, F3)) == 2
     assert int(omega_of_unit(Fraction(1, 2), F5)) == 3

@@ -39,6 +39,7 @@ COMMANDS = {
     "ss-image": 'ss-image --p 5 --r 1 --eta "omega^2"',
     "verify-bijection": "verify-bijection --p 5 --m 4",
     "verify-bijection-p13": "verify-bijection --p 13",
+    "verify-bijection-p7-m3": "verify-bijection --p 7 --m 3",
     "selftest": "selftest --seed 0",
     # inputs/module.json is the output of build-induced above
     "twist": 'twist --p 5 {inputs}/module.json --chi "mu(2)*omega^1"',

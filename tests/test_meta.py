@@ -1,10 +1,20 @@
 import random
+from math import gcd
 
 import pytest
 
 from metaplectic.coeff import field_make
 from metaplectic.chars import SChar, TameChar, char_restrict_S, quadratic_chars
-from metaplectic.galois import InducedParams, canonicalize, iso_test
+from metaplectic.classify import ss_partner
+from metaplectic.galois import (
+    InducedParams,
+    canonicalize,
+    half_twist_exponents,
+    iso_test,
+    lemma1_classify,
+    orbit,
+    primitive,
+)
 from metaplectic.meta import (
     HeckeExtension,
     PSRep,
@@ -18,6 +28,9 @@ from metaplectic.meta import (
     meta_irred_test,
     ps_image,
     ss_image,
+    ss_lam0,
+    ss_sprime,
+    verify_bijection,
 )
 from metaplectic.selftest import bijection_law, ps_twist_law, ss_image_law
 
@@ -194,3 +207,88 @@ def test_functoriality_of_images():
 def test_verify_bijection_small_field():
     report = bijection_law(F3)
     assert report["up_to_twist_ss"] == 2 and report["ss_classes"] == 2
+
+
+def reference_verify_bijection(spec):
+    """verify_bijection by enumeration of field elements: every (r, eta)
+    with eta(p) a FieldElem, keyed by the coefficient vector of eta(p)^4,
+    and every (H, Lam) tested for the fourth-power norm condition by a
+    power.  A test-only oracle for the exponent coordinates of the library."""
+    p, q = spec.p, spec.order
+    half = (p - 1) // 2
+    step = (p ** 4 - 1) // (p - 1)
+    weights = admissible(p)
+    lam0s = {r: ss_lam0(spec, r) for r in weights}
+
+    def partner_of(r):
+        partner = ss_partner(p, r)
+        return None if partner == half else partner
+
+    def class_key(r, eta):
+        tau = eta.tame % half
+        w4 = (eta.unram ** 4).coeffs
+        cands = [(r, tau, w4)]
+        if partner_of(r) is not None:
+            cands.append((partner_of(r), (tau + r) % half, w4))
+        return min(cands)
+
+    def base(r, eta):
+        H = (p * p + 1) // 2 * ss_sprime(p, r) + (r - 1 + eta.tame) * step
+        return InducedParams(4, H, lam0s[r] * eta.unram ** 4)
+
+    def r_of(hprime):
+        return (p - hprime) // 2 if hprime <= p else (3 * p - hprime) // 2
+
+    class_to_image = {}
+    consistent = True
+    for r in weights:
+        for eta in enumerate_tame_chars(spec):
+            img = canonicalize(base(r, eta))
+            img = (img.H, img.Lam.coeffs)
+            if class_to_image.setdefault(class_key(r, eta), img) != img:
+                consistent = False
+    image_set = set(class_to_image.values())
+
+    canonical_H = {min(orbit(H, 4, p)) for H in half_twist_exponents(p) if primitive(H, 4, p)}
+    qualifying = set()
+    for H in canonical_H:
+        lam0_inv = lam0s[r_of(lemma1_classify(InducedParams(4, H, spec.one())))].inv()
+        for lam in spec.nonzero_elements():
+            if ((lam * lam0_inv) ** ((q - 1) // gcd(4, q - 1))).is_one():
+                qualifying.add((H, lam.coeffs))
+
+    seen = set()
+    twist_classes = 0
+    for x in canonical_H:
+        if x not in seen:
+            twist_classes += 1
+            while x not in seen:
+                seen.add(x)
+                x = min(orbit(x + step, 4, p))
+    ss_twist = {r if partner_of(r) is None else min(r, partner_of(r)) for r in weights}
+    trivial = TameChar.trivial(spec)
+    return {
+        "schema": 1,
+        "p": p,
+        "m": spec.m,
+        "ss_classes": len(class_to_image),
+        "galois_classes": len(qualifying),
+        "galois_classes_all_lam": len(canonical_H) * (q - 1),
+        "lam_coset_index": gcd(4, q - 1),
+        "injective": len(image_set) == len(class_to_image),
+        "surjective": image_set == qualifying,
+        "class_function_consistent": consistent,
+        "up_to_twist_ss": len(ss_twist),
+        "up_to_twist_galois": twist_classes,
+        "pairs": sorted((r, lemma1_classify(base(r, trivial))) for r in weights),
+    }
+
+
+REFERENCE_FIELDS = [(p, m) for p in (3, 5, 7) for m in range(1, 6) if p ** m <= 343]
+REFERENCE_FIELDS += [(11, 1), (13, 1)]
+
+
+@pytest.mark.parametrize("p,m", REFERENCE_FIELDS, ids=[f"{p}^{m}" for p, m in REFERENCE_FIELDS])
+def test_verify_bijection_matches_the_field_element_enumeration(p, m):
+    spec = field_make(p, m)
+    assert verify_bijection(spec) == reference_verify_bijection(spec)
