@@ -426,28 +426,39 @@ def elem_from_json(obj, spec):
 def nth_roots(x, n):
     """All y in the field of x with y^n = x, sorted by coefficient vector.
 
-    Returns exactly d = gcd(n, q - 1) elements when x is an n-th power and
-    none otherwise.  In a tabled field, x = g^j and y = g^k is a root iff
-    n k == j mod q - 1: that needs d | j, and then the roots are the d
-    exponents k0 + t (q - 1)/d with k0 = (j/d) (n/d)^-1 mod (q - 1)/d.
-    Larger fields test every nonzero element.
+    Returns exactly d = gcd(n, q - 1) elements when x is an n-th power,
+    that is when x^((q-1)/d) = 1, and none otherwise.  In a tabled field,
+    x = g^j and y = g^k is a root iff n k == j mod q - 1: that needs d | j,
+    and then the roots are the d exponents k0 + t (q - 1)/d with
+    k0 = (j/d) (n/d)^-1 mod (q - 1)/d.  In a larger field the roots are the
+    first root in counting order times the d-th roots of unity, which are
+    the values w^((q-1)/d); both are found by scanning the field from its
+    start.
     """
     if x.is_zero():
         raise ValueError("nonzero required")
     if n < 1:
         raise ValueError("positive n required")
     spec = x.spec
+    d = gcd(n, spec.order - 1)
+    period = (spec.order - 1) // d
     log = spec._tables()
     if log:
         j = log[x.coeffs]
-        d = gcd(n, spec.order - 1)
         if j % d:
             return []
-        period = (spec.order - 1) // d
         k0 = j // d * pow(n // d, -1, period) % period
         roots = [spec._exp[k0 + t * period] for t in range(d)]
+    elif not (x ** period).is_one():
+        return []
     else:
-        roots = [y for y in spec.nonzero_elements() if y ** n == x]
+        first = next(y for y in spec.nonzero_elements() if y ** n == x)
+        unity = set()
+        for w in spec.nonzero_elements():
+            unity.add(w ** period)
+            if len(unity) == d:
+                break
+        roots = [first * z for z in unity]
     roots.sort(key=lambda y: y.coeffs)
     return roots
 

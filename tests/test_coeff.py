@@ -101,11 +101,17 @@ def test_nth_roots_group_structure():
     nth_root_law(random.Random(17), F25, 30)
 
 
+@pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "untabled"])
 @pytest.mark.parametrize("p,m", [(5, 2), (3, 3), (3, 4)], ids=["F25", "F27", "F81"])
-def test_nth_roots_from_the_log_table_match_a_scan(p, m):
-    # every nonzero x and n in {1, 2, 3, 4, 8}: the same roots in the same order
+def test_nth_roots_match_a_scan(p, m, tabled, monkeypatch):
+    # every nonzero x and n in {1, 2, 3, 4, 8}: the same roots in the same
+    # order, read off the log table or, in a copy of the field built above
+    # TABLE_MAX_ORDER, found from one root and the roots of unity
     spec = field_make(p, m)
-    assert spec._tables()
+    if not tabled:
+        monkeypatch.setattr(coeff, "TABLE_MAX_ORDER", 0)
+        spec = coeff.FieldSpec(p, m, spec.modulus)
+    assert bool(spec._tables()) == tabled
     elems = list(spec.nonzero_elements())
     powers = {n: [y ** n for y in elems] for n in (1, 2, 3, 4, 8)}
     for x in elems:
