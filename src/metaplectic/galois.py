@@ -18,6 +18,9 @@ from dataclasses import dataclass
 
 from .coeff import FieldElem, elem_from_json
 
+# the largest degree n a parameter file or `build-induced --n` may ask for
+MAX_DEGREE = 64
+
 __all__ = [
     "InducedParams",
     "canonicalize",
@@ -63,12 +66,10 @@ class InducedParams:
 
 def params_from_json(obj, spec):
     """The parameter `obj` (as written by `InducedParams.to_json`) over spec;
-    its degree n must be an int in 1..cli.LIMITS["n"]."""
-    from .cli import LIMITS
-
+    its degree n must be an int in 1..MAX_DEGREE."""
     n = obj["n"]
-    if type(n) is not int or not 1 <= n <= LIMITS["n"]:
-        raise ValueError(f"degree n {n!r} is not an int in 1..{LIMITS['n']}")
+    if type(n) is not int or not 1 <= n <= MAX_DEGREE:
+        raise ValueError(f"degree n {n!r} is not an int in 1..{MAX_DEGREE}")
     return InducedParams(n, obj["H"], elem_from_json(obj["Lam"], spec))
 
 

@@ -1,13 +1,18 @@
+import argparse
+import io
 import json
 import re
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metaplectic.cli import build_parser, main
+from metaplectic.cli import COMMANDS, build_parser, main
 
 
 def run_cli(args, capsys):
@@ -254,6 +259,10 @@ MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
          "--p 999999937 is above its limit 10000000"),
         (["simulate-dual", "--p", "10000019", "--r", "0"], {},
          "--p 10000019 is above its limit 10000000"),
+        (["verify-bijection", "--p", "17", "--m", "4"], {},
+         "21381120 pairs (r, eta) to enumerate are above the limit 10000000"),
+        (["verify-bijection", "--p", "223"], {},
+         "10941048 pairs (r, eta) to enumerate are above the limit 10000000"),
     ],
 )
 def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, message):
@@ -287,3 +296,166 @@ def test_readme_cli_block_has_every_command():
 def test_readme_command_parses(line):
     command = re.sub(r"\s(#|>).*", "", line)
     build_parser().parse_args(shlex.split(command)[1:])
+
+
+# -- the CLI surface and its exit contract, read off the command table ---------
+
+
+def slot(action):
+    """One option or positional as text: its name, type, required flag,
+    default and choices."""
+    words = [action.option_strings[0] if action.option_strings else action.dest]
+    if action.type is not None:
+        words.append(action.type.__name__)
+    if action.required and action.option_strings:
+        words.append("required")
+    if action.default is not None:
+        words.append(f"={action.default}")
+    if action.choices is not None:
+        words.append("|".join(map(str, action.choices)))
+    return " ".join(words)
+
+
+FORMAT = "--format =json json|table"
+SURFACE = {
+    "hilbert": [FORMAT, "--p int required", "a", "b"],
+    "cocycle": [FORMAT, "--g1 required", "--g2 required", "--p int required"],
+    "split": [FORMAT, "--g required", "--p int required", "--zeta int =1 1|-1"],
+    "chi-z": [FORMAT, "--p int required", "z"],
+    "build-rank1": ["--chi =1", FORMAT, "--m int =1", "--p int required", "--prec int =40",
+                    "--units =2"],
+    "build-induced": ["--chi =1", FORMAT, "--h int required", "--m int =1", "--n int required",
+                      "--p int required", "--prec int =40", "--units =2"],
+    "twist": ["--chi required", FORMAT, "--m int =1", "--p int required", "--units =2", "module"],
+    "dual": [FORMAT, "--m int =1", "--p int required", "--units =2", "module"],
+    "psi": [FORMAT, "--m int =1", "--p int required", "module", "vector"],
+    "normalize": [FORMAT, "--m int =1", "--p int required", "--prec int =40", "form"],
+    "classify-ss": [FORMAT, "--m int =1", "--p int required", "--r int required"],
+    "simulate-dual": ["--K int =4", FORMAT, "--i int =1", "--m int =1", "--p int required",
+                      "--r int required"],
+    "galois-reduce": [FORMAT, "--h int required", "--m int =1", "--p int required"],
+    "galois-iso": [FORMAT, "--m int =1", "--p int required", "a", "b"],
+    "ps-image": ["--chi1 =1", "--chi2 =1", FORMAT, "--m int =1", "--p int required"],
+    "ss-image": ["--eta =1", FORMAT, "--m int =1", "--p int required", "--r int required"],
+    "verify-bijection": [FORMAT, "--m int =1", "--p int required"],
+    "selftest": [FORMAT, "--seed int =0"],
+}
+
+
+def test_cli_surface_is_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: sorted(slot(a) for a in parser._actions if not isinstance(a, argparse._HelpAction))
+        for name, parser in sub.choices.items()
+    }
+    assert surface == SURFACE  # 18 subcommands, 84 slots
+
+
+def test_parser_is_not_built_at_import():
+    code = "import sys, metaplectic.cli as c; sys.exit(c.build_parser.cache_info().currsize)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+FORM3 = {"n": 1, "d": [LAM3], "t": [0], "b": [0]}
+PARAMS3 = {"n": 4, "H": 25, "Lam": LAM3}
+# a valid value for each required slot at p = 3; file slots hold a document
+VALID = {"--p": "3", "--r": "0", "--n": "1", "--h": "1", "--g": "1,0,0,1", "--g1": "1,0,0,1",
+         "--g2": "1,0,0,1", "--chi": "1", "a": "3", "b": "2", "z": "3"}
+MODULE3 = {**RANK1, "gamma_samples": [{"c": 2, "matrix": [[ONE3]]}]}
+DOCUMENTS = {"module": MODULE3, "vector": [ONE3], "form": FORM3, "a": PARAMS3, "b": PARAMS3}
+
+
+def is_file(name, kwargs):
+    return not name.startswith("-") and "JSON" in kwargs.get("help", "")
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    paths = {"missing": root / "missing.json", "directory": root / "directory"}
+    paths["directory"].mkdir()
+    paths["non-JSON"] = root / "text.json"
+    paths["non-JSON"].write_text("{not json")
+    for name, doc in DOCUMENTS.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    return {key: str(path) for key, path in paths.items()}
+
+
+def argv_with(command, files, name=None, value=None):
+    """The command's required slots at their valid values, with slot `name`
+    set to `value`."""
+    argv = [command]
+    for slot_name, _, kwargs in COMMANDS[command][1]:
+        if slot_name == name:
+            given_value = value
+        elif slot_name.startswith("-") and not kwargs.get("required"):
+            continue
+        else:
+            given_value = files[slot_name] if is_file(slot_name, kwargs) else VALID[slot_name]
+        argv += [given_value] if not slot_name.startswith("-") else [f"{slot_name}={given_value}"]
+    return argv
+
+
+def run_in_process(argv):
+    """main's exit code for argv, with SystemExit(2) from argparse as usage;
+    any other exception propagates and fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def test_every_bound_and_bad_path_exits_1(cli_files):
+    checked = 0
+    for command, (_, options, _) in COMMANDS.items():
+        for name, limit, kwargs in options:
+            if limit is not None:
+                code, err = run_in_process(argv_with(command, cli_files, name, str(limit + 1)))
+                assert code == 1
+                assert json.loads(err)["error"] == f"{name} {limit + 1} is above its limit {limit}"
+                checked += 1
+            if is_file(name, kwargs):
+                for bad in ("missing", "directory", "non-JSON"):
+                    code, err = run_in_process(argv_with(command, cli_files, name, cli_files[bad]))
+                    assert code == 1 and json.loads(err)["error"]
+                    checked += 1
+        if command != "selftest":  # the whole suite; test_selftest runs it
+            assert run_in_process(argv_with(command, cli_files)) == (0, "")
+    # 17 --p, 13 --m, 3 --prec, --n, --K; 7 file slots, 3 bad paths each
+    assert checked == 17 + 13 + 3 + 2 + 7 * 3
+
+
+MALFORMED = st.one_of(
+    st.sampled_from(["", " ", "x", "-", "--", "1.5", "1/0", "nan", "inf", "0x10", "1,2",
+                     "mu(", "mu(x)", "omega^", "omega^x", "[", "{}", "null", "1e4"]),
+    # six characters at most keep a decimal exponent such as 1e9999 small
+    st.text(max_size=6),
+)
+
+
+def parses_as_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.data())
+def test_malformed_values_keep_the_exit_contract(cli_files, data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    name, _, kwargs = data.draw(st.sampled_from(COMMANDS[command][1]))
+    if is_file(name, kwargs):
+        value = cli_files[data.draw(st.sampled_from(["missing", "directory", "non-JSON"]))]
+    elif kwargs.get("type") is int:
+        # an int here is an in-range size: only strings int() refuses are drawn
+        value = data.draw(MALFORMED.filter(lambda text: not parses_as_int(text)))
+    else:
+        value = data.draw(MALFORMED)
+    code, _ = run_in_process(argv_with(command, cli_files, name, value))
+    assert code in (0, 1, 2)
