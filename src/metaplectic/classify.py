@@ -330,7 +330,7 @@ def simulate_dual_frobenius(data, i, K, m=None):
     return A.invert_series().shift(s_i)
 
 
-def simulate_dual_gamma(data, i, c, digits=3, m=None):
+def simulate_dual_gamma(data, i, c, digits=3):
     """Finite-level computation of gamma(f_i) = H(X) f_i for an integer unit c.
 
     Returns H as a Laurent series with `digits` known coefficients; its
@@ -343,8 +343,7 @@ def simulate_dual_gamma(data, i, c, digits=3, m=None):
     spec = data.spec
     if c % p == 0:
         raise ValueError("unit must be coprime to p")
-    if m is None:
-        m = _choose_level(data, i, max(digits, 2))
+    m = _choose_level(data, i, max(digits, 2))
     _, e_m = e_exponents(data, i, m)
     if e_m < digits:
         raise ValueError("window too small")

@@ -539,5 +539,23 @@ def phi_basis_decompose(f):
 
 
 def psi_ring(f):
-    """psi on the coefficient ring: the 0-component of the (1+X)^i basis."""
-    return phi_basis_decompose(f)[0]
+    """psi on the coefficient ring: the 0-component of the (1+X)^i basis.
+
+    With f = sum_j X^j u_j(X^p), that is g_0 = sum_j (-1)^j u_j, equal to
+    phi_basis_decompose(f)[0] (valuation, residues and precision) without
+    its p components and O(p^2) binomials: only the residue classes that
+    occur in f are visited.  Each u_j is cut at its own precision
+    (N - 1 - j)//p + 1, not at N, which for N < 0 lies below it; the sum
+    is known mod X^(N//p), the least of them.
+    """
+    spec = f.spec
+    p, m = spec.p, spec.m
+    N = f.prec
+    parts = []
+    for k in range(min(p, len(f.res) // m)):
+        j = (f.v + k) % p
+        u = _series(spec, (f.v + k - j) // p, _decimate(f.res, m, k, p), (N - 1 - j) // p + 1)
+        parts.append((-1 if j % 2 else 1, u))
+    if not parts:
+        return _series(spec, N // p, [], N // p)
+    return _combine(parts, N // p)

@@ -304,8 +304,6 @@ def meta_irred_test(M):
     if len(set(keys)) == len(keys):
         return True
     base = M.base
-    if isinstance(base, tuple):
-        return False
     if isinstance(base, InducedParams):
         p = base.spec.p
         H = base.H % (p ** base.n - 1)

@@ -24,7 +24,7 @@ from .laurent import (
     gamma_act,
     gamma_transform,
     one_unit_root,
-    phi_basis_decompose,
+    psi_ring,
 )
 
 __all__ = [
@@ -206,8 +206,8 @@ class PhiGammaModule:
     def apply_phi(self, vec):
         return mat_vec(self.phi, [frobenius_phi(f) for f in vec])
 
-    def apply_gamma(self, c, vec, prec=None):
-        G = self.gamma_matrix(c, prec)
+    def apply_gamma(self, c, vec):
+        G = self.gamma_matrix(c)
         return mat_vec(G, [gamma_act(c, f) for f in vec])
 
 
@@ -307,19 +307,15 @@ def tensor(D1, D2):
 def psi(D, vec):
     """The left inverse of phi on coordinate vectors.
 
-    Solves c = Phi^{-1} v, decomposes each coordinate in the (1+X)^i
-    basis over k((X^p)), keeps the 0-component and substitutes X^p -> X.
+    Solves c = Phi^{-1} v and takes psi_ring of each coordinate: its
+    0-component in the (1+X)^i basis over k((X^p)), with X^p -> X.
     The output precision is whatever the chain of exact operations
     supports and is carried on the returned series.
     """
     if len(vec) != D.n:
         raise ValueError(f"vector length {len(vec)} differs from the rank {D.n}")
     c = mat_vec(D.phi_inv(), vec)
-    out = []
-    for entry in c:
-        g0 = phi_basis_decompose(entry)[0]
-        out.append(g0)
-    return out
+    return [psi_ring(entry) for entry in c]
 
 
 def etale_check(D):
@@ -339,14 +335,14 @@ def etale_check(D):
     }
 
 
-def phi_gamma_commutes(D, c, upto=None):
+def phi_gamma_commutes(D, c):
     """Test G_c . gamma(Phi) == Phi . phi(G_c) entrywise up to precision."""
     G = D.gamma_matrix(c)
     lhs = mat_mul(G, mat_map(lambda e: gamma_act(c, e), D.phi))
     rhs = mat_mul(D.phi, mat_map(frobenius_phi, G))
     for i in range(D.n):
         for j in range(D.n):
-            if not lhs[i][j].agrees_with(rhs[i][j], upto=upto):
+            if not lhs[i][j].agrees_with(rhs[i][j]):
                 return False
     return True
 

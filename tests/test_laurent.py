@@ -345,6 +345,18 @@ def test_kernel_gamma_act_matches_per_exponent(data):
     assert out.prec == f.prec
 
 
+PSI_FIELDS = [field_make(p, m) for p in (3, 5, 7, 11, 13) for m in (1, 2, 3)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.data())
+def test_psi_ring_is_the_zero_component_of_the_decomposition(data):
+    # shifted kernel series reach precisions from -24 up, zero series included
+    spec = data.draw(st.sampled_from(PSI_FIELDS))
+    f = data.draw(kernel_series(spec, max_len=60)).shift(data.draw(st.integers(-20, 20)))
+    same(psi_ring(f), phi_basis_decompose(f)[0])
+
+
 @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=repr)
 def test_kernel_slot_width_holds_worst_case_sums(spec):
     # Every coefficient is (p-1)(1 + w + ... + w^(m-1)), so the middle slot

@@ -129,9 +129,10 @@ def test_meta_ind_module_base():
 
 
 def test_meta_irred_reducible_base():
-    base = (InducedParams(1, 1, F5.one()), InducedParams(1, 1, F5.one()))
-    M = meta_ind(SChar.trivial(F5), base[0])
-    M = M.__class__(M.s_char, base, (base[0], base[0], base[0], base[0]))
+    # H = p + 1 is fixed by the Frobenius, so the degree-2 base is reducible
+    # and its twists coincide in pairs
+    M = meta_ind(SChar.trivial(F5), InducedParams(2, 6, F5.one()))
+    assert len({canonicalize(s).sort_key() for s in M.summands}) == 2
     assert not meta_irred_test(M)
 
 
