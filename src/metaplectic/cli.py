@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -24,7 +25,7 @@ from .chars import parse_tame_char
 from .classify import (
     CyclicForm, dual_basis_form, galois_of_ss, normalize_cyclic, simulate_dual_frobenius, ss_data,
 )
-from .galois import MAX_DEGREE, InducedParams, iso_test, lemma2_reduce, params_from_json, tame_twist
+from .galois import MAX_DEGREE, iso_test, lemma2_reduce, lfield_param, params_from_json, tame_twist
 from .laurent import series_from_json
 from .metagroup import PMatrix, chi_z, cocycle, hilbert, kappa_split
 from .meta import SSRep, ps_image, ss_image, verify_bijection
@@ -39,9 +40,22 @@ SCHEMA = 1
 # verify-bijection enumerates (p-1)^2 (q-1) pairs (r, eta); 10^7 take about 8 s
 MAX_PAIRS = 10 ** 7
 
+# a rational argument's decimal exponent, which Fraction expands into a power of ten
+MAX_EXPONENT = 10 ** 4
+_EXPONENT = re.compile(r"E([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _rational(text):
+    """The rational `text` as Fraction reads it, once its decimal exponent
+    is known to be at most MAX_EXPONENT in size."""
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise ValueError(f"exponent {exponent[1]} of a rational is above its limit {MAX_EXPONENT}")
+    return Fraction(text)
+
 
 def _parse_matrix(text):
-    parts = [Fraction(t) for t in text.split(",")]
+    parts = [_rational(t) for t in text.split(",")]
     if len(parts) != 4:
         raise ValueError("matrix needs 4 comma-separated rationals")
     return PMatrix(*parts)
@@ -142,7 +156,7 @@ def _command(name, summary, *options):
 
 @_command("hilbert", "quadratic Hilbert symbol (a, b)", _P, _opt("a"), _opt("b"))
 def _hilbert(args, spec):
-    return hilbert(Fraction(args.a), Fraction(args.b), args.p)
+    return hilbert(_rational(args.a), _rational(args.b), args.p)
 
 
 @_command("cocycle", "the 2-cocycle sigma(g1, g2)", _P,
@@ -161,7 +175,7 @@ def _split(args, spec):
 
 @_command("chi-z", "quadratic character of a central element", _P, _opt("z"))
 def _chi_z(args, spec):
-    q = chi_z(Fraction(args.z), args.p)
+    q = chi_z(_rational(args.z), args.p)
     return {"schema": SCHEMA, "unram": q.unram, "tame": q.tame}
 
 
@@ -271,11 +285,9 @@ def _simulate_dual(args, spec):
 
 @_command("galois-reduce", "reduce an odd exponent to [3, 2p-1]", _P, _M, _H)
 def _galois_reduce(args, spec):
-    p = args.p
-    a, hp = lemma2_reduce(args.h, p)
-    lhs = InducedParams(4, (p * p + 1) // 2 * args.h, spec.one())
-    rhs = tame_twist(InducedParams(4, (p * p + 1) // 2 * hp, spec.one()), a)
-    return {"schema": SCHEMA, "a": a, "h_prime": hp, "verified": iso_test(lhs, rhs)}
+    a, hp = lemma2_reduce(args.h, args.p)
+    verified = iso_test(lfield_param(spec, args.h), tame_twist(lfield_param(spec, hp), a))
+    return {"schema": SCHEMA, "a": a, "h_prime": hp, "verified": verified}
 
 
 @_command("galois-iso", "isomorphism of two induced parameters", _P, _M,

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import sys
 from array import array
+from math import comb
 
-from .coeff import FieldElem
+from .coeff import FieldElem, elem_from_json
 
 __all__ = [
     "LaurentSeries",
@@ -54,15 +55,8 @@ def binom_mod_p(n, k, p):
     if k < 0 or k > n:
         return 0
     result = 1
-    while k > 0 or n > 0:
-        nd, kd = n % p, k % p
-        if kd > nd:
-            return 0
-        num = den = 1
-        for i in range(kd):
-            num = num * (nd - i) % p
-            den = den * (i + 1) % p
-        result = result * num * pow(den, p - 2, p) % p
+    while k and result:
+        result = result * comb(n % p, k % p) % p
         n //= p
         k //= p
     return result
@@ -393,8 +387,6 @@ def _kronecker_mul(spec, a, b, count):
 
 
 def series_from_json(obj, spec):
-    from .coeff import elem_from_json
-
     prec = obj["precision"]
     if type(prec) is not int or abs(prec) > JSON_LIMIT:
         raise ValueError(f"series precision {prec!r} is not an int of size <= {JSON_LIMIT}")

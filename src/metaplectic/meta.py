@@ -38,8 +38,8 @@ from functools import lru_cache
 from math import gcd
 
 from .coeff import FieldSpec, _prime_factors, factorial_in, nth_roots
-from .chars import SChar, TameChar, char_restrict_S
-from .classify import ss_partner
+from .chars import SChar, TameChar, char_restrict_S, quadchar_to_tame
+from .classify import CyclicForm, normalize_cyclic, params_of_normal_form, ss_partner
 from .galois import (
     InducedParams,
     canonicalize,
@@ -50,6 +50,7 @@ from .galois import (
     quad_twist,
 )
 from .metagroup import chi_z
+from .phigamma import PhiGammaModule, twist as module_twist
 
 __all__ = [
     "SSRep",
@@ -232,15 +233,10 @@ def meta_ind(s_char, base):
     elif isinstance(base, TameChar):
         base = InducedParams(1, base.tame, base.unram)
         summands = tuple(quad_twist(base, q) for q in quads)
+    elif isinstance(base, PhiGammaModule):
+        summands = tuple(module_twist(base, quadchar_to_tame(q, base.spec)) for q in quads)
     else:
-        from .phigamma import PhiGammaModule, twist as module_twist
-        from .chars import quadchar_to_tame
-
-        if not isinstance(base, PhiGammaModule):
-            raise ValueError("undecidable at this rank")
-        summands = tuple(
-            module_twist(base, quadchar_to_tame(q, base.spec)) for q in quads
-        )
+        raise ValueError("undecidable at this rank")
     return MetaPhiGamma(s_char, base, summands)
 
 
@@ -263,8 +259,6 @@ def _log_mod_p(p):
 
 def classify_rank1(D):
     """Parameters of a rank-1 module, read off its phi entry and one unit."""
-    from .classify import CyclicForm, normalize_cyclic, params_of_normal_form
-
     if D.n != 1:
         raise ValueError("undecidable at this rank")
     f = D.phi[0][0]

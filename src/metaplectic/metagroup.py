@@ -7,10 +7,17 @@ twisted by the quadratic-Hilbert-symbol 2-cocycle
 
     sigma(g1, g2) = ( c(g1 g2)/c(g1), c(g1 g2)/c(g2) * det(g1) ),
 
-where c([[a,b],[c,d]]) = c if c != 0 else d, and the Hilbert symbol is
-evaluated by the closed formula
+where c([[a,b],[c,d]]) = c if c != 0 else d.
 
-    (a, b) = omega((-1)^{v(a) v(b)} * b^{v(a)} / a^{v(b)})^{(p-1)/2}.
+Every symbol here reads a nonzero rational x = p^v u through one split
+(v, e): the valuation v and the square class e = omega(u)^{(p-1)/2} in
+{+1, -1} of the unit part u.  With eps = (-1)^{(p-1)/2} = omega(-1)^{(p-1)/2},
+the Hilbert symbol is the closed form
+
+    (a, b) = eps^{v(a) v(b)} * e(a)^{v(b)} * e(b)^{v(a)},
+
+which is omega((-1)^{v(a) v(b)} * b^{v(a)} / a^{v(b)})^{(p-1)/2} read off
+the splits, with no power of a rational formed.
 
 Convention: omega, read as a character of Qp^* via the class-field
 normalization sending p to a (geometric) Frobenius, takes the value 1 at
@@ -28,7 +35,6 @@ __all__ = [
     "MetaElem",
     "QuadCharParams",
     "vp",
-    "unit_part",
     "hilbert",
     "cocycle",
     "meta_mul",
@@ -40,45 +46,39 @@ __all__ = [
 ]
 
 
-def vp(x, p):
-    """p-adic valuation of a nonzero rational."""
+def _strip(n, p):
+    """(k, n / p^k) for the largest k with p^k dividing the nonzero int n."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k, n
+
+
+def _split(x, p):
+    """(v, e) for a nonzero rational x = p^v u: its valuation v and the
+    square class e = omega(u)^{(p-1)/2} in {+1, -1} of its unit part u."""
     if type(x) is not Fraction:
         x = Fraction(x)
     if x == 0:
         raise ValueError("nonzero required")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    vn, num = _strip(x.numerator, p)
+    vd, den = _strip(x.denominator, p)
+    # num/den and num*den have one square class, as den^2 is a square
+    return vn - vd, 1 if pow(num % p * (den % p), (p - 1) // 2, p) == 1 else -1
 
 
-def unit_part(x, p):
-    """x / p^{v_p(x)} as an exact rational."""
-    v = vp(x, p)
-    return Fraction(x) / Fraction(p) ** v
-
-
-def _omega_sign(u, p):
-    """omega(u)^{(p-1)/2} in {+1,-1} for a p-adic unit rational u."""
-    num, den = u.numerator, u.denominator
-    r = num % p * pow(den % p, p - 2, p) % p
-    s = pow(r, (p - 1) // 2, p)
-    return 1 if s == 1 else -1
+def vp(x, p):
+    """p-adic valuation of a nonzero rational."""
+    return _split(x, p)[0]
 
 
 def hilbert(a, b, p):
     """The quadratic Hilbert symbol (a, b) in {+1, -1}."""
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("nonzero required")
-    va, vb = vp(a, p), vp(b, p)
-    r = Fraction(-1) ** (va * vb) * b ** va / a ** vb
-    return _omega_sign(r, p)
+    va, ea = _split(a, p)
+    vb, eb = _split(b, p)
+    eps = 1 if p % 4 == 1 else -1
+    return eps ** (va * vb % 2) * ea ** (vb % 2) * eb ** (va % 2)
 
 
 def _dot(x, y, z, w):
@@ -214,34 +214,18 @@ def chi_z(z, p):
     On units u it is omega(u)^{v(z)(p-1)/2}; at p it takes the value
     ((-1)^{v(z)} omega(unit part of z))^{(p-1)/2} under omega(p) = 1.
     """
-    z = Fraction(z)
-    if z == 0:
-        raise ValueError("nonzero required")
-    v = vp(z, p)
-    u = unit_part(z, p)
-    at_p = _omega_sign(Fraction(-1) ** v * u, p)
-    tame = (v * (p - 1) // 2) % (p - 1)
-    return QuadCharParams(at_p, tame)
+    v, e = _split(z, p)
+    eps = 1 if p % 4 == 1 else -1
+    return QuadCharParams(eps ** (v % 2) * e, v * (p - 1) // 2 % (p - 1))
 
 
 def quadchar_eval(q, x, p):
     """Evaluate a QuadCharParams at a nonzero rational; result in {+1,-1}."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("nonzero required")
-    v = vp(x, p)
-    u = unit_part(x, p)
-    val = q.unram ** (v % 2)
-    if q.tame % (p - 1):
-        val *= _omega_sign(u, p)
-    return val
+    v, e = _split(x, p)
+    return q.unram ** (v % 2) * (e if q.tame % (p - 1) else 1)
 
 
 def is_square_qp(z, p):
     """Whether a nonzero rational is a square in Qp (p odd)."""
-    z = Fraction(z)
-    if z == 0:
-        raise ValueError("nonzero required")
-    if vp(z, p) % 2:
-        return False
-    return _omega_sign(unit_part(z, p), p) == 1
+    v, e = _split(z, p)
+    return v % 2 == 0 and e == 1

@@ -25,6 +25,7 @@ from .laurent import (
     gamma_transform,
     one_unit_root,
     psi_ring,
+    series_from_json,
 )
 
 __all__ = [
@@ -360,8 +361,6 @@ def module_to_json(D, units=()):
 
 
 def module_from_json(obj, spec):
-    from .laurent import series_from_json
-
     n = obj["rank"]
     if type(n) is not int or n < 1:
         raise ValueError(f"rank {n!r} is not a positive integer")

@@ -34,6 +34,7 @@ from .galois import (
     iso_test,
     lemma1_classify,
     lemma2_reduce,
+    lfield_param,
     quad_twist,
     tame_twist,
 )
@@ -429,9 +430,8 @@ def lemma2_law(spec, hs):
     for h in hs:
         a, hp = lemma2_reduce(h, p)
         _require(hp % 2 == 1 and 3 <= hp <= 2 * p - 1, "lemma2_reduce lands in the window")
-        lhs = InducedParams(4, (p * p + 1) // 2 * h, spec.one())
-        rhs = tame_twist(InducedParams(4, (p * p + 1) // 2 * hp, spec.one()), a)
-        _require(iso_test(lhs, rhs), "lemma2_reduce gives an isomorphic twist")
+        rhs = tame_twist(lfield_param(spec, hp), a)
+        _require(iso_test(lfield_param(spec, h), rhs), "lemma2_reduce gives an isomorphic twist")
         count += 1
     return count
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplectic.cli import COMMANDS, build_parser, main
+from metaplectic.cli import COMMANDS, MAX_EXPONENT, build_parser, main
 
 
 def run_cli(args, capsys):
@@ -263,6 +263,12 @@ MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
          "21381120 pairs (r, eta) to enumerate are above the limit 10000000"),
         (["verify-bijection", "--p", "223"], {},
          "10941048 pairs (r, eta) to enumerate are above the limit 10000000"),
+        (["hilbert", "--p", "5", "1e10001", "2"], {},
+         "exponent 10001 of a rational is above its limit 10000"),
+        (["chi-z", "--p", "5", "1e-99999"], {},
+         "exponent -99999 of a rational is above its limit 10000"),
+        (["cocycle", "--p", "5", "--g1", "1e999999999,0,0,1", "--g2", "1,0,0,1"], {},
+         "exponent 999999999 of a rational is above its limit 10000"),
     ],
 )
 def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, message):
@@ -280,6 +286,12 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, messag
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert message.format(**paths) in json.loads(proc.stderr)["error"]
+
+
+def test_rational_exponent_at_its_limit_answers(capsys):
+    assert MAX_EXPONENT == 10 ** 4
+    code, out, _ = run_cli(["hilbert", "--p", "5", "1e10000", "2"], capsys)
+    assert code == 0 and out.strip() == "1"
 
 
 def readme_cli_lines():

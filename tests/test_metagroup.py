@@ -6,12 +6,16 @@ import pytest
 from metaplectic.metagroup import (
     MetaElem,
     PMatrix,
+    QuadCharParams,
     chi_z,
     cocycle,
     hilbert,
+    is_square_qp,
     kappa_split,
     meta_inv,
     meta_mul,
+    quadchar_eval,
+    vp,
 )
 from metaplectic.selftest import (
     center_law,
@@ -149,3 +153,68 @@ def test_pmatrix_product_and_det_match_fraction_arithmetic():
         assert g.det == a * d - b * c
         assert (g * h).entries() == (a * e + b * u, a * f + b * w, c * e + d * u, c * f + d * w)
         checked += 1
+
+
+# -- the symbols against the formulas on exact rationals they replaced ---------
+
+
+def ref_vp(x, p):
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def ref_unit_part(x, p):
+    return x / Fraction(p) ** ref_vp(x, p)
+
+
+def ref_omega_sign(u, p):
+    r = u.numerator % p * pow(u.denominator % p, p - 2, p) % p
+    return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
+
+
+def ref_hilbert(a, b, p):
+    va, vb = ref_vp(a, p), ref_vp(b, p)
+    return ref_omega_sign(Fraction(-1) ** (va * vb) * b ** va / a ** vb, p)
+
+
+def ref_chi_z(z, p):
+    v = ref_vp(z, p)
+    tame = (v * (p - 1) // 2) % (p - 1)
+    return QuadCharParams(ref_omega_sign(Fraction(-1) ** v * ref_unit_part(z, p), p), tame)
+
+
+def ref_quadchar_eval(q, x, p):
+    val = q.unram ** (ref_vp(x, p) % 2)
+    if q.tame % (p - 1):
+        val *= ref_omega_sign(ref_unit_part(x, p), p)
+    return val
+
+
+def wide_rational(rng, p):
+    """p^v u with v in -40..40 and u = n/d a unit, |n| and d below 10^6."""
+    while True:
+        n, d = rng.randrange(1, 10 ** 6), rng.randrange(1, 10 ** 6)
+        if n % p and d % p:
+            return Fraction(p) ** rng.randrange(-40, 41) * Fraction(rng.choice((1, -1)) * n, d)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_symbols_match_the_exact_rational_formulas(p):
+    local = random.Random(p)
+    quads = [QuadCharParams(u, t) for u in (1, -1) for t in (0, (p - 1) // 2)]
+    for _ in range(300):
+        a, b = wide_rational(local, p), wide_rational(local, p)
+        assert vp(a, p) == ref_vp(a, p)
+        assert hilbert(a, b, p) == ref_hilbert(a, b, p)
+        assert chi_z(a, p) == ref_chi_z(a, p)
+        for q in quads:
+            assert quadchar_eval(q, b, p) == ref_quadchar_eval(q, b, p)
+        square = ref_vp(a, p) % 2 == 0 and ref_omega_sign(ref_unit_part(a, p), p) == 1
+        assert is_square_qp(a, p) == square
+        assert is_square_qp(a * a, p)
