@@ -4,8 +4,10 @@ Elements of F_{p^m} are coefficient vectors over F_p reduced modulo a fixed
 monic irreducible polynomial.  The modulus for a pair (p, m) is chosen
 deterministically: monic degree-m polynomials are enumerated in counting
 order (the polynomial X^m + c_{m-1} X^{m-1} + ... + c_0 has index
-sum(c_j p^j), ascending) and the first irreducible one wins.  This makes
-every serialized element reproducible across runs.
+sum(c_j p^j), ascending) and the first irreducible one wins.  The
+binomials X^m + c are skipped when none of them can be irreducible, which
+changes no modulus.  This makes every serialized element reproducible
+across runs.
 
 The vector (a_0, ..., a_{m-1}) stands for a_0 + a_1 w + ... + a_{m-1} w^{m-1}
 where w is the class of X.  The prime subfield embeds as constant vectors.
@@ -127,30 +129,34 @@ def _prime_factors(n):
 
 
 def _is_irreducible(modulus, p):
-    """Deterministic irreducibility test for a monic polynomial over F_p."""
+    """Rabin's test for a monic f of degree m over F_p: f divides
+    X^(p^m) - X, and gcd(X^(p^(m/q)) - X, f) = 1 for each prime q | m.
+    Both conditions read the one chain X^(p^k) mod f, k = 0..m."""
     m = len(modulus) - 1
-    if m == 1:
-        return True
-    x = (0, 1)
-    # X^{p^m} == X mod f
-    t = x
+    chain = [_poly_rem((0, 1), modulus, p)]
     for _ in range(m):
-        t = _poly_powmod(t, p, modulus, p)
-    diff = list(t) + [0] * (2 - len(t))
-    diff[1] = (diff[1] - 1) % p
-    if _trim(diff):
+        chain.append(_poly_powmod(chain[-1], p, modulus, p))
+    if chain[m] != chain[0]:
         return False
-    # gcd(X^{p^{m/q}} - X, f) == 1 for each prime q | m
     for q in _prime_factors(m):
-        t = x
-        for _ in range(m // q):
-            t = _poly_powmod(t, p, modulus, p)
-        diff = list(t) + [0] * (2 - len(t))
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(diff, modulus, p)
-        if len(g) != 1:
+        t = chain[m // q] + (0, 0)
+        diff = (t[0], (t[1] - 1) % p) + t[2:]
+        if len(_poly_gcd(diff, modulus, p)) != 1:
             return False
     return True
+
+
+def _least_irreducible(p, m):
+    """The first irreducible monic of degree m over F_p in counting order.
+
+    The binomials X^m + c come first (indices below p).  None of them is
+    irreducible when some prime of m does not divide p - 1, or when 4 | m
+    and p = 3 mod 4 (Lidl-Niederreiter, Finite Fields, Thm 3.75); the
+    search then starts past them, which changes no modulus.
+    """
+    binomials = all((p - 1) % q == 0 for q in _prime_factors(m)) and (m % 4 or p % 4 == 1)
+    cands = (_digits(idx, p, m) + (1,) for idx in range(0 if binomials else p, p ** m))
+    return next(f for f in cands if _is_irreducible(f, p))
 
 
 class FieldSpec:
@@ -163,16 +169,12 @@ class FieldSpec:
 
     __slots__ = ("p", "m", "modulus", "_one", "_zero", "_log", "_exp")
 
-    def __init__(self, p, m, modulus):
+    def __init__(self, p, m):
         if p == 2 or not is_prime(p):
             raise ValueError("odd prime required")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree m")
-        if not _is_irreducible(modulus, p):
-            raise ValueError("modulus is reducible")
-        self.p, self.m, self.modulus = p, m, tuple(modulus)
+        self.p, self.m, self.modulus = p, m, _least_irreducible(p, m)
         self._log = self._exp = None
         self._zero = FieldElem(self, (0,) * m)
         self._one = FieldElem(self, (1,) + (0,) * (m - 1))
@@ -231,16 +233,12 @@ class FieldSpec:
             if not e.is_zero():
                 yield e
 
+    # the modulus is a function of (p, m), so (p, m) names the field
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.p == other.p
-            and self.m == other.m
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, FieldSpec) and self.p == other.p and self.m == other.m
 
     def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
+        return hash((self.p, self.m))
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, m={self.m})"
@@ -250,28 +248,10 @@ _FIELD_CACHE = {}
 
 
 def field_make(p, m=1):
-    """The field F_{p^m} with the deterministic least irreducible modulus."""
-    key = (p, m)
-    spec = _FIELD_CACHE.get(key)
-    if spec is not None:
-        return spec
-    if p == 2 or not is_prime(p):
-        raise ValueError("odd prime required")
-    if m < 1:
-        raise ValueError("extension degree must be >= 1")
-    if m == 1:
-        modulus = (0, 1)
-    else:
-        modulus = None
-        for idx in range(p ** m):
-            cand = _digits(idx, p, m) + (1,)
-            if _is_irreducible(cand, p):
-                modulus = cand
-                break
-        if modulus is None:
-            raise AssertionError(f"no irreducible monic of degree {m} over F_{p}")
-    spec = FieldSpec(p, m, modulus)
-    _FIELD_CACHE[key] = spec
+    """The field F_{p^m}, built once per (p, m) and shared after that."""
+    spec = _FIELD_CACHE.get((p, m))
+    if spec is None:
+        spec = _FIELD_CACHE[p, m] = FieldSpec(p, m)
     return spec
 
 

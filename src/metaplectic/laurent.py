@@ -237,11 +237,9 @@ class LaurentSeries:
 
     # -- comparisons ----------------------------------------------------
 
-    def agrees_with(self, other, upto=None):
-        """Equality of all coefficients below min(precisions, upto)."""
+    def agrees_with(self, other):
+        """Equality of all coefficients below both precisions."""
         bound = min(self.prec, other.prec)
-        if upto is not None:
-            bound = min(bound, upto)
         a, b = self.truncate(bound), other.truncate(bound)
         return a.res == b.res and (a.v == b.v or not a.res)
 

@@ -230,9 +230,6 @@ def meta_ind(s_char, base):
     quads = coset_quad_chars(s_char.spec.p)
     if isinstance(base, InducedParams):
         summands = tuple(quad_twist(base, q) for q in quads)
-    elif isinstance(base, TameChar):
-        base = InducedParams(1, base.tame, base.unram)
-        summands = tuple(quad_twist(base, q) for q in quads)
     elif isinstance(base, PhiGammaModule):
         summands = tuple(module_twist(base, quadchar_to_tame(q, base.spec)) for q in quads)
     else:
@@ -278,7 +275,8 @@ def classify_rank1(D):
     if b1 is None:
         raise ValueError("undecidable at this rank")
     form = CyclicForm(D.spec, 1, (d,), (v,), (b1,), (unit,))
-    nf, _ = normalize_cyclic(form, D.prec)
+    # the basis change is discarded, so one digit of it is enough
+    nf, _ = normalize_cyclic(form, 1)
     return params_of_normal_form(nf)
 
 

@@ -60,6 +60,19 @@ def test_field_make_deterministic_modulus():
     assert F25.modulus == brute_first_irreducible(5, 2) == (2, 0, 1)
     assert F625.modulus == brute_first_irreducible(5, 4) == (2, 0, 0, 0, 1)
     assert field_make(3, 4).modulus == brute_first_irreducible(3, 4)
+    # binomials X^m + c are skipped in the first five fields (a prime of m
+    # not dividing p - 1, or 4 | m with p = 3 mod 4) and searched in the rest
+    for p, m in [(5, 3), (7, 4), (3, 6), (7, 5), (11, 4), (7, 3), (13, 3), (11, 5)]:
+        assert field_make(p, m).modulus == brute_first_irreducible(p, m)
+        assert coeff.FieldSpec(p, m).modulus == field_make(p, m).modulus
+
+
+def test_large_fields_find_their_modulus():
+    # no binomial is irreducible here, so the search starts past all p of them
+    assert field_make(1000003, 4).modulus == (1, 1, 0, 0, 1)
+    assert field_make(100003, 8).modulus == (26, 1, 0, 0, 0, 0, 0, 0, 1)
+    assert field_make(9999991, 8).modulus == (4, 1, 0, 0, 0, 0, 0, 0, 1)
+    assert field_make(999999929, 7).modulus == (1, 1, 0, 0, 0, 0, 0, 1)
 
 
 def test_field_make_rejects_bad_p():
@@ -110,7 +123,7 @@ def test_nth_roots_match_a_scan(p, m, tabled, monkeypatch):
     spec = field_make(p, m)
     if not tabled:
         monkeypatch.setattr(coeff, "TABLE_MAX_ORDER", 0)
-        spec = coeff.FieldSpec(p, m, spec.modulus)
+        spec = coeff.FieldSpec(p, m)
     assert bool(spec._tables()) == tabled
     elems = list(spec.nonzero_elements())
     powers = {n: [y ** n for y in elems] for n in (1, 2, 3, 4, 8)}

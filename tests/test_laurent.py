@@ -61,7 +61,7 @@ def test_frobenius_examples():
     assert out.agrees_with(LaurentSeries.from_int_coeffs(F3, {3: 1, 6: 1}, 30))
     assert out.prec == 30
     const = LaurentSeries.from_int_coeffs(F5, {0: 3}, 7)
-    assert frobenius_phi(const).agrees_with(const, upto=7)
+    assert frobenius_phi(const).truncate(7).agrees_with(const)
     assert frobenius_phi(LaurentSeries.monomial(F5, -1, 6)).valuation == -5
 
 
