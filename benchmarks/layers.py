@@ -17,9 +17,9 @@ rows time one pass over 1,000 seeded elements of F_{7^4}, which multiplies
 through its log/antilog table, and of F_{3^8}, which is above
 TABLE_MAX_ORDER and multiplies polynomials: `FieldElem(spec, coeffs)` on
 coefficient tuples, products of nonzero pairs, inverses, and powers to
-exponents drawn from 0..q-2.  The `meta.verify_bijection` rows enumerate
+exponents drawn from 0..q-2.  The `meta.verify_bijection` rows solve
 both sides of the supersingular correspondence over F_{7^4}, F_31,
-F_{11^3}, F_{13^3} and F_{11^4}.
+F_{11^3}, F_{13^3}, F_{11^4}, F_{13^4} and F_211.
 
 A repetition calls the operation `number` times, with `number` raised until
 one repetition lasts at least MIN_REP_S; a row reports the best of REPEAT
@@ -65,7 +65,7 @@ MODULE_FIELD = (7, 1)
 MODULE_SIZE = 1000
 ELEM_FIELDS = ((7, 4), (3, 8))  # q = 2401 is tabled, q = 6561 is not
 ELEM_COUNT = 1000
-VERIFY_FIELDS = ((7, 4), (31, 1), (11, 3), (13, 3), (11, 4))
+VERIFY_FIELDS = ((7, 4), (31, 1), (11, 3), (13, 3), (11, 4), (13, 4), (211, 1))
 SMOKE_VERIFY_FIELDS = ((3, 4), (5, 1), (3, 2), (5, 2), (3, 3))  # below --scale 1
 
 

@@ -156,26 +156,28 @@ def lemma1_classify(P):
     p = 7, and the minimum is the canonical representative).  None is
     the negative answer.
 
-    A window exponent is below p^4 - 1, so h' is read off each Frobenius
-    conjugate x of H and each tame shift a by one exact division:
-    x - a (p^4 - 1)/(p - 1) == (p^2 + 1)/2 * h'.  Every window exponent is
-    already twist-invariant, since (p^2 - 1)(p^2 + 1)/2 * h' == (p^4 - 1)/2
-    for odd h', and Frobenius and tame shifts keep that congruence.
+    A window match is x - a step == half h' mod N for a Frobenius conjugate
+    x of H and a tame shift 0 <= a < p - 1, where N = p^4 - 1,
+    half = (p^2 + 1)/2 and step = N/(p - 1) = 2(p + 1) half.  half divides
+    N and step, so a match needs half | x; with y = x/half it reads
+    y - 2(p + 1) a == h' mod 2(p^2 - 1).  The p - 1 shifts reach every
+    residue == y mod 2(p + 1) below 2(p^2 - 1), and h' < 2p < 2(p + 1), so
+    the only candidate is h' = y mod 2(p + 1), kept when it is odd and in
+    [3, 2p).  Every window exponent is already twist-invariant, since
+    (p^2 - 1)(p^2 + 1)/2 * h' == (p^4 - 1)/2 for odd h', and Frobenius and
+    tame shifts keep that congruence.
     """
     if P.n != 4:
         raise ValueError("incomparable")
     p, H = P.p, P.H
     if H == 0 or not primitive(H, 4, p):
         return None
-    mod = p ** 4 - 1
-    step = mod // (p - 1)
     half = (p * p + 1) // 2
     matches = set()
     for x in orbit(H, 4, p):
-        for a in range(p - 1):
-            hp, rem = divmod((x - a * step) % mod, half)
-            if not rem and hp % 2 and 3 <= hp < 2 * p:
-                matches.add(hp)
+        hp = x // half % (2 * (p + 1))
+        if not x % half and hp % 2 and 3 <= hp < 2 * p:
+            matches.add(hp)
     return min(matches, default=None)
 
 

@@ -26,9 +26,11 @@ of q-1 that does not divide p-1 only asks t to avoid one residue.  lam0(r)
 lies in F_p, so its exponent is L0(r) = (q-1)/(p-1) * log_g0 lam0(r) and
 needs only an O(p) table, never g itself.  Then eta(p)^4 is 4k mod q-1,
 the image's Lam is L0(r) + 4k, and a Lam = g^l is attainable at weight r
-exactly when l == L0(r) mod gcd(4, q-1).  verify_bijection enumerates
-these integer coordinates; invert_ss_image solves the tame shift from the
-Frobenius orbit and eta(p) as a fourth root.
+exactly when l == L0(r) mod gcd(4, q-1).  So the classes of one class
+head (r, tau) map onto one coset of Lam exponents, and verify_bijection
+visits each (r, tame) and each canonical Galois exponent once, never k or
+l; invert_ss_image solves the tame shift from the Frobenius orbit and
+eta(p) as a fourth root.
 """
 
 from __future__ import annotations
@@ -395,60 +397,52 @@ def invert_ss_image(M):
 
 
 def verify_bijection(spec):
-    """Enumerate both sides of the supersingular correspondence and report.
+    """Solve both sides of the supersingular correspondence and report.
 
     Both sides run in the exponent coordinates of the module docstring,
-    n = q - 1: eta = omega^tame with eta(p) = g^k, and Lam = g^l.  The
-    supersingular side visits every (r, tame, k).  Its class key is
-    _class_head(p, r, tame) with w4 = 4k mod n, the rule of ss_class_key,
-    and its image is the canonical exponent of (r, tame), found once per
-    (r, tame), with Lam exponent L0(r) + 4k mod n.  The Galois side visits
-    every (H, l) with H a canonical primitive solution of the half-twist
-    congruences (half_twist_exponents) and keeps those that meet the
-    fourth-power norm condition l == L0(r(H)) mod gcd(4, n).  k -> g^k is a
-    bijection onto F_q^*, so the counts and verdicts are those of an
-    enumeration of field elements, and no field element is built per pair.
-    The report carries the class counts, injectivity and surjectivity of
-    the forward map, both up-to-twist counts and the (r, h') pair table.
+    n = q - 1: eta = omega^tame with eta(p) = g^k, and Lam = g^l.  Let
+    index = gcd(4, n).  A class head (r, tau) (_class_head, the key of
+    ss_class_key without w4) carries one class per w4 = 4k mod n, n/index
+    of them, and maps them onto the coset {H} x (L0(r) + index Z/n) of Lam
+    exponents, H the canonical exponent of (r, tame).  A canonical Galois
+    exponent H (a primitive solution of the half-twist congruences,
+    half_twist_exponents) qualifies with exactly the Lam exponents
+    l == L0(r(H)) mod index, one such coset.  Two cosets are equal or
+    disjoint, so the report is read off one (H, L0 mod index) per head,
+    from every (r, tame), and one per canonical H: no k or l is visited,
+    and no field element is built.  The report carries the class counts,
+    injectivity and surjectivity of the forward map, both up-to-twist
+    counts and the (r, h') pair table.
     """
     p = spec.p
     n = spec.order - 1
+    index = gcd(4, n)
     step = (p ** 4 - 1) // (p - 1)
     weights = admissible(p)
     log = _log_mod_p(p)
     L0 = {r: n // (p - 1) * log[int(ss_lam0(spec, r))] % n for r in weights}
 
-    # class head -> {w4: (canonical H, Lam exponent)}
-    class_to_image = {}
+    # class head -> (canonical H, L0(r)) of its first member
+    heads = {}
     consistent = True
     for r in weights:
-        lam0 = L0[r]
         for tame in range(p - 1):
-            H = min(orbit(_ss_exponent(p, r, tame), 4, p))
-            images = class_to_image.setdefault(_class_head(p, r, tame), {})
-            for k in range(n):
-                w4 = 4 * k % n
-                img = (H, (lam0 + w4) % n)
-                if images.setdefault(w4, img) != img:
-                    consistent = False
-    ss_count = sum(len(images) for images in class_to_image.values())
-    image_set = {img for images in class_to_image.values() for img in images.values()}
-    injective = len(image_set) == ss_count
+            img = (min(orbit(_ss_exponent(p, r, tame), 4, p)), L0[r])
+            if heads.setdefault(_class_head(p, r, tame), img) != img:
+                consistent = False
+    images = {(H, lam0 % index) for H, lam0 in heads.values()}
+    injective = len(images) == len(heads)
 
     canonical_H = {
         min(orbit(H, 4, p)) for H in half_twist_exponents(p) if primitive(H, 4, p)
     }
-    index = gcd(4, n)
     qualifying = set()
     for H in canonical_H:
         hprime = lemma1_classify(InducedParams(4, H, spec.one()))
         if hprime is None:
             raise AssertionError(f"canonical exponent {H} has no window exponent")
-        lam0 = L0[_r_of_hprime(p, hprime)]
-        for l in range(n):
-            if (l - lam0) % index == 0:
-                qualifying.add((H, l))
-    surjective = image_set == qualifying
+        qualifying.add((H, L0[_r_of_hprime(p, hprime)] % index))
+    surjective = images == qualifying
 
     # up-to-twist classes on the Galois side: the tame shift commutes with
     # Frobenius (p * step == step) and keeps the congruences and primitivity,
@@ -474,8 +468,8 @@ def verify_bijection(spec):
         "schema": 1,
         "p": p,
         "m": spec.m,
-        "ss_classes": ss_count,
-        "galois_classes": len(qualifying),
+        "ss_classes": len(heads) * (n // index),
+        "galois_classes": len(canonical_H) * (n // index),
         "galois_classes_all_lam": len(canonical_H) * n,
         "lam_coset_index": index,
         "injective": injective,

@@ -152,6 +152,11 @@ def test_images_and_bijection(capsys):
     obj = json.loads(out)
     assert code == 0 and obj["injective"] and obj["surjective"]
 
+    code, out, _ = run_cli(["verify-bijection", "--p", "17", "--m", "4"], capsys)
+    obj = json.loads(out)
+    assert code == 0 and obj["injective"] and obj["surjective"]
+    assert obj["ss_classes"] == obj["galois_classes"]
+
 
 def test_simulate_dual(capsys):
     code, out, _ = run_cli(
@@ -259,10 +264,9 @@ MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
          "--p 999999937 is above its limit 10000000"),
         (["simulate-dual", "--p", "10000019", "--r", "0"], {},
          "--p 10000019 is above its limit 10000000"),
-        (["verify-bijection", "--p", "17", "--m", "4"], {},
-         "21381120 pairs (r, eta) to enumerate are above the limit 10000000"),
-        (["verify-bijection", "--p", "223"], {},
-         "10941048 pairs (r, eta) to enumerate are above the limit 10000000"),
+        (["verify-bijection", "--p", "601"], {}, "--p 601 is above its limit 600"),
+        (["verify-bijection", "--p", "1000003", "--m", "8"], {},
+         "--p 1000003 is above its limit 600"),
         (["hilbert", "--p", "5", "1e10001", "2"], {},
          "exponent 10001 of a rational is above its limit 10000"),
         (["chi-z", "--p", "5", "1e-99999"], {},

@@ -119,7 +119,7 @@ def lemma1_oracle(P):
 
 
 def test_lemma1_matches_its_definition():
-    for p in (3, 5, 7):
+    for p in (3, 5, 7, 11, 13):
         one = field_make(p).one()
         for H in range(p ** 4 - 1):
             P = InducedParams(4, H, one)

@@ -286,7 +286,7 @@ def reference_verify_bijection(spec):
 
 
 REFERENCE_FIELDS = [(p, m) for p in (3, 5, 7) for m in range(1, 6) if p ** m <= 343]
-REFERENCE_FIELDS += [(11, 1), (13, 1)]
+REFERENCE_FIELDS += [(11, 1), (13, 1), (5, 4), (3, 6), (11, 2), (13, 2), (17, 1), (19, 1)]
 
 
 @pytest.mark.parametrize("p,m", REFERENCE_FIELDS, ids=[f"{p}^{m}" for p, m in REFERENCE_FIELDS])
