@@ -19,7 +19,9 @@ TABLE_MAX_ORDER and multiplies polynomials: `FieldElem(spec, coeffs)` on
 coefficient tuples, products of nonzero pairs, inverses, and powers to
 exponents drawn from 0..q-2.  The `meta.verify_bijection` rows solve
 both sides of the supersingular correspondence over F_{7^4}, F_31,
-F_{11^3}, F_{13^3}, F_{11^4}, F_{13^4} and F_211.
+F_{11^3}, F_{13^3}, F_{11^4}, F_{13^4} and F_211.  The
+`classify.simulate_dual_frobenius` rows compute phi(f_1) to K = 4 digits
+at r = 1 over F_101 and F_1009.
 
 A repetition calls the operation `number` times, with `number` raised until
 one repetition lasts at least MIN_REP_S; a row reports the best of REPEAT
@@ -29,7 +31,8 @@ each repetition (see perfbench/speed.py), so two files from one machine
 compare even when its speed changed between the runs.  `--compare a b`
 prints each row's ref_ms in a and b and the ratio a/b (above 1: b is
 faster).  `--scale` below 1 shrinks every N and MIN_REP_S alike, and runs
-the `verify_bijection` rows over F_{3^4} and F_5, for a quick smoke run.
+the `verify_bijection` rows over F_{3^4} and F_5 and leaves out the
+`simulate_dual_frobenius` rows, for a quick smoke run.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import speed  # noqa: E402
+from metaplectic.classify import simulate_dual_frobenius, ss_data  # noqa: E402
 from metaplectic.coeff import FieldElem, field_make  # noqa: E402
 from metaplectic.laurent import LaurentSeries, gamma_act, phi_basis_decompose  # noqa: E402
 from metaplectic.meta import verify_bijection  # noqa: E402
@@ -67,6 +71,7 @@ ELEM_FIELDS = ((7, 4), (3, 8))  # q = 2401 is tabled, q = 6561 is not
 ELEM_COUNT = 1000
 VERIFY_FIELDS = ((7, 4), (31, 1), (11, 3), (13, 3), (11, 4), (13, 4), (211, 1))
 SMOKE_VERIFY_FIELDS = ((3, 4), (5, 1), (3, 2), (5, 2), (3, 3))  # below --scale 1
+SIMULATE_PRIMES = (101, 1009)  # at --scale 1 only
 
 
 def nonzero(rng, spec):
@@ -132,6 +137,10 @@ def rows(scale):
     for p, m in VERIFY_FIELDS if scale >= 1 else SMOKE_VERIFY_FIELDS:
         spec = field_make(p, m)
         out.append((f"meta.verify_bijection p={p} m={m}", lambda s=spec: verify_bijection(s)))
+    for p in SIMULATE_PRIMES if scale >= 1 else ():
+        data = ss_data(field_make(p), 1)
+        name = f"classify.simulate_dual_frobenius p={p} r=1 i=1 K=4"
+        out.append((name, lambda d=data: simulate_dual_frobenius(d, 1, 4)))
     return out
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .coeff import FieldElem, FieldSpec, factorial_in
 from .chars import HChar
 from .galois import InducedParams, tame_twist
-from .laurent import LaurentSeries, binom_mod_p, binom_neg_mod_p, frobenius_phi, gamma_act
+from .laurent import LaurentSeries, binom_neg_mod_p, frobenius_phi, gamma_act
 
 __all__ = [
     "SSData",
@@ -167,11 +167,11 @@ class NormalForm:
     b1: int
 
 
-def cycle_form(spec, s, c, a, noise=None):
+def cycle_form(spec, s, c, a):
     """The dual-basis cyclic form of generic cycle data (s_i, c_i, a_i).
 
     d_i = c_i^{-1}, t_i = s_i - (p-1), b_i = -a_i; the 1-units of the
-    containment are unknown at this level and default to 1 (the
+    containment are unknown at this level and are set to 1 (the
     classification is insensitive to them).
     """
     p = spec.p
@@ -186,9 +186,7 @@ def cycle_form(spec, s, c, a, noise=None):
     d = tuple(ci.inv() for ci in c)
     t = tuple(si - (p - 1) for si in s)
     b = tuple(-ai % (p - 1) for ai in a)
-    if noise is None:
-        noise = (None,) * n
-    return CyclicForm(spec, n, d, t, b, tuple(noise))
+    return CyclicForm(spec, n, d, t, b, (None,) * n)
 
 
 def dual_basis_form(data):
@@ -298,35 +296,38 @@ def simulate_dual_frobenius(data, i, K, m=None):
     F sends that monomial to the single term c_i X^e, e = p (e(i)_m - l) +
     shift, so the pairing is c_i binom(-j, top - s_i - e) with top =
     e(i+1)_{m+1}; it is 0 when e > top, where the binomial's lower index is
-    negative.
+    negative.  So phi(f_i) = X^{s_i} A^{-1} f_{i+1} with
+
+        A = c_i sum_{j<p} (1+X)^j H_j(X^p),
+        H_j(Y) = sum_l binom(-j, top - s_i - p e(i)_m - shift + p l) Y^l,
+
+    needed mod X^{p-1+K}.  The sum has integer coefficients mod p, so it is
+    taken by Horner's rule in 1+X on one list of residues mod p (for
+    j = p-1 down to 0, multiply by 1+X and add H_j(X^p)) and scaled by c_i
+    once.
     """
     if K < 1:
         raise ValueError(f"K (digits of the 1-unit) must be >= 1, got {K}")
     p, n = data.p, data.n
-    spec = data.spec
     if m is None:
         m = _choose_level(data, i, K)
     _, e_m = e_exponents(data, i, m)
     if e_m < p * K + (p - 1):
         raise ValueError("window too small")
     s_i = data.s[i - 1]
-    c_i = data.c[i - 1]
     e_next, _ = e_exponents(data, i % n + 1, 1)
     if (e_next - s_i) % p:
         raise AssertionError("cycle exponents break F's divisibility")
     shift = p ** (n * m) * (e_next - s_i)
     _, top = e_exponents(data, i % n + 1, m + 1)
-    digits = (p - 1 + K) // p + 2
     low = top - s_i - p * e_m - shift  # the binomial's lower index at l = 0
-    # A(X) = sum_j (1+X)^j H_j(X^p); phi(f_i) = X^{s_i} A^{-1} f_{i+1}
-    acc = None
-    for j in range(p):
-        pairings = {l: binom_neg_mod_p(j, low + p * l, p) for l in range(digits)}
-        h = LaurentSeries.from_int_coeffs(spec, pairings, digits).scale(c_i)
-        binomial = {k: binom_mod_p(j, k, p) for k in range(j + 1)}
-        term = LaurentSeries.from_int_coeffs(spec, binomial, p * digits) * frobenius_phi(h)
-        acc = term if acc is None else acc + term
-    A = acc.truncate(p - 1 + K)
+    N = p - 1 + K
+    acc = [0] * N
+    for j in range(p - 1, -1, -1):
+        acc = [(a + b) % p for a, b in zip(acc, [0] + acc)]
+        for e in range(0, N, p):
+            acc[e] = (acc[e] + binom_neg_mod_p(j, low + e, p)) % p
+    A = LaurentSeries.from_int_coeffs(data.spec, dict(enumerate(acc)), N).scale(data.c[i - 1])
     return A.invert_series().shift(s_i)
 
 

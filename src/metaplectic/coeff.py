@@ -265,12 +265,9 @@ class FieldElem:
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec, coeffs):
-        if isinstance(coeffs, int):
-            coeffs = (coeffs % spec.p,) + (0,) * (spec.m - 1)
-        else:
-            coeffs = tuple(c % spec.p for c in coeffs)
-            if len(coeffs) != spec.m:
-                raise ValueError("coefficient vector has wrong length")
+        coeffs = tuple(c % spec.p for c in coeffs)
+        if len(coeffs) != spec.m:
+            raise ValueError("coefficient vector has wrong length")
         self.spec = spec
         self.coeffs = coeffs
 

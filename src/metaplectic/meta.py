@@ -16,21 +16,18 @@ the enumeration of qualifying Galois parameters carries that norm
 condition (an unattainable value becomes attainable after enlarging the
 field), and invert_ss_image reports exactly this failure mode.
 
-Both directions of the correspondence are solved on discrete logs rather
-than by enumerating field elements.  Fix a primitive root g0 of F_p and a
-generator g of F_q^* (q = p^m) with norm g^((q-1)/(p-1)) = g0, and write
-eta(p) = g^k.  Such a g exists: the norm is onto F_p^*, so a generator h
-of F_q^* has norm g0^j with j prime to p-1, and g = h^t works for any t
-prime to q-1 with t j == 1 mod p-1; one exists by CRT, since every prime
-of q-1 that does not divide p-1 only asks t to avoid one residue.  lam0(r)
-lies in F_p, so its exponent is L0(r) = (q-1)/(p-1) * log_g0 lam0(r) and
-needs only an O(p) table, never g itself.  Then eta(p)^4 is 4k mod q-1,
-the image's Lam is L0(r) + 4k, and a Lam = g^l is attainable at weight r
-exactly when l == L0(r) mod gcd(4, q-1).  So the classes of one class
-head (r, tau) map onto one coset of Lam exponents, and verify_bijection
-visits each (r, tame) and each canonical Galois exponent once, never k or
-l; invert_ss_image solves the tame shift from the Frobenius orbit and
-eta(p) as a fourth root.
+Neither direction of the correspondence enumerates field elements.
+Write n = q - 1 and index = gcd(4, n), and fix a generator g of F_q^*
+with eta(p) = g^k and Lam = g^l.  Then eta(p)^4 is 4k mod n, which runs
+over the multiples of index, and the image's Lam is lam0(r) eta(p)^4.
+So a Lam is attainable at weight r exactly when Lam / lam0(r) is an
+index-th power, that is when Lam and lam0(r) agree after raising to the
+power n/index: the classes of one class head (r, tau) map onto one such
+power class of Lam values.  lam0(r) lies in F_p, so its power class is
+one modular power in F_p, and verify_bijection visits each (r, tame) and
+each canonical Galois exponent once, never k, l or g; invert_ss_image
+solves the tame shift from the Frobenius orbit and eta(p) as a fourth
+root.
 """
 
 from __future__ import annotations
@@ -174,7 +171,9 @@ def ss_class_key(rep):
     (p-1)/2 and the fourth power of eta(p), up to the single partner
     identification (r, tau) ~ (partner(r), tau + r): the key is
     _class_head(p, r, tame) + (w4,), with w4 the coefficient vector of
-    eta(p)^4 here and its exponent 4k mod q-1 in verify_bijection."""
+    eta(p)^4.  The w4 run over the index-th powers of F_q^*, index =
+    gcd(4, q-1), so verify_bijection counts (q-1)/index classes per head
+    without forming any w4."""
     return _class_head(rep.spec.p, rep.r, rep.eta.tame) + ((rep.eta.unram ** 4).coeffs,)
 
 
@@ -243,17 +242,6 @@ def _primitive_root(p):
     """The least primitive root g0 mod p."""
     primes = _prime_factors(p - 1)
     return next(g for g in range(2, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in primes))
-
-
-def _log_mod_p(p):
-    """The list log with _primitive_root(p)^log[a] == a mod p for 0 < a < p."""
-    g0 = _primitive_root(p)
-    log = [None] * p
-    x = 1
-    for k in range(p - 1):
-        log[x] = k
-        x = x * g0 % p
-    return log
 
 
 def classify_rank1(D):
@@ -399,18 +387,18 @@ def invert_ss_image(M):
 def verify_bijection(spec):
     """Solve both sides of the supersingular correspondence and report.
 
-    Both sides run in the exponent coordinates of the module docstring,
-    n = q - 1: eta = omega^tame with eta(p) = g^k, and Lam = g^l.  Let
-    index = gcd(4, n).  A class head (r, tau) (_class_head, the key of
-    ss_class_key without w4) carries one class per w4 = 4k mod n, n/index
-    of them, and maps them onto the coset {H} x (L0(r) + index Z/n) of Lam
-    exponents, H the canonical exponent of (r, tame).  A canonical Galois
-    exponent H (a primitive solution of the half-twist congruences,
-    half_twist_exponents) qualifies with exactly the Lam exponents
-    l == L0(r(H)) mod index, one such coset.  Two cosets are equal or
-    disjoint, so the report is read off one (H, L0 mod index) per head,
-    from every (r, tame), and one per canonical H: no k or l is visited,
-    and no field element is built.  The report carries the class counts,
+    Both sides run in the coordinates of the module docstring, n = q - 1
+    and index = gcd(4, n); Lam^(n/index) labels the class of Lam modulo
+    index-th powers.  A class head (r, tau) (_class_head, the key of
+    ss_class_key without w4) carries one class per w4 = eta(p)^4, n/index
+    of them, and maps them onto the Lam of the class of lam0(r), each over
+    H, the canonical exponent of (r, tame).  A canonical Galois exponent H
+    (a primitive solution of the half-twist congruences,
+    half_twist_exponents) qualifies with exactly the Lam of the class of
+    lam0(r(H)).  Two classes are equal or disjoint, so the report is read
+    off one (H, label) per head, from every (r, tame), and one per
+    canonical H, with label = lam0(r)^(n/index), one modular power in
+    F_p: no eta or Lam is visited.  The report carries the class counts,
     injectivity and surjectivity of the forward map, both up-to-twist
     counts and the (r, h') pair table.
     """
@@ -419,18 +407,17 @@ def verify_bijection(spec):
     index = gcd(4, n)
     step = (p ** 4 - 1) // (p - 1)
     weights = admissible(p)
-    log = _log_mod_p(p)
-    L0 = {r: n // (p - 1) * log[int(ss_lam0(spec, r))] % n for r in weights}
+    label = {r: pow(int(ss_lam0(spec, r)), n // index, p) for r in weights}
 
-    # class head -> (canonical H, L0(r)) of its first member
+    # class head -> (canonical H, label of r) of its first member
     heads = {}
     consistent = True
     for r in weights:
         for tame in range(p - 1):
-            img = (min(orbit(_ss_exponent(p, r, tame), 4, p)), L0[r])
+            img = (min(orbit(_ss_exponent(p, r, tame), 4, p)), label[r])
             if heads.setdefault(_class_head(p, r, tame), img) != img:
                 consistent = False
-    images = {(H, lam0 % index) for H, lam0 in heads.values()}
+    images = set(heads.values())
     injective = len(images) == len(heads)
 
     canonical_H = {
@@ -441,7 +428,7 @@ def verify_bijection(spec):
         hprime = lemma1_classify(InducedParams(4, H, spec.one()))
         if hprime is None:
             raise AssertionError(f"canonical exponent {H} has no window exponent")
-        qualifying.add((H, L0[_r_of_hprime(p, hprime)] % index))
+        qualifying.add((H, label[_r_of_hprime(p, hprime)]))
     surjective = images == qualifying
 
     # up-to-twist classes on the Galois side: the tame shift commutes with

@@ -145,11 +145,6 @@ def _frac_str(x):
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def pmatrix_from_json(rows):
-    (a, b), (c, d) = rows
-    return PMatrix(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
-
-
 @dataclass(frozen=True)
 class MetaElem:
     """An element (g, zeta) of the cover; zeta in {+1, -1}."""

@@ -15,7 +15,7 @@ from metaplectic.classify import (
     simulate_dual_gamma,
     ss_data,
 )
-from metaplectic.laurent import frobenius_phi
+from metaplectic.laurent import LaurentSeries, binom_mod_p, binom_neg_mod_p, frobenius_phi
 from metaplectic.meta import admissible
 from metaplectic.selftest import duality_law, normal_form_law
 
@@ -147,6 +147,43 @@ def test_simulation_level_independence():
     o1 = simulate_dual_frobenius(data, 1, 3)
     o2 = simulate_dual_frobenius(data, 1, 3, m=m0 + 1)
     assert o1.agrees_with(o2)
+
+
+def reference_simulate_dual_frobenius(data, i, K):
+    """simulate_dual_frobenius as the explicit sum over j < p of
+    (1+X)^j phi(H_j), one binomial series and one product per j."""
+    from metaplectic.classify import _choose_level
+
+    p, n = data.p, data.n
+    spec = data.spec
+    m = _choose_level(data, i, K)
+    _, e_m = e_exponents(data, i, m)
+    s_i = data.s[i - 1]
+    c_i = data.c[i - 1]
+    e_next, _ = e_exponents(data, i % n + 1, 1)
+    shift = p ** (n * m) * (e_next - s_i)
+    _, top = e_exponents(data, i % n + 1, m + 1)
+    digits = (p - 1 + K) // p + 2
+    low = top - s_i - p * e_m - shift
+    acc = LaurentSeries.zero(spec, p * digits)
+    for j in range(p):
+        pairings = {l: binom_neg_mod_p(j, low + p * l, p) for l in range(digits)}
+        h = LaurentSeries.from_int_coeffs(spec, pairings, digits).scale(c_i)
+        binomial = {k: binom_mod_p(j, k, p) for k in range(j + 1)}
+        acc = acc + LaurentSeries.from_int_coeffs(spec, binomial, p * digits) * frobenius_phi(h)
+    return acc.truncate(p - 1 + K).invert_series().shift(s_i)
+
+
+def test_simulation_matches_the_explicit_sum():
+    for p in (3, 5, 7, 11, 13):
+        for m in (1, 2):
+            spec = field_make(p, m)
+            for r in admissible(p):
+                data = ss_data(spec, r)
+                for i in (1, 2, 3, 4):
+                    for K in (1, 4, 20):
+                        expect = reference_simulate_dual_frobenius(data, i, K)
+                        assert simulate_dual_frobenius(data, i, K) == expect, (p, m, r, i, K)
 
 
 def test_simulation_window_error():

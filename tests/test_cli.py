@@ -262,8 +262,8 @@ MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
          "--p 999999937 is above its limit 10000000"),
         (["classify-ss", "--p", "999999937", "--r", "999999000"], {},
          "--p 999999937 is above its limit 10000000"),
-        (["simulate-dual", "--p", "10000019", "--r", "0"], {},
-         "--p 10000019 is above its limit 10000000"),
+        (["simulate-dual", "--p", "1000003", "--r", "0"], {},
+         "--p 1000003 is above its limit 10000"),
         (["verify-bijection", "--p", "601"], {}, "--p 601 is above its limit 600"),
         (["verify-bijection", "--p", "1000003", "--m", "8"], {},
          "--p 1000003 is above its limit 600"),

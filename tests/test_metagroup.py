@@ -118,10 +118,7 @@ def test_center_is_squares():
 
 
 def test_pmatrix_serialization():
-    from metaplectic.metagroup import pmatrix_from_json
-
     m = PMatrix(Fraction(1, 3), 2, -3, Fraction(7, 9))
-    assert pmatrix_from_json(m.to_json()) == m
     assert m.to_json() == [["1/3", "2"], ["-3", "7/9"]]
 
 
