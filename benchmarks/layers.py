@@ -21,7 +21,9 @@ exponents drawn from 0..q-2.  The `meta.verify_bijection` rows solve
 both sides of the supersingular correspondence over F_{7^4}, F_31,
 F_{11^3}, F_{13^3}, F_{11^4}, F_{13^4} and F_211.  The
 `classify.simulate_dual_frobenius` rows compute phi(f_1) to K = 4 digits
-at r = 1 over F_101 and F_1009.
+at r = 1 over F_101 and F_1009.  The `phigamma.induced_gamma` row builds
+the gamma matrix of c = p + 1 on the rank-4 induced module (h = 39) over
+F_5 at N = 30000, from a fresh module each call, so no cache answers it.
 
 A repetition calls the operation `number` times, with `number` raised until
 one repetition lasts at least MIN_REP_S; a row reports the best of REPEAT
@@ -32,7 +34,7 @@ compare even when its speed changed between the runs.  `--compare a b`
 prints each row's ref_ms in a and b and the ratio a/b (above 1: b is
 faster).  `--scale` below 1 shrinks every N and MIN_REP_S alike, and runs
 the `verify_bijection` rows over F_{3^4} and F_5 and leaves out the
-`simulate_dual_frobenius` rows, for a quick smoke run.
+`simulate_dual_frobenius` and `induced_gamma` rows, for a quick smoke run.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ ELEM_COUNT = 1000
 VERIFY_FIELDS = ((7, 4), (31, 1), (11, 3), (13, 3), (11, 4), (13, 4), (211, 1))
 SMOKE_VERIFY_FIELDS = ((3, 4), (5, 1), (3, 2), (5, 2), (3, 3))  # below --scale 1
 SIMULATE_PRIMES = (101, 1009)  # at --scale 1 only
+INDUCED_GAMMA = (5, 4, 39, 30000)  # p, n, h, N; at --scale 1 only
 
 
 def nonzero(rng, spec):
@@ -141,6 +144,11 @@ def rows(scale):
         data = ss_data(field_make(p), 1)
         name = f"classify.simulate_dual_frobenius p={p} r=1 i=1 K=4"
         out.append((name, lambda d=data: simulate_dual_frobenius(d, 1, 4)))
+    if scale >= 1:
+        p, n, h, N = INDUCED_GAMMA
+        spec = field_make(p)
+        name = f"phigamma.induced_gamma p={p} m=1 n={n} h={h} N={N}"
+        out.append((name, lambda: make_induced(spec, n, h, prec=N).gamma_matrix(p + 1)))
     return out
 
 

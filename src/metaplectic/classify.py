@@ -197,9 +197,10 @@ def dual_basis_form(data):
 def normalize_cyclic(form, prec):
     """Kill the 1-unit noise and return the NormalForm plus the basis change.
 
-    The change of basis h_i is the convergent product of Frobenius shifts
-    of the noise, truncated after ceil(log_p N) + 1 factors; the invariants
-    are t = -(sum p^{n-j} t_j)/(p-1), d = prod d_i and b1.
+    The change of basis h_i is the convergent product of the Frobenius
+    shifts phi^k(g_{i-k-1}) of the noise with p^k < N, the others being 1
+    mod X^N; the invariants are t = -(sum p^{n-j} t_j)/(p-1), d = prod d_i
+    and b1.
     """
     if prec < 1:
         raise ValueError(f"prec (X-adic precision) must be >= 1, got {prec}")
@@ -212,20 +213,14 @@ def normalize_cyclic(form, prec):
     d = form.spec.one()
     for di in form.d:
         d = d * di
-    J = 1
-    while p ** (J - 1) < prec:
-        J += 1
     hs = []
     for i in range(n):
-        h = LaurentSeries.one(form.spec, prec)
-        for j in range(1, J + 1):
-            g = form.noise[(i - j) % n]
-            if g is None:
-                continue
-            term = g.truncate(prec)
-            for _ in range(j - 1):
-                term = frobenius_phi(term)
-            h = (h * term.truncate(prec)).truncate(prec)
+        h, k = LaurentSeries.one(form.spec, prec), 0
+        while p ** k < prec:
+            g = form.noise[(i - k - 1) % n]
+            if g is not None:
+                h = h * frobenius_phi(g, k, prec)
+            k += 1
         hs.append(h)
     return NormalForm(form.spec, n, t, d, form.b[0]), hs
 

@@ -12,8 +12,8 @@ coefficient: the constructor, `coeff` and `terms`.
 
 The semilinear structure implemented here:
 
-* frobenius(f) = f(X^p), coefficients fixed (the relative Frobenius of
-  k((X)) over k);
+* frobenius_phi(f, k, N) = f(X^(p^k)) mod X^N, coefficients fixed (powers
+  of the relative Frobenius of k((X)) over k), cut before it is stretched;
 * gamma_act(c, f) = f((1+X)^c - 1) for an exact positive integer c
   coprime to p, with binomial coefficients taken mod p by Lucas digit
   products, composed by the Frobenius recursion: g = (1+X)^c - 1 has
@@ -41,6 +41,7 @@ __all__ = [
     "frobenius_phi",
     "gamma_act",
     "one_unit_root",
+    "one_unit_exponent",
     "phi_basis_decompose",
     "psi_ring",
 ]
@@ -204,7 +205,7 @@ class LaurentSeries:
         are handled through the Frobenius (f^{p^k} = f(X^{p^k})), which
         keeps large exponents cheap and precision tight.  The result is
         known to K = prec - v digits past its valuation, so each factor is
-        cut to K digits past its own valuation, before and after stretching.
+        taken by `frobenius_phi` to K digits past its own valuation.
         """
         if e == 0:
             return LaurentSeries.one(self.spec, self.prec)
@@ -217,14 +218,13 @@ class LaurentSeries:
             for d in range(2, p):
                 small.append(small[-1] * self)
             K = self.prec - v
-            result, s, t = None, 1, e
+            result, k, t = None, 0, e
             while t:
                 t, d = divmod(t, p)
                 if d:
-                    factor = small[d].truncate(v * d - (-K // s))
-                    factor = _series(spec, factor.v * s, _stretch(factor.res, m, s), v * d * s + K)
+                    factor = frobenius_phi(small[d], k, v * d * p ** k + K)
                     result = factor if result is None else result * factor
-                s *= p
+                k += 1
             return result
         result, base, t = None, self, e
         while t > 0:
@@ -395,10 +395,13 @@ def series_from_json(obj, spec):
     return LaurentSeries(spec, {e: elem_from_json(a, spec) for e, a in coeffs.items()}, prec)
 
 
-def frobenius_phi(f):
-    """f(X^p) with coefficients unchanged; precision multiplies by p."""
-    p = f.spec.p
-    return _series(f.spec, f.v * p, _stretch(f.res, f.spec.m, p), f.prec * p)
+def frobenius_phi(f, k=1, prec=None):
+    """phi^k(f) = f(X^(p^k)), coefficients unchanged, mod X^prec (default: all
+    f.prec * p^k known digits); f is cut to ceil(prec/p^k) digits, then stretched."""
+    s = f.spec.p ** k
+    prec = f.prec * s if prec is None else min(prec, f.prec * s)
+    f = f.truncate(-(-prec // s))
+    return _series(f.spec, f.v * s, _stretch(f.res, f.spec.m, s), prec)
 
 
 def gamma_transform(c, spec, prec):
@@ -494,12 +497,16 @@ def one_unit_root(f, n):
         raise ValueError("root not unique")
     if not f.is_one_unit():
         raise ValueError("not a one-unit")
-    e = 0
-    while p ** e < f.prec:
-        e += 1
-    modulus = p ** max(e, 1)
-    m = pow(n % modulus, -1, modulus)
-    return f.pow(m).truncate(f.prec)
+    q = one_unit_exponent(p, f.prec)
+    return f.pow(pow(n, -1, q)).truncate(f.prec)
+
+
+def one_unit_exponent(p, prec):
+    """The least power q >= p of p at or above prec: every 1-unit mod X^prec has q-th power 1."""
+    q = p
+    while q < prec:
+        q *= p
+    return q
 
 
 def phi_basis_decompose(f):

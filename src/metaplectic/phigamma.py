@@ -9,9 +9,9 @@ modules supply finitely many sampled units.
 
 Constructors implement the standard dictionary entries: rank-1 modules of
 tame characters, the n-dimensional modules attached to induced
-representations of unramified degree-n subfields (with the fractional
-power of the 1-unit omega(gamma) X / gamma(X) computed through its unique
-(p^n - 1)-th root), twists, duals and tensor products.  The psi operator
+representations of unramified degree-n subfields (gamma acts through one
+integer power u^a of the 1-unit u = gamma(X) / (omega(gamma) X) and its
+Frobenius images), twists, duals and tensor products.  The psi operator
 extracts the 0-component of the (1+X)^i-basis decomposition after
 applying the inverse of the phi-matrix.
 """
@@ -23,7 +23,7 @@ from .laurent import (
     frobenius_phi,
     gamma_act,
     gamma_transform,
-    one_unit_root,
+    one_unit_exponent,
     psi_ring,
     series_from_json,
 )
@@ -229,9 +229,10 @@ def make_induced(spec, n, h, lam_n=None, tame=0, prec=40):
 
     phi cycles the basis with a final entry Lam X^{-h(p-1)}, where Lam is
     the stored n-th power of the unramified value; gamma acts diagonally
-    by chi(gamma) w^{h p^{i-1} (p-1)} with w the unique (p^n - 1)-th root
-    of omega(gamma) X / gamma(X) among 1-units.  Requires h >= 0 (shift
-    by p^n - 1 beforehand when needed).
+    by chi(gamma) w^{h p^{i-1}(p-1)} = chi(gamma) phi^{i-1}(u^a) for the 1-unit
+    polynomial u = gamma(X)/(omega(gamma) X) over F_p, w = u^{1/(1-p^n)} and
+    a = h(p-1)/(1-p^n) mod q, q the least power of p that kills the 1-units
+    mod X^N.  Requires h >= 0 (shift by p^n - 1 first).
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -256,19 +257,16 @@ def make_induced(spec, n, h, lam_n=None, tame=0, prec=40):
     def oracle(c, req_prec):
         if req_prec < 2:
             raise ValueError("insufficient precision")
-        if c % p == 0:
-            raise ValueError("unit must be coprime to p")
-        # w = (omega(c) X / gamma(X))^{1/(p^n - 1)}, a 1-unit with F_p coefficients
-        g = gamma_transform(c, spec, req_prec + 1)
-        unit = g.shift(-1).invert_series().scale(spec.from_int(c))
-        w = one_unit_root(unit.truncate(req_prec), p ** n - 1)
-        chi_c = spec.from_int(pow(c % p, tame, p))
-        out = [[LaurentSeries.zero(spec, req_prec) for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            exp = h * (p ** i) * (p - 1)
-            entry = w.pow(exp) if exp else LaurentSeries.one(spec, req_prec)
-            out[i][i] = entry.scale(chi_c).truncate(req_prec)
-        return out
+        if c < 1 or c % p == 0:
+            raise ValueError("unit must be a positive integer coprime to p")
+        # chi(c) u^a = chi(c) w^{h(p-1)}, the exponent read mod q
+        u = gamma_transform(c, spec, req_prec + 1).shift(-1).scale(spec.from_int(c).inv())
+        q = one_unit_exponent(p, req_prec)
+        w_h = u.pow(h * (p - 1) * pow(1 - p ** n, -1, q) % q)
+        w_h = w_h.scale(spec.from_int(pow(c % p, tame, p)))
+        zero = LaurentSeries.zero(spec, req_prec)
+        diag = [frobenius_phi(w_h, i, req_prec) for i in range(n)]
+        return [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]
 
     return PhiGammaModule(spec, phi, oracle, prec)
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaplectic.coeff import field_make
 from metaplectic.classify import (
@@ -17,7 +19,7 @@ from metaplectic.classify import (
 )
 from metaplectic.laurent import LaurentSeries, binom_mod_p, binom_neg_mod_p, frobenius_phi
 from metaplectic.meta import admissible
-from metaplectic.selftest import duality_law, normal_form_law
+from metaplectic.selftest import duality_law, normal_form_law, rand_noisy_form
 
 F3 = field_make(3)
 F5 = field_make(5)
@@ -91,6 +93,21 @@ def test_noise_invariance_and_change_of_basis():
                 lhs = hs[(i + 1) % noisy.n]
                 rhs = (frobenius_phi(hs[i]).truncate(25) * noisy.noise[i]).truncate(25)
                 assert lhs.agrees_with(rhs)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.data())
+def test_basis_change_at_low_precision_claims_only_true_digits(data):
+    # the noise is known mod X^noise_prec, which may lie above or below N
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    _, noisy = rand_noisy_form(rng, (3, 5, 7), data.draw(st.integers(2, 80)))
+    N = data.draw(st.integers(1, 99))
+    nf, hs = normalize_cyclic(noisy, N)
+    nf_high, hs_high = normalize_cyclic(noisy, data.draw(st.integers(N + 1, 100)))
+    assert nf == nf_high
+    for got, want in zip(hs, hs_high, strict=True):
+        assert got.prec <= want.prec
+        assert got.agrees_with(want)
 
 
 def test_galois_of_cycle_examples():

@@ -345,6 +345,22 @@ def test_kernel_gamma_act_matches_per_exponent(data):
     assert out.prec == f.prec
 
 
+@kernel_settings
+@given(st.data())
+def test_frobenius_phi_power_is_repeated_phi_then_cut(data):
+    # prec None, at or below the stretched valuation, or anywhere up to the
+    # stretched precision and past it
+    spec = data.draw(st.sampled_from(KERNEL_FIELDS))
+    f = data.draw(kernel_series(spec))
+    k = data.draw(st.integers(0, 3))
+    lo, hi = f.v * spec.p ** k, f.prec * spec.p ** k
+    prec = data.draw(st.none() | st.integers(lo - 3, lo) | st.integers(lo, hi + 3))
+    want = f
+    for _ in range(k):
+        want = frobenius_phi(want)
+    same(frobenius_phi(f, k, prec), want if prec is None else want.truncate(prec))
+
+
 PSI_FIELDS = [field_make(p, m) for p in (3, 5, 7, 11, 13) for m in (1, 2, 3)]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from metaplectic.coeff import field_make
 from metaplectic.chars import TameChar, quadratic_chars
-from metaplectic.laurent import LaurentSeries
+from metaplectic.laurent import LaurentSeries, gamma_transform, one_unit_root
 from metaplectic.phigamma import (
     dual,
     etale_check,
@@ -268,3 +269,69 @@ def test_mat_vec_with_imprecise_zero():
     got = mat_vec([[A[0][0].truncate(2), one]], [one, one])[0]
     assert got.prec == 2
     claims_only_true_digits(got, mat_vec(A, [one, one])[0])
+
+
+# -- the gamma oracle of induced modules ---------------------------------------
+#
+# The reference builds each gamma matrix the long way: it inverts
+# gamma(X)/(omega(c) X), takes the (p^n - 1)-th root w of that 1-unit, and
+# raises w to h p^i (p-1) for each diagonal entry i.
+
+
+def reference_induced_gamma(spec, n, h, tame, c, req_prec):
+    p = spec.p
+    g = gamma_transform(c, spec, req_prec + 1)
+    unit = g.shift(-1).invert_series().scale(spec.from_int(c))
+    w = one_unit_root(unit.truncate(req_prec), p ** n - 1)
+    chi_c = spec.from_int(pow(c % p, tame, p))
+    out = [[LaurentSeries.zero(spec, req_prec) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        exp = h * (p ** i) * (p - 1)
+        entry = w.pow(exp) if exp else LaurentSeries.one(spec, req_prec)
+        out[i][i] = entry.scale(chi_c).truncate(req_prec)
+    return out
+
+
+INDUCED_FIELDS = [field_make(p, m) for p in (3, 5, 7, 11, 13) for m in (1, 2)]
+
+
+@pytest.mark.parametrize("spec", INDUCED_FIELDS, ids=repr)
+def test_induced_gamma_matches_the_dense_reference(spec):
+    p = spec.p
+    grid = random.Random(100 * p + spec.m)
+    for h in (0, 1, grid.randrange(2, 100), 10 ** 30 + 7):
+        unit = grid.choice([c for c in range(2, 10 ** 4) if c % p])
+        for c, n in itertools.product((2, p + 1, unit), grid.sample(range(1, 7), 2)):
+            tame = grid.randrange(p - 1)
+            D = make_induced(spec, n, h, tame=tame)
+            for req in (2, 300, *grid.sample(range(3, 300), 6)):
+                assert D.gamma_matrix(c, req) == reference_induced_gamma(spec, n, h, tame, c, req)
+
+
+def test_induced_gamma_rejects_non_units():
+    D = make_induced(F3, 2, 1, prec=10)
+    for c in (0, -1, 3):
+        with pytest.raises(ValueError):
+            D.gamma_matrix(c)
+
+
+def induced_family(spec, h, tame, prec):
+    """An induced module and the twist, dual and tensor product built on it."""
+    D = make_induced(spec, 3, h, tame=tame, prec=prec)
+    chi = TameChar(spec.from_int(2), 1)
+    return [D, twist(D, chi), dual(D), tensor(D, make_induced(spec, 2, 1, prec=prec))]
+
+
+@truncation_settings
+@given(st.data())
+def test_gamma_oracle_at_low_precision_claims_only_true_digits(data):
+    spec = data.draw(st.sampled_from((F3, F5, field_make(7), field_make(5, 2))))
+    p = spec.p
+    h = data.draw(st.sampled_from((0, 1, 7, 10 ** 30 + 7)))
+    tame = data.draw(st.integers(0, p - 2))
+    c = data.draw(st.sampled_from((2, p + 1, p ** 2 + 2)))
+    M = data.draw(st.integers(2, 40))
+    for D in induced_family(spec, h, tame, 40):
+        got, want = D.gamma_matrix(c, M), D.gamma_matrix(c, 60)
+        for got_entry, want_entry in zip(entries(got), entries(want), strict=True):
+            claims_only_true_digits(got_entry, want_entry)
