@@ -24,6 +24,15 @@ F_{11^3}, F_{13^3}, F_{11^4}, F_{13^4} and F_211.  The
 at r = 1 over F_101 and F_1009.  The `phigamma.induced_gamma` row builds
 the gamma matrix of c = p + 1 on the rank-4 induced module (h = 39) over
 F_5 at N = 30000, from a fresh module each call, so no cache answers it.
+The `laurent.pow` row at p = 101 raises a dense unit over F_101 (every
+coefficient below X^N nonzero, N = 10^4) to an exponent with three nonzero
+base-p digits, which takes `pow`'s Frobenius-digit branch.  The
+`metagroup` rows at p in {3, 7} each make one pass over 1,000 seeded
+pairs of matrices with entries p^v n/d, v in -40..40 and n/d a unit with
+|n| and d below 10^6: `cocycle` on the pair and `meta_mul` on the pair
+with signs.  `kappa_split` runs over 1,000 seeded elements of K of the
+same kind (a and d units, b and c of valuation 0..40 and 1..40, so c lies
+in pZp and the sign is twisted).
 
 A repetition calls the operation `number` times, with `number` raised until
 one repetition lasts at least MIN_REP_S; a row reports the best of REPEAT
@@ -32,9 +41,10 @@ time at reference speed: scaled by perfbench's reference loop read around
 each repetition (see perfbench/speed.py), so two files from one machine
 compare even when its speed changed between the runs.  `--compare a b`
 prints each row's ref_ms in a and b and the ratio a/b (above 1: b is
-faster).  `--scale` below 1 shrinks every N and MIN_REP_S alike, and runs
-the `verify_bijection` rows over F_{3^4} and F_5 and leaves out the
-`simulate_dual_frobenius` and `induced_gamma` rows, for a quick smoke run.
+faster).  `--scale` below 1 shrinks every N, the pair counts and
+MIN_REP_S alike, runs the `verify_bijection` rows over F_{3^4} and F_5,
+and leaves out the `simulate_dual_frobenius`, `induced_gamma` and p = 101
+`pow` rows, for a quick smoke run.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +69,7 @@ from metaplectic.classify import simulate_dual_frobenius, ss_data  # noqa: E402
 from metaplectic.coeff import FieldElem, field_make  # noqa: E402
 from metaplectic.laurent import LaurentSeries, gamma_act, phi_basis_decompose  # noqa: E402
 from metaplectic.meta import verify_bijection  # noqa: E402
+from metaplectic.metagroup import MetaElem, PMatrix, cocycle, kappa_split, meta_mul  # noqa: E402
 from metaplectic.phigamma import identity_matrix, make_induced, mat_inv, mat_mul, psi  # noqa: E402
 
 MIN_REP_S = 0.05
@@ -75,6 +87,9 @@ VERIFY_FIELDS = ((7, 4), (31, 1), (11, 3), (13, 3), (11, 4), (13, 4), (211, 1))
 SMOKE_VERIFY_FIELDS = ((3, 4), (5, 1), (3, 2), (5, 2), (3, 3))  # below --scale 1
 SIMULATE_PRIMES = (101, 1009)  # at --scale 1 only
 INDUCED_GAMMA = (5, 4, 39, 30000)  # p, n, h, N; at --scale 1 only
+POW_FIELD, POW_SIZE = 101, 10000  # at --scale 1 only
+COVER_PRIMES = (3, 7)
+COVER_PAIRS = 1000
 
 
 def nonzero(rng, spec):
@@ -87,6 +102,28 @@ def nonzero(rng, spec):
 def dense(rng, spec, N):
     """Valuation -1, every coefficient below X^N nonzero."""
     return LaurentSeries(spec, {e: nonzero(rng, spec) for e in range(-1, N)}, N)
+
+
+def wide(rng, p, v_range=range(-40, 41)):
+    """p^v n/d with v drawn from v_range and n/d a unit, |n| and d below 10^6."""
+    while True:
+        n, d = rng.randrange(1, 10 ** 6), rng.randrange(1, 10 ** 6)
+        if n % p and d % p:
+            return Fraction(p) ** rng.choice(v_range) * Fraction(rng.choice((1, -1)) * n, d)
+
+
+def wide_matrix(rng, p):
+    """An invertible matrix of `wide` entries."""
+    while True:
+        ents = [wide(rng, p) for _ in range(4)]
+        if ents[0] * ents[3] != ents[1] * ents[2]:
+            return PMatrix(*ents)
+
+
+def k_matrix(rng, p):
+    """a, d units and b, c of valuation 0..40, 1..40: in K, with c in pZp."""
+    a, d = wide(rng, p, (0,)), wide(rng, p, (0,))
+    return PMatrix(a, wide(rng, p, range(41)), wide(rng, p, range(1, 41)), d)
 
 
 def rows(scale):
@@ -149,6 +186,21 @@ def rows(scale):
         spec = field_make(p)
         name = f"phigamma.induced_gamma p={p} m=1 n={n} h={h} N={N}"
         out.append((name, lambda: make_induced(spec, n, h, prec=N).gamma_matrix(p + 1)))
+        p = POW_FIELD
+        u = dense(rng, field_make(p), POW_SIZE).shift(1)
+        e = 3 + 50 * p + 97 * p * p
+        out.append((f"laurent.pow p={p} m=1 N={POW_SIZE} e={e}", lambda u=u, e=e: u.pow(e)))
+    for p in COVER_PRIMES:
+        n = max(2, round(COVER_PAIRS * scale))
+        pairs = [(wide_matrix(rng, p), wide_matrix(rng, p)) for _ in range(n)]
+        elems = [(MetaElem(g1, 1), MetaElem(g2, -1)) for g1, g2 in pairs]
+        ks = [k_matrix(rng, p) for _ in range(n)]
+        tag = f"p={p} pairs={COVER_PAIRS}"
+        out += [
+            (f"metagroup.cocycle {tag}", lambda p=p, pairs=pairs: [cocycle(g1, g2, p) for g1, g2 in pairs]),
+            (f"metagroup.meta_mul {tag}", lambda p=p, elems=elems: [meta_mul(x, y, p) for x, y in elems]),
+            (f"metagroup.kappa_split {tag}", lambda p=p, ks=ks: [kappa_split(g, 1, p) for g in ks]),
+        ]
     return out
 
 

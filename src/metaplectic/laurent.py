@@ -204,8 +204,8 @@ class LaurentSeries:
         For series with prime-field coefficients the base-p digits of e
         are handled through the Frobenius (f^{p^k} = f(X^{p^k})), which
         keeps large exponents cheap and precision tight.  The result is
-        known to K = prec - v digits past its valuation, so each factor is
-        taken by `frobenius_phi` to K digits past its own valuation.
+        known to K = prec - v digits past its valuation, so a digit d at
+        position k takes u^d for u = self cut to ceil(K/p^k) digits past v.
         """
         if e == 0:
             return LaurentSeries.one(self.spec, self.prec)
@@ -214,15 +214,13 @@ class LaurentSeries:
         spec, v = self.spec, self.v
         p, m = spec.p, spec.m
         if e >= p and v >= 0 and not any(any(self.res[j::m]) for j in range(1, m)):
-            small = [None, self]
-            for d in range(2, p):
-                small.append(small[-1] * self)
             K = self.prec - v
             result, k, t = None, 0, e
             while t:
                 t, d = divmod(t, p)
                 if d:
-                    factor = frobenius_phi(small[d], k, v * d * p ** k + K)
+                    u = self.truncate(v - (-K // p ** k))
+                    factor = frobenius_phi(u.pow(d), k, v * d * p ** k + K)
                     result = factor if result is None else result * factor
                 k += 1
             return result

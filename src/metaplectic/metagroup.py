@@ -17,7 +17,9 @@ the Hilbert symbol is the closed form
     (a, b) = eps^{v(a) v(b)} * e(a)^{v(b)} * e(b)^{v(a)},
 
 which is omega((-1)^{v(a) v(b)} * b^{v(a)} / a^{v(b)})^{(p-1)/2} read off
-the splits, with no power of a rational formed.
+the splits, with no power of a rational formed.  The split is multiplicative
+(v adds, e multiplies), so `cocycle` splits c(g1 g2), read off the product's
+lower row as an unreduced integer pair, and forms no matrix and no quotient.
 
 Convention: omega, read as a character of Qp^* via the class-field
 normalization sending p to a (geometric) Frobenius, takes the value 1 at
@@ -55,17 +57,22 @@ def _strip(n, p):
     return k, n
 
 
+def _split_nd(n, d, p):
+    """(v, e) of n/d for nonzero ints n and d, which need not be coprime."""
+    vn, n = _strip(n, p)
+    vd, d = _strip(d, p)
+    # n/d and n*d have one square class, as d^2 is a square
+    return vn - vd, 1 if pow(n % p * (d % p), (p - 1) // 2, p) == 1 else -1
+
+
 def _split(x, p):
     """(v, e) for a nonzero rational x = p^v u: its valuation v and the
     square class e = omega(u)^{(p-1)/2} in {+1, -1} of its unit part u."""
     if type(x) is not Fraction:
         x = Fraction(x)
-    if x == 0:
+    if not x:
         raise ValueError("nonzero required")
-    vn, num = _strip(x.numerator, p)
-    vd, den = _strip(x.denominator, p)
-    # num/den and num*den have one square class, as den^2 is a square
-    return vn - vd, 1 if pow(num % p * (den % p), (p - 1) // 2, p) == 1 else -1
+    return _split_nd(x.numerator, x.denominator, p)
 
 
 def vp(x, p):
@@ -73,19 +80,22 @@ def vp(x, p):
     return _split(x, p)[0]
 
 
-def hilbert(a, b, p):
-    """The quadratic Hilbert symbol (a, b) in {+1, -1}."""
-    va, ea = _split(a, p)
-    vb, eb = _split(b, p)
+def _symbol(va, ea, vb, eb, p):
+    """The Hilbert symbol (a, b) from the splits (va, ea) of a and (vb, eb) of b."""
     eps = 1 if p % 4 == 1 else -1
     return eps ** (va * vb % 2) * ea ** (vb % 2) * eb ** (va % 2)
 
 
-def _dot(x, y, z, w):
-    """x*y + z*w for Fractions, normalized once."""
+def hilbert(a, b, p):
+    """The quadratic Hilbert symbol (a, b) in {+1, -1}."""
+    return _symbol(*_split(a, p), *_split(b, p), p)
+
+
+def _pair(x, y, z, w):
+    """x*y + z*w for Fractions as an unreduced (numerator, denominator) pair."""
     d1 = x.denominator * y.denominator
     d2 = z.denominator * w.denominator
-    return Fraction(x.numerator * y.numerator * d2 + z.numerator * w.numerator * d1, d1 * d2)
+    return x.numerator * y.numerator * d2 + z.numerator * w.numerator * d1, d1 * d2
 
 
 class PMatrix:
@@ -95,27 +105,34 @@ class PMatrix:
 
     def __init__(self, a, b, c, d):
         a, b, c, d = (x if type(x) is Fraction else Fraction(x) for x in (a, b, c, d))
-        det = _dot(a, d, -b, c)
+        det = Fraction(*_pair(a, d, -b, c))
         if det == 0:
             raise ValueError("singular matrix")
         self.a, self.b, self.c, self.d, self.det = a, b, c, d, det
 
+    @classmethod
+    def _known(cls, a, b, c, d, det):
+        """The matrix of Fractions a, b, c, d whose nonzero det is known."""
+        g = object.__new__(cls)
+        g.a, g.b, g.c, g.d, g.det = a, b, c, d, det
+        return g
+
     def __mul__(self, other):
-        return PMatrix(
-            _dot(self.a, other.a, self.b, other.c),
-            _dot(self.a, other.b, self.b, other.d),
-            _dot(self.c, other.a, self.d, other.c),
-            _dot(self.c, other.b, self.d, other.d),
+        return PMatrix._known(
+            Fraction(*_pair(self.a, other.a, self.b, other.c)),
+            Fraction(*_pair(self.a, other.b, self.b, other.d)),
+            Fraction(*_pair(self.c, other.a, self.d, other.c)),
+            Fraction(*_pair(self.c, other.b, self.d, other.d)),
+            self.det * other.det,
         )
 
     def inv(self):
-        return PMatrix(
-            self.d / self.det, -self.b / self.det, -self.c / self.det, self.a / self.det
-        )
+        det = self.det
+        return PMatrix._known(self.d / det, -self.b / det, -self.c / det, self.a / det, 1 / det)
 
     def cc(self):
         """The lower-left entry if nonzero, else the lower-right one."""
-        return self.c if self.c != 0 else self.d
+        return self.c or self.d
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -159,9 +176,14 @@ class MetaElem:
 
 def cocycle(g1, g2, p):
     """The 2-cocycle sigma(g1, g2) in {+1, -1}."""
-    prod = g1 * g2
-    cp = prod.cc()
-    return hilbert(cp / g1.cc(), cp / g2.cc() * g1.det, p)
+    n, d = _pair(g1.c, g2.a, g1.d, g2.c)
+    if not n:
+        n, d = _pair(g1.c, g2.b, g1.d, g2.d)
+    v, e = _split_nd(n, d, p)
+    v1, e1 = _split(g1.cc(), p)
+    v2, e2 = _split(g2.cc(), p)
+    vdet, edet = _split(g1.det, p)
+    return _symbol(v - v1, e * e1, v + vdet - v2, e * edet * e2, p)
 
 
 def meta_mul(x, y, p):
@@ -181,13 +203,14 @@ def kappa_split(g, zeta, p):
     Requires integral entries (p-adic sense) and unit determinant; twists
     the sign by (c, d det(g)^{-1}) exactly when c lies in pZp - {0}.
     """
-    for entry in g.entries():
-        if entry != 0 and vp(entry, p) < 0:
-            raise ValueError("not in K")
-    if vp(g.det, p) != 0:
+    c, d, det = g.c, g.d, g.det
+    # Fractions are reduced: g is integral iff p divides no denominator, and
+    # then det is a unit iff p does not divide its numerator
+    if any(x.denominator % p == 0 for x in g.entries()) or det.numerator % p == 0:
         raise ValueError("not in K")
-    if g.c != 0 and vp(g.c, p) >= 1:
-        return MetaElem(g, zeta * hilbert(g.c, g.d / g.det, p))
+    if c and c.numerator % p == 0:  # then ad = det + bc is a unit, so d != 0
+        d_det = _split_nd(d.numerator * det.denominator, d.denominator * det.numerator, p)
+        return MetaElem(g, zeta * _symbol(*_split(c, p), *d_det, p))
     return MetaElem(g, zeta)
 
 

@@ -228,15 +228,19 @@ def recurrence_invert(f):
     return LaurentSeries(f.spec, {e - v: a * lead_inv for e, a in b.items()}, n - v)
 
 
-def chain_pow(f, e):
-    """f**e as a chain of schoolbook products (the inverse first if e < 0)."""
+def square_pow(f, e):
+    """f**e by square-and-multiply over schoolbook products (the inverse first if e < 0)."""
     if e == 0:
         return LaurentSeries.one(f.spec, f.prec)
     if e < 0:
         f, e = recurrence_invert(f), -e
-    out = f
-    for _ in range(e - 1):
-        out = schoolbook_mul(out, f)
+    out = None
+    while e:
+        if e & 1:
+            out = f if out is None else schoolbook_mul(out, f)
+        e >>= 1
+        if e:
+            f = schoolbook_mul(f, f)
     return out
 
 
@@ -324,13 +328,16 @@ def test_kernel_invert_matches_recurrence(data):
     same(f.invert_series(), recurrence_invert(f))
 
 
-@kernel_settings
+@settings(kernel_settings, max_examples=300)
 @given(st.data())
 def test_kernel_pow_matches_product_chain(data):
     spec = data.draw(st.sampled_from(KERNEL_FIELDS))
     f = data.draw(kernel_series(spec, max_len=12))
-    e = data.draw(st.integers(0 if f.is_zero() else -3, 2 * spec.p + 1))
-    same(f.pow(e), chain_pow(f, e))
+    # e up to p^3 can take any value at base-p digit positions 0, 1 and 2;
+    # only about one draw in six (m = 1, v >= 0, nonzero) takes pow's
+    # Frobenius-digit branch, hence the larger example count
+    e = data.draw(st.integers(0 if f.is_zero() else -3, spec.p ** 3))
+    same(f.pow(e), square_pow(f, e))
 
 
 @kernel_settings
@@ -419,7 +426,7 @@ def test_series_op_of_truncated_input_claims_only_true_digits(data):
         low = f.valuation + 1
         op = lambda x: [x.invert_series()]
     elif name == "pow":
-        e = data.draw(st.integers(0 if f.is_zero() else -3, 2 * p + 1))
+        e = data.draw(st.integers(0 if f.is_zero() else -3, p ** 3))
         if e < 0:
             low = f.valuation + 1
         op = lambda x: [x.pow(e)]

@@ -215,3 +215,95 @@ def test_symbols_match_the_exact_rational_formulas(p):
         square = ref_vp(a, p) % 2 == 0 and ref_omega_sign(ref_unit_part(a, p), p) == 1
         assert is_square_qp(a, p) == square
         assert is_square_qp(a * a, p)
+
+
+def ref_cc(a, b, c, d):
+    return c if c != 0 else d
+
+
+def ref_cocycle(g1, g2, p):
+    """sigma(g1, g2) from the full Fraction product and its determinant."""
+    a, b, c, d = g1.entries()
+    e, f, u, w = g2.entries()
+    cp = ref_cc(a * e + b * u, a * f + b * w, c * e + d * u, c * f + d * w)
+    return ref_hilbert(cp / ref_cc(a, b, c, d), cp / ref_cc(e, f, u, w) * (a * d - b * c), p)
+
+
+def ref_kappa_split(g, zeta, p):
+    """Integral entries and a unit determinant, or "not in K"; the sign is
+    twisted by (c, d det^-1) exactly when c lies in pZp - {0}."""
+    a, b, c, d = g.entries()
+    det = a * d - b * c
+    if any(x != 0 and ref_vp(x, p) < 0 for x in (a, b, c, d)) or ref_vp(det, p) != 0:
+        raise ValueError("not in K")
+    if c != 0 and ref_vp(c, p) >= 1:
+        return MetaElem(g, zeta * ref_hilbert(c, d / det, p))
+    return MetaElem(g, zeta)
+
+
+def wide_matrix(rng, p, entry=wide_rational):
+    """An invertible matrix of `entry` draws, each entry 0 one time in four."""
+    while True:
+        ents = [entry(rng, p) if rng.randrange(4) else Fraction(0) for _ in range(4)]
+        if ents[0] * ents[3] != ents[1] * ents[2]:
+            return PMatrix(*ents)
+
+
+def upper_partner(rng, p, g1):
+    """g1^-1 t for an invertible upper-triangular t, built on Fractions, so
+    that the product g1 g2 = t has lower-left entry 0."""
+    a, b, c, d = g1.entries()
+    det = a * d - b * c
+    t1, t2, t3 = wide_rational(rng, p), wide_rational(rng, p), wide_rational(rng, p)
+    return PMatrix(d * t1 / det, (d * t2 - b * t3) / det, -c * t1 / det, (a * t3 - c * t2) / det)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_cocycle_and_product_match_the_fraction_formulas(p):
+    local = random.Random(100 + p)
+    for i in range(400):
+        g1 = wide_matrix(local, p)
+        g2 = upper_partner(local, p, g1) if i % 4 == 0 else wide_matrix(local, p)
+        a, b, c, d = g1.entries()
+        e, f, u, w = g2.entries()
+        prod = g1 * g2
+        assert prod.entries() == (a * e + b * u, a * f + b * w, c * e + d * u, c * f + d * w)
+        assert prod.det == (a * d - b * c) * (e * w - f * u)
+        if i % 4 == 0:
+            assert prod.c == 0
+        inv = g1.inv()
+        assert inv.det == 1 / (a * d - b * c)
+        assert (g1 * inv).entries() == (1, 0, 0, 1)
+        assert cocycle(g1, g2, p) == ref_cocycle(g1, g2, p)
+        assert cocycle(g1, inv, p) == ref_cocycle(g1, inv, p)
+
+
+def integral_or_not(rng, p):
+    """p^v u with v in -1..3 and u = n/d a unit, |n| and d below 10^6."""
+    x = wide_rational(rng, p)
+    return x / Fraction(p) ** ref_vp(x, p) * Fraction(p) ** rng.choice((-1, 0, 0, 1, 1, 2, 3))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_kappa_split_matches_its_rule(p):
+    local = random.Random(200 + p)
+    outcomes = set()
+    for _ in range(600):
+        g, zeta = wide_matrix(local, p, integral_or_not), local.choice((1, -1))
+        try:
+            want = ref_kappa_split(g, zeta, p)
+        except ValueError:
+            with pytest.raises(ValueError, match="not in K"):
+                kappa_split(g, zeta, p)
+            outcomes.add("not in K")
+            continue
+        assert kappa_split(g, zeta, p) == want
+        outcomes.add(want.zeta * zeta)
+    assert outcomes == {"not in K", 1, -1}
+    unit = Fraction(2 if p != 3 else 4, 5 if p != 5 else 7)
+    with pytest.raises(ValueError, match="not in K"):
+        kappa_split(PMatrix(1, Fraction(1, p), 0, 1), 1, p)
+    with pytest.raises(ValueError, match="not in K"):
+        kappa_split(PMatrix(unit, 0, p * unit, p), 1, p)
+    with pytest.raises(ValueError, match="not in K"):
+        kappa_split(PMatrix(p, 1, 0, Fraction(1, p)), 1, p)
