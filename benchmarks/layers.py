@@ -20,6 +20,9 @@ coefficient tuples, products of nonzero pairs, inverses, and powers to
 exponents drawn from 0..q-2.  The `meta.verify_bijection` rows solve
 both sides of the supersingular correspondence over F_{7^4}, F_31,
 F_{11^3}, F_{13^3}, F_{11^4}, F_{13^4} and F_211.  The
+`galois.lemma2_reduce` row reduces 1,000 seeded odd h with |h| below 10^6
+at p = 101, and the `meta.invert_ss_image` rows invert the images of 10
+seeded supersingulars (r, eta) over F_101 and F_10007.  The
 `classify.simulate_dual_frobenius` rows compute phi(f_1) to K = 4 digits
 at r = 1 over F_101 and F_1009.  The `phigamma.induced_gamma` row builds
 the gamma matrix of c = p + 1 on the rank-4 induced module (h = 39) over
@@ -43,8 +46,8 @@ compare even when its speed changed between the runs.  `--compare a b`
 prints each row's ref_ms in a and b and the ratio a/b (above 1: b is
 faster).  `--scale` below 1 shrinks every N, the pair counts and
 MIN_REP_S alike, runs the `verify_bijection` rows over F_{3^4} and F_5,
-and leaves out the `simulate_dual_frobenius`, `induced_gamma` and p = 101
-`pow` rows, for a quick smoke run.
+and leaves out the `simulate_dual_frobenius`, `induced_gamma`, p = 101
+`pow` and p = 10007 `invert_ss_image` rows, for a quick smoke run.
 """
 
 from __future__ import annotations
@@ -66,9 +69,11 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import speed  # noqa: E402
 from metaplectic.classify import simulate_dual_frobenius, ss_data  # noqa: E402
+from metaplectic.chars import TameChar  # noqa: E402
 from metaplectic.coeff import FieldElem, field_make  # noqa: E402
+from metaplectic.galois import lemma2_reduce  # noqa: E402
 from metaplectic.laurent import LaurentSeries, gamma_act, phi_basis_decompose  # noqa: E402
-from metaplectic.meta import verify_bijection  # noqa: E402
+from metaplectic.meta import SSRep, admissible, invert_ss_image, ss_image, verify_bijection  # noqa: E402
 from metaplectic.metagroup import MetaElem, PMatrix, cocycle, kappa_split, meta_mul  # noqa: E402
 from metaplectic.phigamma import identity_matrix, make_induced, mat_inv, mat_mul, psi  # noqa: E402
 
@@ -85,6 +90,9 @@ ELEM_FIELDS = ((7, 4), (3, 8))  # q = 2401 is tabled, q = 6561 is not
 ELEM_COUNT = 1000
 VERIFY_FIELDS = ((7, 4), (31, 1), (11, 3), (13, 3), (11, 4), (13, 4), (211, 1))
 SMOKE_VERIFY_FIELDS = ((3, 4), (5, 1), (3, 2), (5, 2), (3, 3))  # below --scale 1
+LEMMA2_PRIME, LEMMA2_COUNT = 101, 1000
+INVERT_PRIMES = (101, 10007)  # 10007 at --scale 1 only
+INVERT_COUNT = 10
 SIMULATE_PRIMES = (101, 1009)  # at --scale 1 only
 INDUCED_GAMMA = (5, 4, 39, 30000)  # p, n, h, N; at --scale 1 only
 POW_FIELD, POW_SIZE = 101, 10000  # at --scale 1 only
@@ -201,6 +209,17 @@ def rows(scale):
             (f"metagroup.meta_mul {tag}", lambda p=p, elems=elems: [meta_mul(x, y, p) for x, y in elems]),
             (f"metagroup.kappa_split {tag}", lambda p=p, ks=ks: [kappa_split(g, 1, p) for g in ks]),
         ]
+    p, n = LEMMA2_PRIME, max(2, round(LEMMA2_COUNT * scale))
+    hs = [2 * rng.randrange(-10 ** 6, 10 ** 6) + 1 for _ in range(n)]
+    name = f"galois.lemma2_reduce p={p} n={LEMMA2_COUNT}"
+    out.append((name, lambda p=p, hs=hs: [lemma2_reduce(h, p) for h in hs]))
+    for p in INVERT_PRIMES if scale >= 1 else INVERT_PRIMES[:1]:
+        spec = field_make(p)
+        n = max(2, round(INVERT_COUNT * scale))
+        etas = [TameChar(nonzero(rng, spec), rng.randrange(p - 1)) for _ in range(n)]
+        images = [ss_image(SSRep(spec, rng.choice(admissible(p)), eta)).base for eta in etas]
+        name = f"meta.invert_ss_image p={p} m=1 n={INVERT_COUNT}"
+        out.append((name, lambda images=images: [invert_ss_image(M) for M in images]))
     return out
 
 

@@ -52,10 +52,6 @@ class TameChar:
     def omega_power(cls, spec, a):
         return cls(spec.one(), a)
 
-    @classmethod
-    def unramified(cls, spec, lam):
-        return cls(lam, 0)
-
     def mul(self, other):
         return TameChar(self.unram * other.unram, self.tame + other.tame)
 

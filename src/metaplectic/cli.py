@@ -1,9 +1,9 @@
 """Command-line entry point: every pipeline stage with reproducible JSON output.
 
 Exit codes: 0 success, 1 mathematical error (the message is the module's
-error tag) or a report whose "ok" is false, 2 usage error.  Output is
-deterministic for fixed arguments and seed: keys are sorted and no
-timestamps are emitted.
+error tag), a report whose "ok" is false or a closed stdout, 2 usage
+error.  Output is deterministic for fixed arguments and seed: keys are
+sorted and no timestamps are emitted.
 
 Each subcommand is one entry of COMMANDS: its help, its options with their
 size bounds, and a handler(args, spec) that returns the object to print.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -352,8 +353,16 @@ def main(argv=None):
             raise ValueError("odd prime required")
         out = handler(args, field_make(args.p, args.m) if hasattr(args, "m") else None)
         _emit(out, args.format)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
     except (ValueError, ZeroDivisionError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered, and the flush at exit, go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(json.dumps({"error": "stdout was closed"}), file=sys.stderr)
         return 1
     return 1 if isinstance(out, dict) and out.get("ok") is False else 0
 

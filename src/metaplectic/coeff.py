@@ -43,14 +43,7 @@ TABLE_MAX_ORDER = 4096
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n > 1 and _prime_factors(n) == [n]
 
 
 # -- polynomial helpers over F_p; polynomials are tuples, index = degree --

@@ -10,6 +10,19 @@ into H through omega = (level-n character)^{(p^n-1)/(p-1)}, so the pair
 
 Isomorphism testing is Frobenius-orbit equality on H together with
 equality of Lam; canonicalize picks the minimum of the orbit.
+
+The degree-4 window split.  Write N = p^4 - 1, half = (p^2 + 1)/2 and
+step = N/(p - 1) = 2(p + 1) half, the shift of H by omega.  An exponent
+x = half y, y read mod N/half = 2(p^2 - 1), splits as
+
+    y = a 2(p + 1) + h',   0 <= a < p - 1,   0 <= h' < 2(p + 1),
+
+so the parameter of x is the omega^a twist of that of half h'.  The
+window is the odd h' in [3, 2p - 1]; of the other odd residues, 1 and
+2p + 1 are Frobenius conjugates of p and p + 2 (p (2p + 1) == p + 2 mod
+2(p^2 - 1)).  Every window exponent is fixed by the tame quadratic
+twist, since (p^2 - 1) half h' == N/2 for odd h', and Frobenius and tame
+shifts keep that congruence.
 """
 
 from __future__ import annotations
@@ -156,16 +169,9 @@ def lemma1_classify(P):
     p = 7, and the minimum is the canonical representative).  None is
     the negative answer.
 
-    A window match is x - a step == half h' mod N for a Frobenius conjugate
-    x of H and a tame shift 0 <= a < p - 1, where N = p^4 - 1,
-    half = (p^2 + 1)/2 and step = N/(p - 1) = 2(p + 1) half.  half divides
-    N and step, so a match needs half | x; with y = x/half it reads
-    y - 2(p + 1) a == h' mod 2(p^2 - 1).  The p - 1 shifts reach every
-    residue == y mod 2(p + 1) below 2(p^2 - 1), and h' < 2p < 2(p + 1), so
-    the only candidate is h' = y mod 2(p + 1), kept when it is odd and in
-    [3, 2p).  Every window exponent is already twist-invariant, since
-    (p^2 - 1)(p^2 + 1)/2 * h' == (p^4 - 1)/2 for odd h', and Frobenius and
-    tame shifts keep that congruence.
+    A window match is a Frobenius conjugate x of H whose window split (module
+    docstring) reads h' in the window: half | x and h' = x/half mod 2(p + 1)
+    odd in [3, 2p).
     """
     if P.n != 4:
         raise ValueError("incomparable")
@@ -182,41 +188,15 @@ def lemma1_classify(P):
 
 
 def lemma2_reduce(h, p):
-    """Reduce an odd exponent to the window [3, 2p - 1].
-
-    Deterministic implementation of the reduction by base-p digits:
-    renormalize mod 2(p^2 - 1); strip the p^2 digit with a half twist;
-    choose the unique a making the middle digit 0 or 1; repair a negative
-    low digit with +2(p+1) and, in the leftover -1 case, the Frobenius
-    intertwining (2p+1 ~ p+2); finally send h' = 1 to p.  Returns (a, h')
-    with the induced parameter of (p^2+1)/2 * h isomorphic to the omega^a
-    twist of that of (p^2+1)/2 * h'.
+    """Reduce an odd exponent to the window [3, 2p - 1]: (a, h') from the
+    window split (module docstring) of y = h, with h' = 1 and 2p + 1 sent
+    to their Frobenius conjugates p and p + 2.  The induced parameter of
+    (p^2+1)/2 * h is the omega^a twist of that of (p^2+1)/2 * h'.
     """
     if h % 2 == 0:
         raise ValueError("odd required")
-    a_total = 0
-    h = h % (2 * (p * p - 1))
-    h0, h1, h2 = h % p, (h // p) % p, h // (p * p)
-    if h2 == 1:
-        a_total += (p - 1) // 2
-        h -= p * p - 1
-        h0, h1 = h % p, h // p
-    a = h1 // 2
-    h1p = h1 - 2 * a
-    h0p = h0 - 2 * a
-    a_total += a
-    hp = h0p + p * h1p
-    if h1p == 0 and h0p < 0:
-        a_total -= 1
-        hp = h0p + 2 * (p + 1)
-        if h0p == -1:
-            # 2p + 1 is Frobenius-equivalent to p + 2
-            hp = p + 2
-    if hp == 1:
-        hp = p
-    if hp % 2 == 0 or not 3 <= hp <= 2 * p - 1:
-        raise AssertionError(f"reduction of {h} left the window: {hp}")
-    return a_total % (p - 1), hp
+    a, hp = divmod(h % (2 * (p * p - 1)), 2 * (p + 1))
+    return a, {1: p, 2 * p + 1: p + 2}.get(hp, hp)
 
 
 def lfield_param(spec, h):

@@ -355,9 +355,10 @@ def invert_ss_image(M):
 
     Classifies the twist-invariant exponent to get h' (hence r), then
     solves for the first eta, in enumerate_tame_chars order, whose image
-    is M.  The image exponent depends only on the tame part of eta, so
-    that part is the least tame whose weight-r exponent lies in the
-    Frobenius orbit of M.H; the image's Lam is lam0(r) eta(p)^4, so eta(p)
+    is M.  The image exponent depends only on the tame part of eta: a
+    conjugate x of M.H whose window split (galois module docstring) reads
+    h' is the image of the tame (a - r + 1) mod (p - 1), and that part is
+    the least of these.  The image's Lam is lam0(r) eta(p)^4, so eta(p)
     is the least fourth root of Lam / lam0(r) in counting order (index
     sum c_j p^j, not the lexicographic order of nth_roots).  Raises when
     the parameter is not attainable: either it is not
@@ -374,10 +375,13 @@ def invert_ss_image(M):
         raise ValueError("not twist-invariant-irreducible")
     p = spec.p
     r = _r_of_hprime(p, hprime)
-    mod = p ** 4 - 1
-    conjugates = orbit(M.H, 4, p)
-    tame = next((t for t in range(p - 1) if _ss_exponent(p, r, t) % mod in conjugates), None)
-    roots = [] if tame is None else nth_roots(M.Lam / ss_lam0(spec, r), 4)
+    half, width = (p * p + 1) // 2, 2 * (p + 1)
+    tame = min(
+        (x // half // width - r + 1) % (p - 1)
+        for x in orbit(M.H, 4, p)
+        if not x % half and x // half % width == hprime
+    )
+    roots = nth_roots(M.Lam / ss_lam0(spec, r), 4)
     if not roots:
         raise ValueError("lambda not a norm in field")
     u = min(roots, key=lambda y: y.coeffs[::-1])

@@ -30,6 +30,7 @@ the test suite rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 __all__ = [
@@ -159,7 +160,9 @@ class PMatrix:
 
 
 def _frac_str(x):
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    # Decimal prints an int of any length; str stops at sys.get_int_max_str_digits()
+    n, d = Decimal(x.numerator), Decimal(x.denominator)
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 @dataclass(frozen=True)

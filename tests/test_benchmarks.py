@@ -19,7 +19,7 @@ def test_layer_benchmark_writes_and_compares(tmp_path):
     layers("--scale", "0.005", "--out", str(out))
     bench = json.loads(out.read_text())
     assert {"commit", "python", "machine", "layers"} <= set(bench)
-    assert len(bench["layers"]) == 40
+    assert len(bench["layers"]) == 42
     assert all(row["ms"] > 0 and row["ref_ms"] > 0 for row in bench["layers"].values())
     lines = layers("--compare", str(out), str(out)).stdout.splitlines()
-    assert len(lines) == 41 and all(line.endswith(" 1.00") for line in lines[1:])
+    assert len(lines) == 43 and all(line.endswith(" 1.00") for line in lines[1:])

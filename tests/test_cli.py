@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -296,6 +297,38 @@ def test_rational_exponent_at_its_limit_answers(capsys):
     assert MAX_EXPONENT == 10 ** 4
     code, out, _ = run_cli(["hilbert", "--p", "5", "1e10000", "2"], capsys)
     assert code == 0 and out.strip() == "1"
+    # an entry of 10^4 digits is printed whole, past Python's int-to-str digit limit
+    code, out, _ = run_cli(["split", "--p", "3", "--g", "1,0,3e9999,1", "--zeta", "1"], capsys)
+    assert code == 0 and json.loads(out)["g"][1][0] == "3" + "0" * 9999
+
+
+def closed_pipe():
+    """A line-buffered text stream on a pipe whose reading end is closed,
+    so that its first write raises BrokenPipeError."""
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    return open(write_fd, "w", buffering=1)
+
+
+def test_closed_stdout_exits_1_without_traceback(capsys, monkeypatch):
+    # closing the stream flushes what is still buffered: to devnull, not to the pipe
+    with closed_pipe() as stdout:
+        with pytest.raises(BrokenPipeError):
+            stdout.write("x\n")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["build-induced", "--p", "5", "--n", "4", "--h", "39", "--prec", "2000"])
+        monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert code == 1 and json.loads(err) == {"error": "stdout was closed"}
+
+
+def test_closed_stdout_prints_nothing_at_exit():
+    with closed_pipe() as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "metaplectic.cli", "galois-reduce", "--p", "5", "--h", "39"],
+            stdout=stdout, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == 1 and json.loads(proc.stderr) == {"error": "stdout was closed"}
 
 
 def readme_cli_lines():

@@ -131,6 +131,50 @@ def test_lemma2_exhaustive():
     assert lemma2_law(F5, range(1, 2 * (5 ** 4 - 1) + 1, 2)) == 5 ** 4 - 1
 
 
+def reference_lemma2_reduce(h, p):
+    """lemma2_reduce by base-p digits, as first written: renormalize mod
+    2(p^2 - 1); strip the p^2 digit with a half twist; choose the unique a
+    making the middle digit 0 or 1; repair a negative low digit with
+    +2(p+1) and, in the leftover -1 case, the Frobenius intertwining
+    (2p+1 ~ p+2); finally send h' = 1 to p."""
+    if h % 2 == 0:
+        raise ValueError("odd required")
+    a_total = 0
+    h = h % (2 * (p * p - 1))
+    h0, h1, h2 = h % p, (h // p) % p, h // (p * p)
+    if h2 == 1:
+        a_total += (p - 1) // 2
+        h -= p * p - 1
+        h0, h1 = h % p, h // p
+    a = h1 // 2
+    h1p = h1 - 2 * a
+    h0p = h0 - 2 * a
+    a_total += a
+    hp = h0p + p * h1p
+    if h1p == 0 and h0p < 0:
+        a_total -= 1
+        hp = h0p + 2 * (p + 1)
+        if h0p == -1:
+            hp = p + 2
+    if hp == 1:
+        hp = p
+    if hp % 2 == 0 or not 3 <= hp <= 2 * p - 1:
+        raise AssertionError(f"reduction of {h} left the window: {hp}")
+    return a_total % (p - 1), hp
+
+
+def test_lemma2_matches_the_digit_reduction():
+    for p in (3, 5, 7, 11, 13, 17):
+        bound = 6 * (p * p - 1)
+        for h in range(1 - bound, bound, 2):
+            assert lemma2_reduce(h, p) == reference_lemma2_reduce(h, p), (p, h)
+    rng = random.Random(20)
+    for p in (101, 1009, 999999937):
+        for _ in range(2000):
+            h = 2 * rng.randrange(-10 ** 30, 10 ** 30) + 1
+            assert lemma2_reduce(h, p) == reference_lemma2_reduce(h, p), (p, h)
+
+
 def test_lemma2_examples():
     assert lemma2_reduce(1, 3)[1] == 3
     a, hp = lemma2_reduce(15, 3)

@@ -17,6 +17,8 @@ from metaplectic.galois import (
 )
 from metaplectic.meta import (
     HeckeExtension,
+    _r_of_hprime,
+    _ss_exponent,
     PSRep,
     SSRep,
     admissible,
@@ -58,7 +60,7 @@ def test_irr_iso_ps_hecke():
     for u in F25.nonzero_elements():
         if not (u ** 4).is_one() or u.is_one():
             continue
-        eta = TameChar.unramified(F25, u)
+        eta = TameChar(u, 0)
         a = PSRep.from_hecke(F25, 1, F25.from_int(2), eta)
         b = PSRep.from_hecke(F25, 1, F25.from_int(2) * (u ** 2))
         assert irr_iso_test(a, b)
@@ -190,6 +192,28 @@ def test_invert_ss_image_returns_the_first_eta(spec):
             first = next(e for e in etas if iso_test(ss_image(SSRep(spec, rec.r, e)).base, M))
             assert rec == SSRep(spec, rec.r, first)
             assert irr_iso_test(rec, SSRep(spec, r, eta))
+
+
+def reference_invert_tame(M, r):
+    """The tame exponent of invert_ss_image by a scan: the least t in
+    0..p-2 whose weight-r image exponent lies in the Frobenius orbit of M.H."""
+    p = M.p
+    conjugates = orbit(M.H, 4, p)
+    return next(t for t in range(p - 1) if _ss_exponent(p, r, t) % (p ** 4 - 1) in conjugates)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("m", [1, 2])
+def test_invert_tame_matches_the_scan(p, m):
+    spec = field_make(p, m)
+    for H in range(p ** 4 - 1):
+        hprime = lemma1_classify(InducedParams(4, H, spec.one()))
+        if hprime is None:
+            continue
+        r = _r_of_hprime(p, hprime)
+        M = InducedParams(4, H, ss_lam0(spec, r))
+        rec = invert_ss_image(M)
+        assert (rec.r, rec.eta.tame) == (r, reference_invert_tame(M, r)), (p, m, H)
 
 
 def test_functoriality_of_images():
