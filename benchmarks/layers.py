@@ -135,7 +135,10 @@ def k_matrix(rng, p):
 
 
 def rows(scale):
-    """(name, zero-argument callable) for every row, inputs built up front."""
+    """(name, zero-argument callable) for every row, inputs built up front.
+
+    A row takes its inputs as default arguments: the loops below rebind
+    their names, and a closure would read their last values."""
     rng = random.Random(SEED)
     out = []
     spec = field_make(*SERIES_FIELD)
@@ -165,8 +168,8 @@ def rows(scale):
     phi_R = mat_mul(D.phi, R)
     tag = f"p={spec.p} m={spec.m} n=4 N={MODULE_SIZE}"
     out += [
-        (f"phigamma.psi {tag}", lambda: psi(D, vec)),
-        (f"phigamma.mat_inv {tag}", lambda: mat_inv(phi_R)),
+        (f"phigamma.psi {tag}", lambda D=D, vec=vec: psi(D, vec)),
+        (f"phigamma.mat_inv {tag}", lambda A=phi_R: mat_inv(A)),
     ]
     for p, m in ELEM_FIELDS:
         spec = field_make(p, m)
@@ -193,7 +196,9 @@ def rows(scale):
         p, n, h, N = INDUCED_GAMMA
         spec = field_make(p)
         name = f"phigamma.induced_gamma p={p} m=1 n={n} h={h} N={N}"
-        out.append((name, lambda: make_induced(spec, n, h, prec=N).gamma_matrix(p + 1)))
+        out.append(
+            (name, lambda s=spec, n=n, h=h, N=N: make_induced(s, n, h, prec=N).gamma_matrix(s.p + 1))
+        )
         p = POW_FIELD
         u = dense(rng, field_make(p), POW_SIZE).shift(1)
         e = 3 + 50 * p + 97 * p * p

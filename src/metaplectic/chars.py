@@ -138,11 +138,6 @@ def quadratic_chars(spec):
     ]
 
 
-def quadchar_to_tame(q, spec):
-    """Embed QuadCharParams (sign data) into the tame-character family."""
-    return TameChar(spec.from_int(q.unram), q.tame)
-
-
 def parse_tame_char(text, spec):
     """Parse the CLI shorthand "mu(lambda)*omega^a" into a TameChar.
 

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .coeff import FieldSpec, _prime_factors, factorial_in, nth_roots
-from .chars import SChar, TameChar, char_restrict_S, quadchar_to_tame
-from .classify import CyclicForm, normalize_cyclic, params_of_normal_form, ss_partner
+from .coeff import FieldSpec, factorial_in, nth_roots
+from .chars import SChar, TameChar, char_restrict_S
+from .classify import ss_partner
 from .galois import (
     InducedParams,
     canonicalize,
@@ -49,7 +49,6 @@ from .galois import (
     quad_twist,
 )
 from .metagroup import chi_z
-from .phigamma import PhiGammaModule, twist as module_twist
 
 __all__ = [
     "SSRep",
@@ -218,56 +217,18 @@ def coset_quad_chars(p):
 @dataclass(frozen=True)
 class MetaPhiGamma:
     """A metaplectic module in parameter form: the character of the
-    squares acting, a base object, and its orbit under the 4 quadratic
-    twists (indexed by the coset representatives {1, u0, p, u0 p})."""
+    squares acting, a base InducedParams, and its orbit under the 4
+    quadratic twists (indexed by the coset representatives {1, u0, p, u0 p})."""
 
     s_char: SChar
-    base: object
+    base: InducedParams
     summands: tuple
 
 
 def meta_ind(s_char, base):
     """Induction from the squares: the 4 coset summands of quadratic twists."""
-    quads = coset_quad_chars(s_char.spec.p)
-    if isinstance(base, InducedParams):
-        summands = tuple(quad_twist(base, q) for q in quads)
-    elif isinstance(base, PhiGammaModule):
-        summands = tuple(module_twist(base, quadchar_to_tame(q, base.spec)) for q in quads)
-    else:
-        raise ValueError("undecidable at this rank")
+    summands = tuple(quad_twist(base, q) for q in coset_quad_chars(s_char.spec.p))
     return MetaPhiGamma(s_char, base, summands)
-
-
-def _primitive_root(p):
-    """The least primitive root g0 mod p."""
-    primes = _prime_factors(p - 1)
-    return next(g for g in range(2, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in primes))
-
-
-def classify_rank1(D):
-    """Parameters of a rank-1 module, read off its phi entry and one unit."""
-    if D.n != 1:
-        raise ValueError("undecidable at this rank")
-    f = D.phi[0][0]
-    v = f.valuation
-    if v is None:
-        raise ValueError("not etale")
-    d = f.leading_coeff()
-    unit = f.shift(-v).scale(d.inv())
-    p = D.spec.p
-    g = _primitive_root(p)
-    lead = D.gamma_matrix(g)[0][0].leading_coeff()
-    b1 = None
-    for a in range(p - 1):
-        if D.spec.from_int(pow(g, a, p)) == lead:
-            b1 = a
-            break
-    if b1 is None:
-        raise ValueError("undecidable at this rank")
-    form = CyclicForm(D.spec, 1, (d,), (v,), (b1,), (unit,))
-    # the basis change is discarded, so one digit of it is enough
-    nf, _ = normalize_cyclic(form, 1)
-    return params_of_normal_form(nf)
 
 
 def meta_irred_test(M):
@@ -276,21 +237,11 @@ def meta_irred_test(M):
     True when the 4 twist summands are pairwise non-isomorphic, or when
     the orbit collapses onto a single absolutely irreducible base.
     """
-    summands = []
-    for s in M.summands:
-        if isinstance(s, InducedParams):
-            summands.append(s)
-        else:
-            summands.append(classify_rank1(s))
-    keys = [canonicalize(s).sort_key() for s in summands]
+    keys = [canonicalize(s).sort_key() for s in M.summands]
     if len(set(keys)) == len(keys):
         return True
     base = M.base
-    if isinstance(base, InducedParams):
-        p = base.spec.p
-        H = base.H % (p ** base.n - 1)
-        return H != 0 and primitive(H, base.n, p)
-    raise ValueError("undecidable at this rank")
+    return base.H != 0 and primitive(base.H, base.n, base.spec.p)
 
 
 def ps_image(chi1, chi2):
@@ -367,8 +318,6 @@ def invert_ss_image(M):
     """
     if isinstance(M, MetaPhiGamma):
         M = M.base
-        if not isinstance(M, InducedParams):
-            raise ValueError("undecidable at this rank")
     spec = M.spec
     hprime = lemma1_classify(M)
     if hprime is None:

@@ -11,9 +11,9 @@ Constructors implement the standard dictionary entries: rank-1 modules of
 tame characters, the n-dimensional modules attached to induced
 representations of unramified degree-n subfields (gamma acts through one
 integer power u^a of the 1-unit u = gamma(X) / (omega(gamma) X) and its
-Frobenius images), twists, duals and tensor products.  The psi operator
-extracts the 0-component of the (1+X)^i-basis decomposition after
-applying the inverse of the phi-matrix.
+Frobenius images), twists and duals.  The psi operator extracts the
+0-component of the (1+X)^i-basis decomposition after applying the inverse
+of the phi-matrix.
 """
 
 from __future__ import annotations
@@ -34,13 +34,10 @@ __all__ = [
     "make_induced",
     "twist",
     "dual",
-    "tensor",
     "psi",
-    "etale_check",
     "mat_mul",
     "mat_vec",
     "mat_inv",
-    "mat_det",
     "identity_matrix",
 ]
 
@@ -106,41 +103,17 @@ def mat_map(fn, A):
     return [[fn(entry) for entry in row] for row in A]
 
 
-def mat_kron(A, B):
-    nA, nB = len(A), len(B)
-    out = []
-    for i in range(nA):
-        for k in range(nB):
-            row = []
-            for j in range(nA):
-                for l in range(nB):
-                    row.append(A[i][j] * B[k][l])
-            out.append(row)
-    return out
-
-
-def _gauss_jordan(A):
-    """Gauss-Jordan elimination of [A | I] with least-valuation pivots.
-
-    Returns (pivots, A^-1); det A is the product of the pivots, each
-    negated when its row was swapped.  When no entry left in column j is
-    known to be nonzero, A is singular to the known digits: the inverse is
-    None, and the last pivot is a zero known to the valuation that every
-    term of the remaining block's Leibniz expansion (one entry per column)
-    reaches.
-    """
+def mat_inv(A):
+    """Inverse by Gauss-Jordan elimination of [A | I] with least-valuation
+    pivots; raises when no entry left in a column is known to be nonzero."""
     n = len(A)
-    spec = A[0][0].spec
-    ident = identity_matrix(spec, n, max(e.prec for row in A for e in row))
+    ident = identity_matrix(A[0][0].spec, n, max(e.prec for row in A for e in row))
     M = [list(row) + ident[i] for i, row in enumerate(A)]
-    pivots = []
     for j in range(n):
         rows = [i for i in range(j, n) if not M[i][j].is_zero()]
         if not rows:
-            known = sum(min(M[i][k].v for i in range(j, n)) for k in range(j, n))
-            return pivots + [LaurentSeries.zero(spec, known)], None
+            raise ValueError("not etale")
         pivot = min(rows, key=lambda i: M[i][j].valuation)
-        pivots.append(M[j][j] if pivot == j else -M[pivot][j])
         M[j], M[pivot] = M[pivot], M[j]
         piv_inv = M[j][j].invert_series()
         M[j] = [e * piv_inv for e in M[j]]
@@ -148,24 +121,7 @@ def _gauss_jordan(A):
             if i != j:
                 factor = -M[i][j]
                 M[i] = [_fma(a, factor, b) for a, b in zip(M[i], M[j])]
-    return pivots, [row[n:] for row in M]
-
-
-def mat_det(A):
-    """Determinant: the product of the pivots of the elimination behind `mat_inv`."""
-    pivots = _gauss_jordan(A)[0]
-    det = pivots[0]
-    for piv in pivots[1:]:
-        det = det * piv
-    return det
-
-
-def mat_inv(A):
-    """Inverse by Gauss-Jordan elimination; raises on a known-singular input."""
-    inv = _gauss_jordan(A)[1]
-    if inv is None:
-        raise ValueError("not etale")
-    return inv
+    return [row[n:] for row in M]
 
 
 # -- the module class -------------------------------------------------------
@@ -291,18 +247,6 @@ def dual(D):
     return PhiGammaModule(D.spec, phi, oracle, D.prec)
 
 
-def tensor(D1, D2):
-    """Tensor product via Kronecker products of the structure matrices."""
-    if D1.spec != D2.spec:
-        raise ValueError("modules live over different fields")
-    phi = mat_kron(D1.phi, D2.phi)
-
-    def oracle(c, prec):
-        return mat_kron(D1.gamma_matrix(c, prec), D2.gamma_matrix(c, prec))
-
-    return PhiGammaModule(D1.spec, phi, oracle, min(D1.prec, D2.prec))
-
-
 def psi(D, vec):
     """The left inverse of phi on coordinate vectors.
 
@@ -315,23 +259,6 @@ def psi(D, vec):
         raise ValueError(f"vector length {len(vec)} differs from the rank {D.n}")
     c = mat_vec(D.phi_inv(), vec)
     return [psi_ring(entry) for entry in c]
-
-
-def etale_check(D):
-    """Whether the linearized phi is invertible, with a certificate.
-
-    Returns (flag, certificate); the certificate carries the valuation
-    and leading coefficient of det(phi) when the determinant is visibly
-    nonzero at working precision.
-    """
-    det = mat_det(D.phi)
-    if det.is_zero():
-        return False, {"det_valuation": None, "leading": None, "precision": det.prec}
-    return True, {
-        "det_valuation": det.valuation,
-        "leading": det.leading_coeff(),
-        "precision": det.prec,
-    }
 
 
 def phi_gamma_commutes(D, c):

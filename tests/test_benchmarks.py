@@ -2,6 +2,7 @@
 
 import json
 import subprocess
+import symtable
 import sys
 from pathlib import Path
 
@@ -23,3 +24,18 @@ def test_layer_benchmark_writes_and_compares(tmp_path):
     assert all(row["ms"] > 0 and row["ref_ms"] > 0 for row in bench["layers"].values())
     lines = layers("--compare", str(out), str(out)).stdout.splitlines()
     assert len(lines) == 43 and all(line.endswith(" 1.00") for line in lines[1:])
+
+
+def test_layer_rows_read_no_variable_of_rows():
+    # statically, so that the rows built only at --scale 1 are checked too;
+    # comprehensions run at once, every other scope in rows() is a row callable
+    table = symtable.symtable(LAYERS.read_text(), str(LAYERS), "exec")
+    (rows,) = [t for t in table.get_children() if t.get_name() == "rows"]
+    comprehensions = {"listcomp", "setcomp", "dictcomp", "genexpr"}
+    free = {
+        (t.get_lineno(), name)
+        for t in rows.get_children()
+        if t.get_name() not in comprehensions
+        for name in t.get_frees()
+    }
+    assert free == set()

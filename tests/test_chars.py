@@ -7,7 +7,6 @@ from metaplectic.chars import (
     char_restrict_S,
     parse_tame_char,
     quadratic_chars,
-    quadchar_to_tame,
 )
 
 F5 = field_make(5)
@@ -51,10 +50,9 @@ def test_chi_z_matches_quadratic_family():
     p = 5
     u0 = least_nonsquare_unit(p)
     family = {(tuple(e.unram.coeffs), e.tame) for e in quadratic_chars(F5)}
-    hit = {
-        (tuple(quadchar_to_tame(chi_z(z, p), F5).unram.coeffs), chi_z(z, p).tame)
-        for z in (1, u0, p, u0 * p)
-    }
+    quads = [chi_z(z, p) for z in (1, u0, p, u0 * p)]
+    tames = [TameChar(F5.from_int(q.unram), q.tame) for q in quads]
+    hit = {(tuple(t.unram.coeffs), t.tame) for t in tames}
     assert hit == family
 
 

@@ -202,6 +202,8 @@ LAM3 = {"p": 3, "m": 1, "coeffs": [1]}
 LAM5 = {"p": 5, "m": 1, "coeffs": [1]}
 ONE3 = {"coeffs": {"0": LAM3}, "precision": 20}
 RANK1 = {"rank": 1, "precision": 10, "phi": [[ONE3]]}
+ONE5 = {"coeffs": {"0": LAM5}, "precision": 20}
+ZERO_PHI5 = {"rank": 1, "precision": 10, "phi": [[{"coeffs": {}, "precision": 20}]]}
 MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
 
 
@@ -274,6 +276,8 @@ MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
          "exponent -99999 of a rational is above its limit 10000"),
         (["cocycle", "--p", "5", "--g1", "1e999999999,0,0,1", "--g2", "1,0,0,1"], {},
          "exponent 999999999 of a rational is above its limit 10000"),
+        (["dual", "--p", "5", "{m}"], {"m": ZERO_PHI5}, "not etale"),
+        (["psi", "--p", "5", "{m}", "{v}"], {"m": ZERO_PHI5, "v": [ONE5]}, "not etale"),
     ],
 )
 def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, message):

@@ -114,22 +114,6 @@ def test_meta_ind_summands():
     assert meta_irred_test(M)
 
 
-def test_meta_ind_module_base():
-    from metaplectic.phigamma import make_rank1
-
-    chi = TameChar(F5.from_int(2), 1)
-    M = meta_ind(char_restrict_S(chi), make_rank1(chi, 20))
-    assert meta_irred_test(M)
-    from metaplectic.meta import classify_rank1
-
-    keys = {canonicalize(classify_rank1(s)).sort_key() for s in M.summands}
-    expect = {
-        canonicalize(InducedParams(1, chi.mul(e).tame, chi.mul(e).unram)).sort_key()
-        for e in quadratic_chars(F5)
-    }
-    assert keys == expect
-
-
 def test_meta_irred_reducible_base():
     # H = p + 1 is fixed by the Frobenius, so the degree-2 base is reducible
     # and its twists coincide in pairs
