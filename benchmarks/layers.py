@@ -1,19 +1,22 @@
 """Seeded best-of-k timings of single library layers, written as BENCH_<n>.json.
 
     python3 benchmarks/layers.py --out BENCH_2.json
+    python3 benchmarks/layers.py --only gamma_act --out gamma.json
     python3 benchmarks/layers.py --compare BENCH_1.json BENCH_2.json
 
 Run from anywhere: the library is imported from the `src/` beside this
 directory.  Each row times one operation on seeded dense inputs: series
 mul, add, invert, `phi_basis_decompose` and the power f^(2p+3) of a
 valuation-0 series over F_7 at N = 10^3 and 10^4; `gamma_act` at c = p + 1
-over F_{p^m} for p in {5, 7, 13} and m in {1, 2, 4} at N = 1000; and, for
-the rank-4 induced module D (h = 3) over F_7 whose phi entries are known to
-about N = 1000 digits, `psi` on a vector of four series and `mat_inv` on
-Phi * (I + X S), S a 4x4 matrix of series.  Every series has valuation -1
-(the power's base and S are shifted) and a nonzero coefficient at each
-exponent below N, so a row's cost does not depend on the seed.  The field
-rows time one pass over 1,000 seeded elements of F_{7^4}, which multiplies
+over F_{p^m} for p in {5, 7, 13} and m in {1, 2, 4} at N = 1000, and at
+c = 2 over F_1000003 at N = 40, where a loop over all p residue classes
+would dominate; and, for the rank-4 induced module D (h = 3) over F_7 whose
+phi entries are known to about N = 1000 digits, `psi` on a vector of four
+series and `mat_inv` on Phi * (I + X S), S a 4x4 matrix of series.  Every
+series has valuation -1 (the power's base and S are shifted) and a nonzero
+coefficient at each exponent below N, so a row's cost does not depend on
+the seed.  Each group of rows draws from its own generator, seeded by SEED
+and the group's first row name.  The field rows time one pass over 1,000 seeded elements of F_{7^4}, which multiplies
 through its log/antilog table, and of F_{3^8}, which is above
 TABLE_MAX_ORDER and multiplies polynomials: `FieldElem(spec, coeffs)` on
 coefficient tuples, products of nonzero pairs, inverses, and powers to
@@ -44,10 +47,13 @@ time at reference speed: scaled by perfbench's reference loop read around
 each repetition (see perfbench/speed.py), so two files from one machine
 compare even when its speed changed between the runs.  `--compare a b`
 prints each row's ref_ms in a and b and the ratio a/b (above 1: b is
-faster).  `--scale` below 1 shrinks every N, the pair counts and
-MIN_REP_S alike, runs the `verify_bijection` rows over F_{3^4} and F_5,
-and leaves out the `simulate_dual_frobenius`, `induced_gamma`, p = 101
-`pow` and p = 10007 `invert_ss_image` rows, for a quick smoke run.
+faster).  `--only REGEX` builds and times only the rows whose name the
+regular expression matches (`re.search`), so the rows of one claim can be
+re-run in both orders in seconds.  `--scale` below 1 shrinks every N, the
+pair counts and MIN_REP_S alike, runs the `verify_bijection` rows over
+F_{3^4} and F_5, and leaves out the `simulate_dual_frobenius`,
+`induced_gamma`, p = 101 `pow`, p = 1000003 `gamma_act` and p = 10007
+`invert_ss_image` rows, for a quick smoke run.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ import json
 import os
 import platform
 import random
+import re
 import subprocess
 import sys
 import time
@@ -95,6 +102,7 @@ INVERT_PRIMES = (101, 10007)  # 10007 at --scale 1 only
 INVERT_COUNT = 10
 SIMULATE_PRIMES = (101, 1009)  # at --scale 1 only
 INDUCED_GAMMA = (5, 4, 39, 30000)  # p, n, h, N; at --scale 1 only
+GAMMA_LARGE = (1000003, 1, 40, 2)  # p, m, N, c; at --scale 1 only
 POW_FIELD, POW_SIZE = 101, 10000  # at --scale 1 only
 COVER_PRIMES = (3, 7)
 COVER_PAIRS = 1000
@@ -134,98 +142,131 @@ def k_matrix(rng, p):
     return PMatrix(a, wide(rng, p, range(41)), wide(rng, p, range(1, 41)), d)
 
 
-def rows(scale):
-    """(name, zero-argument callable) for every row, inputs built up front.
+def group_rng(keep, names):
+    """A generator for one group of rows, seeded by SEED and the group's first
+    row name, or None when `keep` accepts none of the names: the group is then
+    not built."""
+    return random.Random(f"{SEED} {names[0]}") if any(map(keep, names)) else None
+
+
+def rows(scale, keep):
+    """(name, zero-argument callable) for every row whose name `keep`
+    accepts, inputs built up front.
 
     A row takes its inputs as default arguments: the loops below rebind
-    their names, and a closure would read their last values."""
-    rng = random.Random(SEED)
+    their names, and a closure would read their last values.  Each group of
+    rows draws its inputs from its own generator (see `group_rng`), so a row's
+    inputs do not depend on which other rows are built."""
     out = []
     spec = field_make(*SERIES_FIELD)
     for N in SERIES_SIZES:
-        n = max(2, round(N * scale))
-        f, g = dense(rng, spec, n), dense(rng, spec, n)
         tag = f"p={spec.p} m={spec.m} N={N}"
         e = 2 * spec.p + 3
-        out += [
-            (f"laurent.mul {tag}", lambda f=f, g=g: f * g),
-            (f"laurent.add {tag}", lambda f=f, g=g: f + g),
-            (f"laurent.invert {tag}", f.invert_series),
-            (f"laurent.phi_decompose {tag}", lambda f=f: phi_basis_decompose(f)),
-            (f"laurent.pow {tag} e={e}", lambda u=f.shift(1), e=e: u.pow(e)),
-        ]
-    for p, m in GAMMA_FIELDS:
-        spec = field_make(p, m)
-        f = dense(rng, spec, max(2, round(GAMMA_SIZE * scale)))
-        name = f"laurent.gamma_act p={p} m={m} N={GAMMA_SIZE}"
-        out.append((name, lambda f=f, c=p + 1: gamma_act(c, f)))
+        names = [f"laurent.{op} {tag}" for op in ("mul", "add", "invert", "phi_decompose")]
+        names.append(f"laurent.pow {tag} e={e}")
+        rng = group_rng(keep, names)
+        if rng is None:
+            continue
+        n = max(2, round(N * scale))
+        f, g = dense(rng, spec, n), dense(rng, spec, n)
+        out += zip(names, [
+            lambda f=f, g=g: f * g,
+            lambda f=f, g=g: f + g,
+            f.invert_series,
+            lambda f=f: phi_basis_decompose(f),
+            lambda u=f.shift(1), e=e: u.pow(e),
+        ])
+    gammas = [(p, m, GAMMA_SIZE, p + 1) for p, m in GAMMA_FIELDS]
+    for p, m, N, c in gammas + ([GAMMA_LARGE] if scale >= 1 else []):
+        name = f"laurent.gamma_act p={p} m={m} N={N}"
+        rng = group_rng(keep, [name])
+        if rng is not None:
+            f = dense(rng, field_make(p, m), max(2, round(N * scale)))
+            out.append((name, lambda f=f, c=c: gamma_act(c, f)))
     spec = field_make(*MODULE_FIELD)
-    N = max(2 * spec.p, round(MODULE_SIZE * scale))
-    D = make_induced(spec, 4, 3, prec=N // spec.p)
-    vec = [dense(rng, spec, N) for _ in range(4)]
-    ident = identity_matrix(spec, 4, N)
-    R = [[ident[i][j] + dense(rng, spec, N).shift(2) for j in range(4)] for i in range(4)]
-    phi_R = mat_mul(D.phi, R)
     tag = f"p={spec.p} m={spec.m} n=4 N={MODULE_SIZE}"
-    out += [
-        (f"phigamma.psi {tag}", lambda D=D, vec=vec: psi(D, vec)),
-        (f"phigamma.mat_inv {tag}", lambda A=phi_R: mat_inv(A)),
-    ]
+    names = [f"phigamma.psi {tag}", f"phigamma.mat_inv {tag}"]
+    rng = group_rng(keep, names)
+    if rng is not None:
+        N = max(2 * spec.p, round(MODULE_SIZE * scale))
+        D = make_induced(spec, 4, 3, prec=N // spec.p)
+        vec = [dense(rng, spec, N) for _ in range(4)]
+        ident = identity_matrix(spec, 4, N)
+        R = [[ident[i][j] + dense(rng, spec, N).shift(2) for j in range(4)] for i in range(4)]
+        out += zip(names, [lambda D=D, vec=vec: psi(D, vec), lambda A=mat_mul(D.phi, R): mat_inv(A)])
     for p, m in ELEM_FIELDS:
+        tag = f"p={p} m={m} n={ELEM_COUNT}"
+        names = [f"coeff.{op} {tag}" for op in ("elem", "mul", "inv", "pow")]
+        rng = group_rng(keep, names)
+        if rng is None:
+            continue
         spec = field_make(p, m)
         n = max(2, round(ELEM_COUNT * scale))
         vecs = [tuple(rng.randrange(p) for _ in range(m)) for _ in range(n)]
         xs = [nonzero(rng, spec) for _ in range(n)]
         ys = [nonzero(rng, spec) for _ in range(n)]
         es = [rng.randrange(spec.order - 1) for _ in range(n)]
-        tag = f"p={p} m={m} n={ELEM_COUNT}"
-        out += [
-            (f"coeff.elem {tag}", lambda s=spec, vecs=vecs: [FieldElem(s, c) for c in vecs]),
-            (f"coeff.mul {tag}", lambda xs=xs, ys=ys: [a * b for a, b in zip(xs, ys)]),
-            (f"coeff.inv {tag}", lambda xs=xs: [a.inv() for a in xs]),
-            (f"coeff.pow {tag}", lambda xs=xs, es=es: [a ** e for a, e in zip(xs, es)]),
-        ]
+        out += zip(names, [
+            lambda s=spec, vecs=vecs: [FieldElem(s, c) for c in vecs],
+            lambda xs=xs, ys=ys: [a * b for a, b in zip(xs, ys)],
+            lambda xs=xs: [a.inv() for a in xs],
+            lambda xs=xs, es=es: [a ** e for a, e in zip(xs, es)],
+        ])
     for p, m in VERIFY_FIELDS if scale >= 1 else SMOKE_VERIFY_FIELDS:
-        spec = field_make(p, m)
-        out.append((f"meta.verify_bijection p={p} m={m}", lambda s=spec: verify_bijection(s)))
+        name = f"meta.verify_bijection p={p} m={m}"
+        if keep(name):
+            out.append((name, lambda s=field_make(p, m): verify_bijection(s)))
     for p in SIMULATE_PRIMES if scale >= 1 else ():
-        data = ss_data(field_make(p), 1)
         name = f"classify.simulate_dual_frobenius p={p} r=1 i=1 K=4"
-        out.append((name, lambda d=data: simulate_dual_frobenius(d, 1, 4)))
+        if keep(name):
+            out.append((name, lambda d=ss_data(field_make(p), 1): simulate_dual_frobenius(d, 1, 4)))
     if scale >= 1:
         p, n, h, N = INDUCED_GAMMA
-        spec = field_make(p)
         name = f"phigamma.induced_gamma p={p} m=1 n={n} h={h} N={N}"
-        out.append(
-            (name, lambda s=spec, n=n, h=h, N=N: make_induced(s, n, h, prec=N).gamma_matrix(s.p + 1))
-        )
+        if keep(name):
+            out.append(
+                (name, lambda s=field_make(p), n=n, h=h, N=N: make_induced(s, n, h, prec=N).gamma_matrix(s.p + 1))
+            )
         p = POW_FIELD
-        u = dense(rng, field_make(p), POW_SIZE).shift(1)
         e = 3 + 50 * p + 97 * p * p
-        out.append((f"laurent.pow p={p} m=1 N={POW_SIZE} e={e}", lambda u=u, e=e: u.pow(e)))
+        name = f"laurent.pow p={p} m=1 N={POW_SIZE} e={e}"
+        rng = group_rng(keep, [name])
+        if rng is not None:
+            u = dense(rng, field_make(p), POW_SIZE).shift(1)
+            out.append((name, lambda u=u, e=e: u.pow(e)))
     for p in COVER_PRIMES:
+        tag = f"p={p} pairs={COVER_PAIRS}"
+        names = [f"metagroup.{op} {tag}" for op in ("cocycle", "meta_mul", "kappa_split")]
+        rng = group_rng(keep, names)
+        if rng is None:
+            continue
         n = max(2, round(COVER_PAIRS * scale))
         pairs = [(wide_matrix(rng, p), wide_matrix(rng, p)) for _ in range(n)]
         elems = [(MetaElem(g1, 1), MetaElem(g2, -1)) for g1, g2 in pairs]
         ks = [k_matrix(rng, p) for _ in range(n)]
-        tag = f"p={p} pairs={COVER_PAIRS}"
-        out += [
-            (f"metagroup.cocycle {tag}", lambda p=p, pairs=pairs: [cocycle(g1, g2, p) for g1, g2 in pairs]),
-            (f"metagroup.meta_mul {tag}", lambda p=p, elems=elems: [meta_mul(x, y, p) for x, y in elems]),
-            (f"metagroup.kappa_split {tag}", lambda p=p, ks=ks: [kappa_split(g, 1, p) for g in ks]),
-        ]
-    p, n = LEMMA2_PRIME, max(2, round(LEMMA2_COUNT * scale))
-    hs = [2 * rng.randrange(-10 ** 6, 10 ** 6) + 1 for _ in range(n)]
+        out += zip(names, [
+            lambda p=p, pairs=pairs: [cocycle(g1, g2, p) for g1, g2 in pairs],
+            lambda p=p, elems=elems: [meta_mul(x, y, p) for x, y in elems],
+            lambda p=p, ks=ks: [kappa_split(g, 1, p) for g in ks],
+        ])
+    p = LEMMA2_PRIME
     name = f"galois.lemma2_reduce p={p} n={LEMMA2_COUNT}"
-    out.append((name, lambda p=p, hs=hs: [lemma2_reduce(h, p) for h in hs]))
+    rng = group_rng(keep, [name])
+    if rng is not None:
+        n = max(2, round(LEMMA2_COUNT * scale))
+        hs = [2 * rng.randrange(-10 ** 6, 10 ** 6) + 1 for _ in range(n)]
+        out.append((name, lambda p=p, hs=hs: [lemma2_reduce(h, p) for h in hs]))
     for p in INVERT_PRIMES if scale >= 1 else INVERT_PRIMES[:1]:
+        name = f"meta.invert_ss_image p={p} m=1 n={INVERT_COUNT}"
+        rng = group_rng(keep, [name])
+        if rng is None:
+            continue
         spec = field_make(p)
         n = max(2, round(INVERT_COUNT * scale))
         etas = [TameChar(nonzero(rng, spec), rng.randrange(p - 1)) for _ in range(n)]
         images = [ss_image(SSRep(spec, rng.choice(admissible(p)), eta)).base for eta in etas]
-        name = f"meta.invert_ss_image p={p} m=1 n={INVERT_COUNT}"
         out.append((name, lambda images=images: [invert_ss_image(M) for M in images]))
-    return out
+    return [(name, fn) for name, fn in out if keep(name)]
 
 
 def time_row(fn, min_rep_s):
@@ -271,10 +312,10 @@ def machine():
     return {"platform": platform.platform(), "cpu": model, "cpus": os.cpu_count()}
 
 
-def measure(scale):
+def measure(scale, keep):
     speed.warm_up()
     layers = {}
-    for name, fn in rows(scale):
+    for name, fn in rows(scale, keep):
         ms, ref_ms = time_row(fn, MIN_REP_S * min(scale, 1.0))
         layers[name] = {"ms": round(ms, 4), "ref_ms": round(ref_ms, 4)}
         print(f"{name:45s} {ms:10.3f} ms {ref_ms:10.3f} ref_ms", file=sys.stderr)
@@ -303,6 +344,7 @@ def main(argv=None):
     ap.add_argument("--out", help="write the measurements to this BENCH_<n>.json")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"), help="print ratios of two files")
     ap.add_argument("--scale", type=float, default=1.0, help="multiply every N (smoke runs)")
+    ap.add_argument("--only", metavar="REGEX", help="build and time only the rows whose name it matches")
     args = ap.parse_args(argv)
     if args.compare:
         compare(*args.compare)
@@ -311,7 +353,11 @@ def main(argv=None):
         ap.error("--out or --compare is required")
     if args.scale <= 0:
         ap.error("--scale must be positive")
-    result = measure(args.scale)
+    try:
+        keep = re.compile(args.only or "").search
+    except re.error as exc:
+        ap.error(f"--only: {exc}")
+    result = measure(args.scale, keep)
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -410,7 +410,9 @@ def gamma_transform(c, spec, prec):
     return _series(spec, 1, res, prec)
 
 
-_GAMMA_LEAF = 16  # a P needed to at most this many digits is composed by Horner's rule
+# a P needed to at most this many digits is one linear combination of the
+# rows u^d mod X^_GAMMA_LEAF, each built once per gamma_act call
+_GAMMA_LEAF = 16
 
 
 def gamma_act(c, f):
@@ -430,11 +432,16 @@ def gamma_act(c, f):
 
     where each P_j(g) comes from the same recursion and is needed only mod
     X^ceil((K-j)/p): X^j phi(P_j(g)) is then known below
-    j + p*ceil((K-j)/p) >= K.  A P needed to at most _GAMMA_LEAF digits, or
-    with at most two nonzero residues, is evaluated by Horner's rule over
-    the gaps between its exponents.  Negative exponents of the substituted
-    variable are handled by inverting u at the precision the output needs,
-    so no precision is lost against the contract.
+    j + p*ceil((K-j)/p) >= K.  A P = sum_d a_d X^d needed to at most
+    _GAMMA_LEAF digits is one linear combination sum_d a_d X^d u^d of the
+    rows u^d mod X^_GAMMA_LEAF.  Row d is row d-1 times u, taken as a
+    combination over the nonzero residues of u; the rows are built once per
+    call, and only up to the highest d a leaf reads.  A longer P with at
+    most two nonzero residues, and the p terms of an upper level, are summed
+    by Horner's rule over the gaps between their exponents.  Negative
+    exponents of the substituted variable are handled by inverting u at the
+    precision the output needs, so no precision is lost against the
+    contract.
     """
     spec = f.spec
     if c < 1:
@@ -456,14 +463,26 @@ def gamma_act(c, f):
             gd = powers[d] = g.truncate(prec).pow(d)
         return gd.res
 
+    L = min(_GAMMA_LEAF, known)
+    u = [(a, i) for i, a in enumerate(g.res[: L * m]) if a]  # g = X u
+    rows = [[1] + [0] * (m - 1)]  # rows[d] = the residues of u^d mod X^L
+
+    def row(d):
+        while len(rows) <= d:
+            rows.append(_lincomb(p, [(a, i, rows[-1]) for a, i in u], L * m))
+        return rows[d]
+
     def compose(P, K):
         """The residues of P(g) mod X^K, for the residue list P of a
         polynomial of degree below K."""
-        if K <= _GAMMA_LEAF or len(P) - P.count(0) <= 2:
+        if K <= _GAMMA_LEAF:
+            out = _lincomb(p, [(a, i, row(i // m)) for i, a in enumerate(P) if a], K * m)
+            return out + [0] * (-len(out) % m)
+        if len(P) - P.count(0) <= 2:
             terms = [(i // m, P[i : i + m]) for i in range(0, len(P), m) if any(P[i : i + m])]
         else:
             terms = []
-            for j in range(p):
+            for j in range(min(p, len(P) // m)):
                 part = _decimate(P, m, j, p)
                 if any(part):
                     terms.append((j, _stretch(compose(part, -(-(K - j) // p)), m, p)))

@@ -26,6 +26,13 @@ def test_layer_benchmark_writes_and_compares(tmp_path):
     assert len(lines) == 43 and all(line.endswith(" 1.00") for line in lines[1:])
 
 
+def test_layer_benchmark_only_times_the_rows_it_matches(tmp_path):
+    out = tmp_path / "BENCH_0.json"
+    layers("--only", r"laurent\.gamma_act", "--scale", "0.005", "--out", str(out))
+    names = list(json.loads(out.read_text())["layers"])
+    assert len(names) == 9 and all(name.startswith("laurent.gamma_act p=") for name in names)
+
+
 def test_layer_rows_read_no_variable_of_rows():
     # statically, so that the rows built only at --scale 1 are checked too;
     # comprehensions run at once, every other scope in rows() is a row callable

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import metaplectic.laurent as laurent
 from metaplectic.coeff import field_make
 from metaplectic.laurent import (
     LaurentSeries,
@@ -350,6 +351,66 @@ def test_kernel_gamma_act_matches_per_exponent(data):
     out = gamma_act(c, f)
     same(out, per_exponent_gamma(c, f) if not f.is_zero() else f)
     assert out.prec == f.prec
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("p", [3, 5])
+def test_gamma_act_leaf_boundaries_match_per_exponent(p, m):
+    # K = N - v digits on both sides of the leaf size 16 and of a second
+    # split (3 * 16 = 48).  The coefficient w^(m-1) has one residue, the last
+    # of its block: a leaf that reads only it must pad its result to a whole
+    # block before an upper level stretches it.  Two terms of two residues
+    # take the Horner shortcut above the leaves; with the other term a full
+    # unit (2m residues), m > 1 takes the split instead
+    spec = field_make(p, m)
+    grid_rng = random.Random(p * 10 + m)
+    w_top = spec.elem([0] * (m - 1) + [1])
+    full = spec.elem([1] * m)
+
+    def unit():
+        while True:
+            a = spec.elem([grid_rng.randrange(p) for _ in range(m)])
+            if not a.is_zero():
+                return a
+
+    for K in (1, 15, 16, 17, 48, 49):
+        for v in (-3, 0, 2):
+            shapes = {
+                "dense": {e: unit() for e in range(v, v + K)},
+                "one term": {v: w_top},
+                "two residues": {v: spec.one(), v + K - 1: w_top},
+                "two terms": {v: w_top, v + K - 1: full},
+            }
+            # all coprime to 3 and 5.  Every base-p digit of p^4 - 1 is p - 1,
+            # so its u = g/X has no zero coefficient below X^16: it checks
+            # the leaf rows, and the reference's cost for it grows like K^3
+            dense_u = (p ** 4 - 1,) if K <= 17 else ()
+            for c in (2, p + 1, p * p + 1, 10 ** 6 + 1) + dense_u:
+                for terms in shapes.values():
+                    f = LaurentSeries(spec, terms, v + K)
+                    out = gamma_act(c, f)
+                    same(out, per_exponent_gamma(c, f))
+                    assert out.prec == f.prec
+
+
+def test_gamma_act_at_a_large_prime_decimates_only_present_residues(monkeypatch):
+    # the Frobenius split takes one residue class per coefficient of P, not
+    # all p of them: at p near 10^9 a loop over range(p) would not end
+    p, N = 999999937, 40
+    spec = field_make(p)
+    calls = []
+    decimate = laurent._decimate
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= N, "P was decimated more often than it has coefficients"
+        return decimate(*args)
+
+    monkeypatch.setattr(laurent, "_decimate", counted)
+    coeffs = random.Random(N)
+    f = LaurentSeries(spec, {e: spec.elem([coeffs.randrange(1, p)]) for e in range(N)}, N)
+    same(gamma_act(2, f), per_exponent_gamma(2, f))
+    assert 0 < len(calls) <= N
 
 
 @kernel_settings
