@@ -36,7 +36,8 @@ base-p digits, which takes `pow`'s Frobenius-digit branch.  The
 `metagroup` rows at p in {3, 7} each make one pass over 1,000 seeded
 pairs of matrices with entries p^v n/d, v in -40..40 and n/d a unit with
 |n| and d below 10^6: `cocycle` on the pair and `meta_mul` on the pair
-with signs.  `kappa_split` runs over 1,000 seeded elements of K of the
+with signs, then the matrix product `*` on the pair and `meta_inv` on its
+first element.  `kappa_split` runs over 1,000 seeded elements of K of the
 same kind (a and d units, b and c of valuation 0..40 and 1..40, so c lies
 in pZp and the sign is twisted).
 
@@ -81,7 +82,7 @@ from metaplectic.coeff import FieldElem, field_make  # noqa: E402
 from metaplectic.galois import lemma2_reduce  # noqa: E402
 from metaplectic.laurent import LaurentSeries, gamma_act, phi_basis_decompose  # noqa: E402
 from metaplectic.meta import SSRep, admissible, invert_ss_image, ss_image, verify_bijection  # noqa: E402
-from metaplectic.metagroup import MetaElem, PMatrix, cocycle, kappa_split, meta_mul  # noqa: E402
+from metaplectic.metagroup import MetaElem, PMatrix, cocycle, kappa_split, meta_inv, meta_mul  # noqa: E402
 from metaplectic.phigamma import identity_matrix, make_induced, mat_inv, mat_mul, psi  # noqa: E402
 
 MIN_REP_S = 0.05
@@ -236,7 +237,7 @@ def rows(scale, keep):
             out.append((name, lambda u=u, e=e: u.pow(e)))
     for p in COVER_PRIMES:
         tag = f"p={p} pairs={COVER_PAIRS}"
-        names = [f"metagroup.{op} {tag}" for op in ("cocycle", "meta_mul", "kappa_split")]
+        names = [f"metagroup.{op} {tag}" for op in ("cocycle", "meta_mul", "kappa_split", "mul", "meta_inv")]
         rng = group_rng(keep, names)
         if rng is None:
             continue
@@ -248,6 +249,8 @@ def rows(scale, keep):
             lambda p=p, pairs=pairs: [cocycle(g1, g2, p) for g1, g2 in pairs],
             lambda p=p, elems=elems: [meta_mul(x, y, p) for x, y in elems],
             lambda p=p, ks=ks: [kappa_split(g, 1, p) for g in ks],
+            lambda pairs=pairs: [g1 * g2 for g1, g2 in pairs],
+            lambda p=p, elems=elems: [meta_inv(x, p) for x, _ in elems],
         ])
     p = LEMMA2_PRIME
     name = f"galois.lemma2_reduce p={p} n={LEMMA2_COUNT}"

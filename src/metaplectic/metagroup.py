@@ -2,8 +2,9 @@
 
 Matrices are 2x2 with exact rational entries (p-power denominators are
 the typical case; any denominator coprime to p is a p-adic unit and is
-handled the same way).  The cover is the set G x {+-1} with multiplication
-twisted by the quadratic-Hilbert-symbol 2-cocycle
+handled the same way), held as four integers over one positive denominator
+(see PMatrix).  The cover is the set G x {+-1} with multiplication twisted
+by the quadratic-Hilbert-symbol 2-cocycle
 
     sigma(g1, g2) = ( c(g1 g2)/c(g1), c(g1 g2)/c(g2) * det(g1) ),
 
@@ -18,8 +19,9 @@ the Hilbert symbol is the closed form
 
 which is omega((-1)^{v(a) v(b)} * b^{v(a)} / a^{v(b)})^{(p-1)/2} read off
 the splits, with no power of a rational formed.  The split is multiplicative
-(v adds, e multiplies), so `cocycle` splits c(g1 g2), read off the product's
-lower row as an unreduced integer pair, and forms no matrix and no quotient.
+(v adds, e multiplies) and sees only square classes, so `cocycle` reads
+c(g1 g2) off the product's lower row as an integer over den1 den2 and splits
+two integer quotients: it forms no matrix and no Fraction.
 
 Convention: omega, read as a character of Qp^* via the class-field
 normalization sending p to a (geometric) Frobenius, takes the value 1 at
@@ -32,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "PMatrix",
@@ -53,9 +56,17 @@ def _strip(n, p):
     """(k, n / p^k) for the largest k with p^k dividing the nonzero int n."""
     k = 0
     while n % p == 0:
-        n //= p
-        k += 1
+        q, j = p, 1
+        while n % q == 0:  # p, p^2, p^4, ... while they divide
+            n //= q
+            k += j
+            q, j = q * q, j + j
     return k, n
+
+
+def _sign(u, p):
+    """omega(u)^{(p-1)/2} in {+1, -1} for an int u prime to p."""
+    return 1 if pow(u % p, (p - 1) // 2, p) == 1 else -1
 
 
 def _split_nd(n, d, p):
@@ -63,7 +74,7 @@ def _split_nd(n, d, p):
     vn, n = _strip(n, p)
     vd, d = _strip(d, p)
     # n/d and n*d have one square class, as d^2 is a square
-    return vn - vd, 1 if pow(n % p * (d % p), (p - 1) // 2, p) == 1 else -1
+    return vn - vd, _sign(n % p * d, p)
 
 
 def _split(x, p):
@@ -92,48 +103,47 @@ def hilbert(a, b, p):
     return _symbol(*_split(a, p), *_split(b, p), p)
 
 
-def _pair(x, y, z, w):
-    """x*y + z*w for Fractions as an unreduced (numerator, denominator) pair."""
-    d1 = x.denominator * y.denominator
-    d2 = z.denominator * w.denominator
-    return x.numerator * y.numerator * d2 + z.numerator * w.numerator * d1, d1 * d2
+def _reduced(na, nb, nc, nd, den):
+    """The PMatrix (na, nb; nc, nd) / den, den > 0, divided by its content."""
+    g = object.__new__(PMatrix)
+    k = gcd(na, nb, nc, nd, den)
+    if k != 1:
+        na, nb, nc, nd, den = na // k, nb // k, nc // k, nd // k, den // k
+    g.na, g.nb, g.nc, g.nd, g.den = na, nb, nc, nd, den
+    return g
 
 
 class PMatrix:
-    """An invertible 2x2 matrix over Q with exact rational entries."""
+    """An invertible 2x2 matrix over Q: ints na, nb, nc, nd over den > 0 with content
+    gcd(na, nb, nc, nd, den) = 1, so equal matrices have equal slots; `Fraction` only at the edge."""
 
-    __slots__ = ("a", "b", "c", "d", "det")
+    __slots__ = ("na", "nb", "nc", "nd", "den")
 
     def __init__(self, a, b, c, d):
-        a, b, c, d = (x if type(x) is Fraction else Fraction(x) for x in (a, b, c, d))
-        det = Fraction(*_pair(a, d, -b, c))
-        if det == 0:
+        ents = [x if type(x) is Fraction else Fraction(x) for x in (a, b, c, d)]
+        # over the lcm of reduced denominators the content is already 1
+        den = lcm(*(x.denominator for x in ents))
+        self.na, self.nb, self.nc, self.nd = (x.numerator * (den // x.denominator) for x in ents)
+        self.den = den
+        if self.na * self.nd == self.nb * self.nc:
             raise ValueError("singular matrix")
-        self.a, self.b, self.c, self.d, self.det = a, b, c, d, det
 
-    @classmethod
-    def _known(cls, a, b, c, d, det):
-        """The matrix of Fractions a, b, c, d whose nonzero det is known."""
-        g = object.__new__(cls)
-        g.a, g.b, g.c, g.d, g.det = a, b, c, d, det
-        return g
+    a = property(lambda self: Fraction(self.na, self.den))
+    b = property(lambda self: Fraction(self.nb, self.den))
+    c = property(lambda self: Fraction(self.nc, self.den))
+    d = property(lambda self: Fraction(self.nd, self.den))
+    det = property(lambda self: Fraction(self.na * self.nd - self.nb * self.nc, self.den * self.den))
 
     def __mul__(self, other):
-        return PMatrix._known(
-            Fraction(*_pair(self.a, other.a, self.b, other.c)),
-            Fraction(*_pair(self.a, other.b, self.b, other.d)),
-            Fraction(*_pair(self.c, other.a, self.d, other.c)),
-            Fraction(*_pair(self.c, other.b, self.d, other.d)),
-            self.det * other.det,
-        )
+        a, b, c, d = self.na, self.nb, self.nc, self.nd
+        e, f, u, w = other.na, other.nb, other.nc, other.nd
+        return _reduced(a * e + b * u, a * f + b * w, c * e + d * u, c * f + d * w, self.den * other.den)
 
     def inv(self):
-        det = self.det
-        return PMatrix._known(self.d / det, -self.b / det, -self.c / det, self.a / det, 1 / det)
-
-    def cc(self):
-        """The lower-left entry if nonzero, else the lower-right one."""
-        return self.c or self.d
+        den, det = self.den, self.na * self.nd - self.nb * self.nc
+        if det < 0:
+            den, det = -den, -det
+        return _reduced(self.nd * den, -self.nb * den, -self.nc * den, self.na * den, det)
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -146,11 +156,14 @@ class PMatrix:
     def scalar(cls, z):
         return cls(z, 0, 0, z)
 
+    def _slots(self):
+        return (self.na, self.nb, self.nc, self.nd, self.den)
+
     def __eq__(self, other):
-        return isinstance(other, PMatrix) and self.entries() == other.entries()
+        return isinstance(other, PMatrix) and self._slots() == other._slots()
 
     def __hash__(self):
-        return hash(self.entries())
+        return hash(self._slots())
 
     def __repr__(self):
         return f"PMatrix[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
@@ -169,6 +182,8 @@ def _frac_str(x):
 class MetaElem:
     """An element (g, zeta) of the cover; zeta in {+1, -1}."""
 
+    # not slots=True: before Python 3.12 that makes setting a non-field raise TypeError
+    __slots__ = ("g", "zeta")
     g: PMatrix
     zeta: int
 
@@ -178,15 +193,18 @@ class MetaElem:
 
 
 def cocycle(g1, g2, p):
-    """The 2-cocycle sigma(g1, g2) in {+1, -1}."""
-    n, d = _pair(g1.c, g2.a, g1.d, g2.c)
+    """The 2-cocycle sigma(g1, g2) in {+1, -1}: with c(g1 g2) = n / (den1 den2),
+    c(gi) = ci / deni and det(g1) = D / den1^2, the symbol of n / (c1 den2) and
+    n D / (c2 den1), as den1^2 is a square; n is split once for both."""
+    n = g1.nc * g2.na + g1.nd * g2.nc
     if not n:
-        n, d = _pair(g1.c, g2.b, g1.d, g2.d)
-    v, e = _split_nd(n, d, p)
-    v1, e1 = _split(g1.cc(), p)
-    v2, e2 = _split(g2.cc(), p)
-    vdet, edet = _split(g1.det, p)
-    return _symbol(v - v1, e * e1, v + vdet - v2, e * edet * e2, p)
+        n = g1.nc * g2.nb + g1.nd * g2.nd
+    vn, n = _strip(n, p)
+    vD, D = _strip(g1.na * g1.nd - g1.nb * g1.nc, p)
+    va, ua = _strip((g1.nc or g1.nd) * g2.den, p)
+    vb, ub = _strip((g2.nc or g2.nd) * g1.den, p)
+    n %= p
+    return _symbol(vn - va, _sign(n * ua, p), vn + vD - vb, _sign(n * (D % p) * ub, p), p)
 
 
 def meta_mul(x, y, p):
@@ -206,14 +224,14 @@ def kappa_split(g, zeta, p):
     Requires integral entries (p-adic sense) and unit determinant; twists
     the sign by (c, d det(g)^{-1}) exactly when c lies in pZp - {0}.
     """
-    c, d, det = g.c, g.d, g.det
-    # Fractions are reduced: g is integral iff p divides no denominator, and
-    # then det is a unit iff p does not divide its numerator
-    if any(x.denominator % p == 0 for x in g.entries()) or det.numerator % p == 0:
+    det = g.na * g.nd - g.nb * g.nc
+    # the content is 1: g is integral iff p does not divide den, and then
+    # det = (na nd - nb nc) / den^2 is a unit iff p does not divide na nd - nb nc
+    if g.den % p == 0 or det % p == 0:
         raise ValueError("not in K")
-    if c and c.numerator % p == 0:  # then ad = det + bc is a unit, so d != 0
-        d_det = _split_nd(d.numerator * det.denominator, d.denominator * det.numerator, p)
-        return MetaElem(g, zeta * _symbol(*_split(c, p), *d_det, p))
+    if g.nc and g.nc % p == 0:  # then ad = det + bc is a unit, so d != 0
+        d_det = _split_nd(g.nd * g.den, det, p)  # d / det = nd den / (na nd - nb nc)
+        return MetaElem(g, zeta * _symbol(*_split_nd(g.nc, g.den, p), *d_det, p))
     return MetaElem(g, zeta)
 
 
@@ -221,6 +239,7 @@ def kappa_split(g, zeta, p):
 class QuadCharParams:
     """An order <= 2 character of Qp^*: sign at p and tame omega-power."""
 
+    __slots__ = ("unram", "tame")
     unram: int
     tame: int  # exponent of omega on units, 0 or (p-1)/2
 

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from metaplectic.metagroup import (
     MetaElem,
@@ -17,6 +20,7 @@ from metaplectic.metagroup import (
     quadchar_eval,
     vp,
 )
+from metaplectic.metagroup import _reduced
 from metaplectic.selftest import (
     center_law,
     chi_z_coset_law,
@@ -150,6 +154,52 @@ def test_pmatrix_product_and_det_match_fraction_arithmetic():
         assert g.det == a * d - b * c
         assert (g * h).entries() == (a * e + b * u, a * f + b * w, c * e + d * u, c * f + d * w)
         checked += 1
+
+
+rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(rationals, min_size=8, max_size=8), st.sampled_from([3, 5, 7]), st.integers(1, 10 ** 6),
+       st.integers(0, 30))
+def test_pmatrix_slots_are_canonical(ents, p, unit, k):
+    x, y = ents[:4], ents[4:]
+    assume(x[0] * x[3] != x[1] * x[2] and y[0] * y[3] != y[1] * y[2] and unit % p)
+    g, h = PMatrix(*x), PMatrix(*y)
+    slots = (g.na, g.nb, g.nc, g.nd, g.den)
+    # one matrix from ints where the entries allow them, and from its slots
+    # scaled by a common unit or by a power of p
+    forms = [PMatrix(*(t.numerator if t.denominator == 1 else t for t in x))]
+    forms += [_reduced(*(s * t for t in slots)) for s in (unit, p ** k)]
+    for f in forms:
+        assert (f.na, f.nb, f.nc, f.nd, f.den) == slots
+        assert f == g and hash(f) == hash(g) and f.entries() == tuple(x)
+    swapped = PMatrix(x[2], x[3], x[0], x[1])  # det(swapped) = -det(g)
+    assert (g.det < 0) != (swapped.det < 0)
+    for r in (g * h, h * g, g.inv(), swapped.inv(), g * g.inv(), swapped * h.inv()):
+        assert r.den > 0 and gcd(r.na, r.nb, r.nc, r.nd, r.den) == 1
+        again = PMatrix(*r.entries())
+        assert again == r and hash(again) == hash(r)
+        assert (again.na, again.nb, again.nc, again.nd, again.den) == (r.na, r.nb, r.nc, r.nd, r.den)
+
+
+def one_at_a_time_vp(n, p):
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_vp_of_long_runs_of_p(p):
+    unit = Fraction(2, 11)
+    for j in range(17):
+        for k in (2 ** j - 1, 2 ** j, 2 ** j + 1):
+            n = p ** k * 13
+            assert vp(n * unit, p) == k and vp(1 / (n * unit), p) == -k
+            if j <= 12:  # the reference loop is quadratic in k
+                assert vp(n * unit, p) == one_at_a_time_vp(n, p)
 
 
 # -- the symbols against the formulas on exact rationals they replaced ---------

@@ -6,7 +6,7 @@ import pytest
 from metaplectic.chars import TameChar
 from metaplectic.coeff import field_make
 from metaplectic.laurent import LaurentSeries
-from metaplectic.metagroup import PMatrix
+from metaplectic.metagroup import MetaElem, PMatrix, QuadCharParams
 from metaplectic.phigamma import make_rank1
 
 F25 = field_make(5, 2)
@@ -19,6 +19,8 @@ VALUES = {
     "LaurentSeries from _series": lambda: LaurentSeries.one(F25, 8) * LaurentSeries.one(F25, 6),
     "PhiGammaModule": lambda: make_rank1(TameChar.trivial(F25), 10),
     "PMatrix": lambda: PMatrix(1, 2, 0, 3),
+    "MetaElem": lambda: MetaElem(PMatrix(1, 2, 0, 3), -1),
+    "QuadCharParams": lambda: QuadCharParams(-1, 0),
 }
 
 
