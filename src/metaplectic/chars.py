@@ -24,7 +24,6 @@ __all__ = [
     "HChar",
     "char_restrict_S",
     "quadratic_chars",
-    "parse_tame_char",
 ]
 
 
@@ -137,34 +136,3 @@ def quadratic_chars(spec):
         TameChar(minus, half),
     ]
 
-
-def parse_tame_char(text, spec):
-    """Parse the CLI shorthand "mu(lambda)*omega^a" into a TameChar.
-
-    lambda is an integer (reduced into the prime field) or a bracketed
-    coefficient vector like [1,0,2,0] for extension fields; "1" is the
-    trivial character.  Anything else is rejected (wild ramification is
-    out of scope).
-    """
-    text = text.strip().replace(" ", "")
-    if text in ("1", ""):
-        return TameChar.trivial(spec)
-    unram = spec.one()
-    tame = 0
-    for part in text.split("*"):
-        if part.startswith("mu(") and part.endswith(")"):
-            inner = part[3:-1]
-            if inner.startswith("["):
-                coeffs = [int(t) for t in inner.strip("[]").split(",")]
-                unram = unram * FieldElem(spec, tuple(coeffs) + (0,) * (spec.m - len(coeffs)))
-            else:
-                unram = unram * spec.from_int(int(inner))
-        elif part.startswith("omega^"):
-            tame += int(part[6:])
-        elif part == "omega":
-            tame += 1
-        elif part == "1":
-            continue
-        else:
-            raise ValueError(f"cannot parse character {text!r}")
-    return TameChar(unram, tame)

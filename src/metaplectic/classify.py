@@ -74,17 +74,6 @@ class SSData:
         """The Gamma-eigenexponents a_i (first torus exponent of chi_i)."""
         return tuple(ch.e1 for ch in self.chi)
 
-    def to_json(self):
-        return {
-            "p": self.p,
-            "r": self.r,
-            "r_prime": self.r_prime,
-            "chi": [[ch.e1, ch.e2] for ch in self.chi],
-            "s": list(self.s),
-            "c": [ci.to_json() for ci in self.c],
-            "weights": [list(w) for w in self.weights],
-        }
-
 
 def ss_partner(p, r):
     """The supersingular partner r' of r: (p-1)/2 - r below (p-1)/2,

@@ -1,4 +1,6 @@
 """Command-line entry point: every pipeline stage with reproducible JSON output.
+It is the library's only boundary: every JSON reader and writer and every
+bound on outside input is here, and the other modules take and return values.
 
 Exit codes: 0 success, 1 mathematical error (the message is the module's
 error tag), a report whose "ok" is false or a closed stdout, 2 usage
@@ -21,18 +23,17 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .coeff import elem_from_json, field_make, is_prime
-from .chars import parse_tame_char
+from .coeff import FieldElem, field_make, is_prime
+from .chars import TameChar
 from .classify import (
     CyclicForm, dual_basis_form, galois_of_ss, normalize_cyclic, simulate_dual_frobenius, ss_data,
 )
-from .galois import MAX_DEGREE, iso_test, lemma2_reduce, lfield_param, params_from_json, tame_twist
-from .laurent import series_from_json
-from .metagroup import PMatrix, chi_z, cocycle, hilbert, kappa_split
+from .galois import InducedParams, iso_test, lemma2_reduce, lfield_param, tame_twist
+from .laurent import LaurentSeries
+from .metagroup import PMatrix, chi_z, cocycle, frac_str, hilbert, kappa_split
 from .meta import SSRep, ps_image, ss_image, verify_bijection
 from .phigamma import (
-    dual as module_dual, make_induced, make_rank1, module_from_json, module_to_json, psi,
-    twist as module_twist,
+    PhiGammaModule, dual as module_dual, make_induced, make_rank1, psi, twist as module_twist,
 )
 from .selftest import run_selftest
 
@@ -40,6 +41,11 @@ SCHEMA = 1
 
 # a rational argument's decimal exponent, which Fraction expands into a power of ten
 MAX_EXPONENT = 10 ** 4
+# the largest degree n a parameter file or `build-induced --n` may ask for
+MAX_DEGREE = 64
+# A series read from JSON has |precision| <= JSON_LIMIT and no coefficient
+# below -JSON_LIMIT, so its residue list spans at most 2 * JSON_LIMIT exponents.
+JSON_LIMIT = 10 ** 6
 _EXPONENT = re.compile(r"E([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
@@ -57,6 +63,125 @@ def _parse_matrix(text):
     if len(parts) != 4:
         raise ValueError("matrix needs 4 comma-separated rationals")
     return PMatrix(*parts)
+
+
+def parse_tame_char(text, spec):
+    """The TameChar of the shorthand "mu(lambda)*omega^a", "1" for the trivial
+    character: lambda is an integer (reduced into F_p) or a coefficient vector
+    like [1,0,2,0].  Anything else (a wild character, say) is rejected."""
+    text = text.strip().replace(" ", "")
+    if text in ("1", ""):
+        return TameChar.trivial(spec)
+    unram = spec.one()
+    tame = 0
+    for part in text.split("*"):
+        if part.startswith("mu(") and part.endswith(")"):
+            inner = part[3:-1]
+            if inner.startswith("["):
+                coeffs = [int(t) for t in inner.strip("[]").split(",")]
+                unram = unram * FieldElem(spec, tuple(coeffs) + (0,) * (spec.m - len(coeffs)))
+            else:
+                unram = unram * spec.from_int(int(inner))
+        elif part.startswith("omega^"):
+            tame += int(part[6:])
+        elif part == "omega":
+            tame += 1
+        elif part == "1":
+            continue
+        else:
+            raise ValueError(f"cannot parse character {text!r}")
+    return TameChar(unram, tame)
+
+
+# -- the JSON formats ----------------------------------------------------------
+
+
+def elem_to_json(x):
+    return {"p": x.spec.p, "m": x.spec.m, "coeffs": list(x.coeffs)}
+
+
+def elem_from_json(obj, spec):
+    """The element `obj` (as written by `elem_to_json`), which must lie in spec."""
+    if (obj["p"], obj["m"]) != (spec.p, spec.m):
+        raise ValueError(
+            f"coefficients {obj['coeffs']} lie in F_{obj['p']}^{obj['m']}, not F_{spec.p}^{spec.m}"
+        )
+    if not all(type(c) is int for c in obj["coeffs"]):
+        raise ValueError(f"coefficients {obj['coeffs']!r} are not all ints")
+    return FieldElem(spec, tuple(obj["coeffs"]))
+
+
+def series_to_json(f):
+    return {
+        "valuation": f.valuation,
+        "precision": f.prec,
+        "coeffs": {str(e): elem_to_json(a) for e, a in f.terms().items()},
+    }
+
+
+def _precision(obj, what):
+    """obj["precision"], which must be an int of size at most JSON_LIMIT."""
+    prec = obj["precision"]
+    if type(prec) is not int or abs(prec) > JSON_LIMIT:
+        raise ValueError(f"{what} precision {prec!r} is not an int of size <= {JSON_LIMIT}")
+    return prec
+
+
+def series_from_json(obj, spec):
+    prec = _precision(obj, "series")
+    coeffs = {int(e): a for e, a in obj["coeffs"].items()}
+    low = min((e for e in coeffs if e < prec), default=prec)
+    if low < -JSON_LIMIT:
+        raise ValueError(f"series exponent {low} is below -{JSON_LIMIT}")
+    return LaurentSeries(spec, {e: elem_from_json(a, spec) for e, a in coeffs.items()}, prec)
+
+
+def module_to_json(D, units):
+    return {
+        "rank": D.n,
+        "precision": D.prec,
+        "phi": [[series_to_json(e) for e in row] for row in D.phi],
+        "gamma_samples": [
+            {"c": c, "matrix": [[series_to_json(e) for e in row] for row in D.gamma_matrix(c)]}
+            for c in units
+        ],
+    }
+
+
+def module_from_json(obj, spec):
+    """The module `obj` over spec, whose gamma oracle answers only at the stored units."""
+    n = obj["rank"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"rank {n!r} is not a positive integer")
+
+    def matrix(rows, name):
+        widths = sorted({len(row) for row in rows})
+        if len(rows) != n or widths != [n]:
+            shape = f"{len(rows)}x{'/'.join(map(str, widths))}"
+            raise ValueError(f"{name} has shape {shape}, not {n}x{n} for rank {n}")
+        return [[series_from_json(e, spec) for e in row] for row in rows]
+
+    phi = matrix(obj["phi"], "phi")
+    samples = {
+        item["c"]: matrix(item["matrix"], f"gamma sample {item['c']}")
+        for item in obj.get("gamma_samples", [])
+    }
+
+    def oracle(c, prec):
+        if c not in samples:
+            raise ValueError(f"no gamma sample stored for unit {c}")
+        return [[e.truncate(prec) for e in row] for row in samples[c]]
+
+    return PhiGammaModule(spec, phi, oracle, _precision(obj, "module"))
+
+
+def params_from_json(obj, spec):
+    """The parameter {"n", "H", "Lam"} over spec; its degree n must be an
+    int in 1..MAX_DEGREE."""
+    n = obj["n"]
+    if type(n) is not int or not 1 <= n <= MAX_DEGREE:
+        raise ValueError(f"degree n {n!r} is not an int in 1..{MAX_DEGREE}")
+    return InducedParams(n, obj["H"], elem_from_json(obj["Lam"], spec))
 
 
 def _params_json(P):
@@ -115,16 +240,12 @@ def _check_prec(args):
     return prec
 
 
-def _units_list(text):
-    return [int(t) for t in text.split(",") if t.strip()]
-
-
 # -- the command table ---------------------------------------------------------
 
 
 def _opt(name, limit=None, **kwargs):
     """An option or positional of a subcommand: its argparse name and keyword
-    arguments, and for an int option the largest value accepted."""
+    arguments, and the largest value of an int option or length of a list."""
     return name, limit, kwargs
 
 
@@ -135,7 +256,8 @@ _M = _opt("--m", 8, type=int, default=1, help="coefficient field degree")
 _PREC = _opt("--prec", 10 ** 5, type=int, default=40, help="X-adic precision")
 _R = _opt("--r", type=int, required=True)
 _H = _opt("--h", type=int, required=True)
-_UNITS = _opt("--units", default="2", help="comma list of sampled units")
+# each unit builds and prints a Gamma matrix: 4 small ones take about 4 s at --p 5 --m 8 --prec 10^5
+_UNITS = _opt("--units", 4, default="2", help="comma list of sampled units")
 _MODULE = _opt("module", help="module JSON file, or - for stdin")
 _FORMAT = _opt("--format", choices=("json", "table"), default="json")
 
@@ -168,7 +290,8 @@ def _cocycle(args, spec):
           _opt("--zeta", type=int, default=1, choices=(1, -1)))
 def _split(args, spec):
     res = kappa_split(_parse_matrix(args.g), args.zeta, args.p)
-    return {"schema": SCHEMA, "g": res.g.to_json(), "zeta": res.zeta}
+    a, b, c, d = map(frac_str, res.g.entries())
+    return {"schema": SCHEMA, "g": [[a, b], [c, d]], "zeta": res.zeta}
 
 
 @_command("chi-z", "quadratic character of a central element", _P, _opt("z"))
@@ -181,7 +304,7 @@ def _chi_z(args, spec):
           _opt("--chi", default="1", help='e.g. "mu(2)*omega^1"'), _UNITS)
 def _build_rank1(args, spec):
     D = make_rank1(parse_tame_char(args.chi, spec), _check_prec(args))
-    return module_to_json(D, units=_units_list(args.units))
+    return module_to_json(D, units=args.units)
 
 
 @_command("build-induced", "induced module of degree n", _P, _M, _PREC,
@@ -192,7 +315,7 @@ def _build_induced(args, spec):
     D = make_induced(
         spec, args.n, args.h, lam_n=chi.unram ** args.n, tame=chi.tame, prec=_check_prec(args)
     )
-    return module_to_json(D, units=_units_list(args.units))
+    return module_to_json(D, units=args.units)
 
 
 @_command("twist", "twist a module JSON by a tame character", _P, _M, _MODULE,
@@ -200,13 +323,13 @@ def _build_induced(args, spec):
 def _twist(args, spec):
     D = _load_module(args.module, spec)
     out = module_twist(D, parse_tame_char(args.chi, spec))
-    return module_to_json(out, units=_units_list(args.units))
+    return module_to_json(out, units=args.units)
 
 
 @_command("dual", "dual of a module JSON", _P, _M, _MODULE, _UNITS)
 def _dual(args, spec):
     out = module_dual(_load_module(args.module, spec))
-    return module_to_json(out, units=_units_list(args.units))
+    return module_to_json(out, units=args.units)
 
 
 @_command("psi", "apply psi to a coordinate vector", _P, _M, _MODULE,
@@ -215,7 +338,7 @@ def _psi(args, spec):
     D = _load_module(args.module, spec)
     with _malformed_input():
         vec = [series_from_json(item, spec) for item in _load_json(args.vector)]
-    return [entry.to_json() for entry in psi(D, vec)]
+    return [series_to_json(entry) for entry in psi(D, vec)]
 
 
 @_command("normalize", "normalize a cyclic form JSON", _P, _M, _PREC,
@@ -238,7 +361,7 @@ def _normalize(args, spec):
     return {
         "schema": SCHEMA,
         "normal_form": _normal_form_json(nf),
-        "basis_change": [h.to_json() for h in hs],
+        "basis_change": [series_to_json(h) for h in hs],
     }
 
 
@@ -251,7 +374,12 @@ def _classify_ss(args, spec):
     params = galois_of_ss(data)
     return {
         "schema": SCHEMA,
-        "ss_data": data.to_json(),
+        "ss_data": {
+            "p": data.p, "r": data.r, "r_prime": data.r_prime, "s": list(data.s),
+            "chi": [[ch.e1, ch.e2] for ch in data.chi],
+            "c": [elem_to_json(ci) for ci in data.c],
+            "weights": [list(w) for w in data.weights],
+        },
         "cyclic_form": {
             "n": form.n,
             "d": [x.as_string() for x in form.d],
@@ -259,13 +387,11 @@ def _classify_ss(args, spec):
             "b": list(form.b),
         },
         "normal_form": _normal_form_json(nf),
-        "n": params.n,
-        "H": params.H,
-        "Lam": params.Lam.as_string(),
+        **_params_json(params),
     }
 
 
-# simulate-dual takes p Horner steps over p - 1 + K residues; p = 9973 takes about 7 s at K = 4
+# simulate-dual takes p Horner steps over p - 1 + K residues; p = 9973 takes about 7.5 s at K = 4
 @_command("simulate-dual", "finite-level dual Frobenius expansion",
           _opt("--p", 10 ** 4, type=int, required=True, help="odd prime"), _M, _R,
           _opt("--i", type=int, default=1),
@@ -278,7 +404,7 @@ def _simulate_dual(args, spec):
     return {
         "schema": SCHEMA,
         "valuation": out.valuation,
-        "expansion": out.to_json(),
+        "expansion": series_to_json(out),
         "unit_digits": [unit.coeff(k).as_string() for k in range(args.K)],
     }
 
@@ -345,8 +471,12 @@ def main(argv=None):
         parser.error("an option was given -- as its value")  # argparse reads "--x=--" as []
     _, options, handler = COMMANDS[args.command]
     try:
+        if hasattr(args, "units"):
+            args.units = [int(t) for t in args.units.split(",") if t.strip()]
         for name, limit, _ in options:
             value = getattr(args, name.lstrip("-"))
+            if type(value) is list:  # a list's bound is on its length
+                name, value = f"{name} count", len(value)
             if limit is not None and value > limit:
                 raise ValueError(f"{name} {value} is above its limit {limit}")
         if hasattr(args, "p") and (args.p == 2 or not is_prime(args.p)):

@@ -380,18 +380,6 @@ class FieldElem:
                 terms.append(f"{c}*w^{i}" if c != 1 else f"w^{i}")
         return "+".join(terms) if terms else "0"
 
-    def to_json(self):
-        return {"p": self.spec.p, "m": self.spec.m, "coeffs": list(self.coeffs)}
-
-
-def elem_from_json(obj, spec):
-    """The element `obj` (as written by `FieldElem.to_json`), which must lie in spec."""
-    if (obj["p"], obj["m"]) != (spec.p, spec.m):
-        raise ValueError(
-            f"coefficients {obj['coeffs']} lie in F_{obj['p']}^{obj['m']}, not F_{spec.p}^{spec.m}"
-        )
-    return FieldElem(spec, tuple(obj["coeffs"]))
-
 
 def nth_roots(x, n):
     """All y in the field of x with y^n = x, sorted by coefficient vector.

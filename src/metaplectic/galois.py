@@ -29,10 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeff import FieldElem, elem_from_json
-
-# the largest degree n a parameter file or `build-induced --n` may ask for
-MAX_DEGREE = 64
+from .coeff import FieldElem
 
 __all__ = [
     "InducedParams",
@@ -72,18 +69,6 @@ class InducedParams:
 
     def sort_key(self):
         return (self.n, self.H, self.Lam.coeffs)
-
-    def to_json(self):
-        return {"n": self.n, "H": self.H, "Lam": self.Lam.to_json()}
-
-
-def params_from_json(obj, spec):
-    """The parameter `obj` (as written by `InducedParams.to_json`) over spec;
-    its degree n must be an int in 1..MAX_DEGREE."""
-    n = obj["n"]
-    if type(n) is not int or not 1 <= n <= MAX_DEGREE:
-        raise ValueError(f"degree n {n!r} is not an int in 1..{MAX_DEGREE}")
-    return InducedParams(n, obj["H"], elem_from_json(obj["Lam"], spec))
 
 
 def orbit(H, n, p):

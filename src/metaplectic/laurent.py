@@ -31,7 +31,7 @@ import sys
 from array import array
 from math import comb
 
-from .coeff import FieldElem, elem_from_json
+from .coeff import FieldElem
 
 __all__ = [
     "LaurentSeries",
@@ -45,11 +45,6 @@ __all__ = [
     "phi_basis_decompose",
     "psi_ring",
 ]
-
-# A series read from JSON has |precision| <= JSON_LIMIT and no coefficient
-# below -JSON_LIMIT, so its residue list spans at most 2 * JSON_LIMIT exponents.
-JSON_LIMIT = 10 ** 6
-
 
 def binom_mod_p(n, k, p):
     """binom(n, k) mod p for n, k >= 0 via Lucas digit products."""
@@ -257,13 +252,6 @@ class LaurentSeries:
             terms.append(a if e == 0 else x if a == "1" else f"{a}*{x}")
         return " + ".join(terms + [f"O(X^{self.prec})"])
 
-    def to_json(self):
-        return {
-            "valuation": self.valuation,
-            "precision": self.prec,
-            "coeffs": {str(e): a.to_json() for e, a in self.terms().items()},
-        }
-
 
 def _fill(f, spec, v, res, prec):
     """Set the fields of f to X^v times the series of the residue list res,
@@ -380,17 +368,6 @@ def _kronecker_mul(spec, a, b, count):
     for j in range(m):
         out[j::m] = [s % p for s in planes[j]]
     return out
-
-
-def series_from_json(obj, spec):
-    prec = obj["precision"]
-    if type(prec) is not int or abs(prec) > JSON_LIMIT:
-        raise ValueError(f"series precision {prec!r} is not an int of size <= {JSON_LIMIT}")
-    coeffs = {int(e): a for e, a in obj["coeffs"].items()}
-    low = min((e for e in coeffs if e < prec), default=prec)
-    if low < -JSON_LIMIT:
-        raise ValueError(f"series exponent {low} is below -{JSON_LIMIT}")
-    return LaurentSeries(spec, {e: elem_from_json(a, spec) for e, a in coeffs.items()}, prec)
 
 
 def frobenius_phi(f, k=1, prec=None):

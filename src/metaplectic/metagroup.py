@@ -49,6 +49,7 @@ __all__ = [
     "chi_z",
     "quadchar_eval",
     "is_square_qp",
+    "frac_str",
 ]
 
 
@@ -166,14 +167,13 @@ class PMatrix:
         return hash(self._slots())
 
     def __repr__(self):
-        return f"PMatrix[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
-
-    def to_json(self):
-        return [[_frac_str(self.a), _frac_str(self.b)], [_frac_str(self.c), _frac_str(self.d)]]
+        a, b, c, d = map(frac_str, self.entries())
+        return f"PMatrix[[{a}, {b}], [{c}, {d}]]"
 
 
-def _frac_str(x):
-    # Decimal prints an int of any length; str stops at sys.get_int_max_str_digits()
+def frac_str(x):
+    """The Fraction x as "n" or "n/d" at any length: Decimal prints an int of
+    any size, where str stops at sys.get_int_max_str_digits()."""
     n, d = Decimal(x.numerator), Decimal(x.denominator)
     return str(n) if d == 1 else f"{n}/{d}"
 

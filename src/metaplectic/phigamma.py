@@ -25,7 +25,6 @@ from .laurent import (
     gamma_transform,
     one_unit_exponent,
     psi_ring,
-    series_from_json,
 )
 
 __all__ = [
@@ -272,40 +271,3 @@ def phi_gamma_commutes(D, c):
                 return False
     return True
 
-
-def module_to_json(D, units=()):
-    return {
-        "rank": D.n,
-        "precision": D.prec,
-        "phi": [[e.to_json() for e in row] for row in D.phi],
-        "gamma_samples": [
-            {"c": c, "matrix": [[e.to_json() for e in row] for row in D.gamma_matrix(c)]}
-            for c in units
-        ],
-    }
-
-
-def module_from_json(obj, spec):
-    n = obj["rank"]
-    if type(n) is not int or n < 1:
-        raise ValueError(f"rank {n!r} is not a positive integer")
-
-    def matrix(rows, name):
-        widths = sorted({len(row) for row in rows})
-        if len(rows) != n or widths != [n]:
-            shape = f"{len(rows)}x{'/'.join(map(str, widths))}"
-            raise ValueError(f"{name} has shape {shape}, not {n}x{n} for rank {n}")
-        return [[series_from_json(e, spec) for e in row] for row in rows]
-
-    phi = matrix(obj["phi"], "phi")
-    samples = {
-        item["c"]: matrix(item["matrix"], f"gamma sample {item['c']}")
-        for item in obj.get("gamma_samples", [])
-    }
-
-    def oracle(c, prec):
-        if c not in samples:
-            raise ValueError(f"no gamma sample stored for unit {c}")
-        return [[e.truncate(prec) for e in row] for row in samples[c]]
-
-    return PhiGammaModule(spec, phi, oracle, obj["precision"])

@@ -367,15 +367,15 @@ def rank1_lattice_law(prec):
 
 def normal_form_law(rng, primes, samples, prec):
     """Normalization kills 1-unit noise: a random noisy cyclic form and its
-    noise-free form have one normal form.  Returns the (noisy form, change
-    of basis) pairs it checked."""
-    checked = []
+    noise-free form have one normal form, and the basis change satisfies
+    h_(i+1) = g_i phi(h_i) mod X^prec for the noise g_i."""
     for _ in range(samples):
         clean, noisy = rand_noisy_form(rng, primes, prec)
         nf, hs = normalize_cyclic(noisy, prec)
         _require(nf == normalize_cyclic(clean, prec)[0], "normalization kills the noise")
-        checked.append((noisy, hs))
-    return checked
+        for i, g in enumerate(noisy.noise):
+            rhs = (frobenius_phi(hs[i], 1, prec) * g).truncate(prec)
+            _require(hs[(i + 1) % noisy.n].agrees_with(rhs), "the basis change kills the noise")
 
 
 def two_route_law(primes):

@@ -5,9 +5,9 @@ from metaplectic.chars import (
     HChar,
     TameChar,
     char_restrict_S,
-    parse_tame_char,
     quadratic_chars,
 )
+from metaplectic.cli import parse_tame_char
 
 F5 = field_make(5)
 F25 = field_make(5, 2)

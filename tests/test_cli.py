@@ -204,6 +204,7 @@ ONE3 = {"coeffs": {"0": LAM3}, "precision": 20}
 RANK1 = {"rank": 1, "precision": 10, "phi": [[ONE3]]}
 ONE5 = {"coeffs": {"0": LAM5}, "precision": 20}
 ZERO_PHI5 = {"rank": 1, "precision": 10, "phi": [[{"coeffs": {}, "precision": 20}]]}
+MODULE5 = json.loads((Path(__file__).parent / "golden" / "inputs" / "module.json").read_text())
 MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
 
 
@@ -278,6 +279,15 @@ MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
          "exponent 999999999 of a rational is above its limit 10000"),
         (["dual", "--p", "5", "{m}"], {"m": ZERO_PHI5}, "not etale"),
         (["psi", "--p", "5", "{m}", "{v}"], {"m": ZERO_PHI5, "v": [ONE5]}, "not etale"),
+        (["twist", "--p", "5", "{m}", "--chi", "omega"], {"m": {**MODULE5, "precision": "x"}},
+         "module precision 'x' is not an int of size <= 1000000"),
+        (["dual", "--p", "5", "{m}"], {"m": {**MODULE5, "precision": None}},
+         "module precision None is not an int"),
+        (["dual", "--p", "5", "{m}"], {"m": {**MODULE5, "precision": 1.5}},
+         "module precision 1.5 is not an int"),
+        (["dual", "--p", "3", "{m}"],
+         {"m": {**RANK1, "phi": [[{"coeffs": {"0": {**LAM3, "coeffs": [1.5]}}, "precision": 20}]]}},
+         "coefficients [1.5] are not all ints"),
     ],
 )
 def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, message):
@@ -467,9 +477,13 @@ def test_every_bound_and_bad_path_exits_1(cli_files):
     for command, (_, options, _) in COMMANDS.items():
         for name, limit, kwargs in options:
             if limit is not None:
-                code, err = run_in_process(argv_with(command, cli_files, name, str(limit + 1)))
+                if kwargs.get("type") is int:
+                    value, what = str(limit + 1), f"{name} {limit + 1}"
+                else:  # a comma list, bounded by its length
+                    value, what = ",".join(["2"] * (limit + 1)), f"{name} count {limit + 1}"
+                code, err = run_in_process(argv_with(command, cli_files, name, value))
                 assert code == 1
-                assert json.loads(err)["error"] == f"{name} {limit + 1} is above its limit {limit}"
+                assert json.loads(err)["error"] == f"{what} is above its limit {limit}"
                 checked += 1
             if is_file(name, kwargs):
                 for bad in ("missing", "directory", "non-JSON"):
@@ -478,8 +492,8 @@ def test_every_bound_and_bad_path_exits_1(cli_files):
                     checked += 1
         if command != "selftest":  # the whole suite; test_selftest runs it
             assert run_in_process(argv_with(command, cli_files)) == (0, "")
-    # 17 --p, 13 --m, 3 --prec, --n, --K; 7 file slots, 3 bad paths each
-    assert checked == 17 + 13 + 3 + 2 + 7 * 3
+    # 17 --p, 13 --m, 3 --prec, --n, --K, 4 --units; 7 file slots, 3 bad paths each
+    assert checked == 17 + 13 + 3 + 2 + 4 + 7 * 3
 
 
 MALFORMED = st.one_of(

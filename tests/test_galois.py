@@ -12,11 +12,11 @@ from metaplectic.galois import (
     lemma1_classify,
     lemma2_reduce,
     lfield_param,
-    params_from_json,
     primitive,
     quad_twist,
     tame_twist,
 )
+from metaplectic.cli import elem_to_json, params_from_json
 from metaplectic.metagroup import QuadCharParams
 from metaplectic.selftest import lemma2_law
 
@@ -203,4 +203,4 @@ def test_dual():
 
 def test_serialization():
     P = InducedParams(4, 39, F81.elem((1, 2, 0, 1)))
-    assert params_from_json(P.to_json(), F81) == P
+    assert params_from_json({"n": 4, "H": 39, "Lam": elem_to_json(P.Lam)}, F81) == P

@@ -12,6 +12,7 @@ from metaplectic.metagroup import (
     QuadCharParams,
     chi_z,
     cocycle,
+    frac_str,
     hilbert,
     is_square_qp,
     kappa_split,
@@ -123,7 +124,11 @@ def test_center_is_squares():
 
 def test_pmatrix_serialization():
     m = PMatrix(Fraction(1, 3), 2, -3, Fraction(7, 9))
-    assert m.to_json() == [["1/3", "2"], ["-3", "7/9"]]
+    assert [frac_str(x) for x in m.entries()] == ["1/3", "2", "-3", "7/9"]
+    assert repr(m) == "PMatrix[[1/3, 2], [-3, 7/9]]"
+    # entries past Python's 4,300-digit int-to-str limit print whole, as `split` prints them
+    big, digits = 10 ** 5000, "1" + "0" * 5000
+    assert repr(PMatrix(big, 0, 0, Fraction(-1, big))) == f"PMatrix[[{digits}, 0], [0, -1/{digits}]]"
 
 
 def test_chi_z_homomorphism():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from metaplectic.coeff import field_make
 from metaplectic.chars import TameChar, quadratic_chars
+from metaplectic.cli import module_from_json, module_to_json
 from metaplectic.laurent import LaurentSeries, gamma_transform, one_unit_root
 from metaplectic.phigamma import (
     dual,
@@ -16,8 +17,6 @@ from metaplectic.phigamma import (
     mat_inv,
     mat_mul,
     mat_vec,
-    module_from_json,
-    module_to_json,
     phi_gamma_commutes,
     psi,
     twist,
