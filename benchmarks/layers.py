@@ -12,8 +12,12 @@ over F_{p^m} for p in {5, 7, 13} and m in {1, 2, 4} at N = 1000, and at
 c = 2 over F_1000003 at N = 40, where a loop over all p residue classes
 would dominate; and, for the rank-4 induced module D (h = 3) over F_7 whose
 phi entries are known to about N = 1000 digits, `psi` on a vector of four
-series and `mat_inv` on Phi * (I + X S), S a 4x4 matrix of series.  Every
-series has valuation -1 (the power's base and S are shifted) and a nonzero
+series and `mat_inv` on Phi * (I + X S), S a 4x4 matrix of series; and,
+at the `modules` workload's largest module (F_5, n = 4, h = 2, N = 16),
+`psi` on four series known to 5N digits and `dual`, each on a fresh
+module per call, so that both rows invert Phi (whose pivots are
+monomials) and no cache answers them.  Every series has valuation -1
+(the power's base and S are shifted) and a nonzero
 coefficient at each exponent below N, so a row's cost does not depend on
 the seed.  Each group of rows draws from its own generator, seeded by SEED
 and the group's first row name.  The field rows time one pass over 1,000 seeded elements of F_{7^4}, which multiplies
@@ -27,12 +31,14 @@ F_{11^3}, F_{13^3}, F_{11^4}, F_{13^4} and F_211.  The
 at p = 101, and the `meta.invert_ss_image` rows invert the images of 10
 seeded supersingulars (r, eta) over F_101 and F_10007.  The
 `classify.simulate_dual_frobenius` rows compute phi(f_1) to K = 4 digits
-at r = 1 over F_101 and F_1009.  The `phigamma.induced_gamma` row builds
-the gamma matrix of c = p + 1 on the rank-4 induced module (h = 39) over
-F_5 at N = 30000, from a fresh module each call, so no cache answers it.
-The `laurent.pow` row at p = 101 raises a dense unit over F_101 (every
-coefficient below X^N nonzero, N = 10^4) to an exponent with three nonzero
-base-p digits, which takes `pow`'s Frobenius-digit branch.  The
+at r = 1 over F_101 and F_1009, and the `classify.simulate_dual_gamma`
+row computes three digits of gamma_c(f_1), c = 2, at r = 1 over F_101.
+The `phigamma.induced_gamma` row builds the gamma matrix of c = p + 1 on
+the rank-4 induced module (h = 39) over F_5 at N = 30000, from a fresh
+module each call, so no cache answers it.  The `laurent.pow` row at
+p = 101 raises a dense unit over F_101 (every coefficient below X^N
+nonzero, N = 10^4) to an exponent with three nonzero base-p digits, which
+takes `pow`'s Frobenius-digit branch.  The
 `metagroup` rows at p in {3, 7} each make one pass over 1,000 seeded
 pairs of matrices with entries p^v n/d, v in -40..40 and n/d a unit with
 |n| and d below 10^6: `cocycle` on the pair and `meta_mul` on the pair
@@ -76,14 +82,14 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import speed  # noqa: E402
-from metaplectic.classify import simulate_dual_frobenius, ss_data  # noqa: E402
+from metaplectic.classify import simulate_dual_frobenius, simulate_dual_gamma, ss_data  # noqa: E402
 from metaplectic.chars import TameChar  # noqa: E402
 from metaplectic.coeff import FieldElem, field_make  # noqa: E402
 from metaplectic.galois import lemma2_reduce  # noqa: E402
 from metaplectic.laurent import LaurentSeries, gamma_act, phi_basis_decompose  # noqa: E402
 from metaplectic.meta import SSRep, admissible, invert_ss_image, ss_image, verify_bijection  # noqa: E402
 from metaplectic.metagroup import MetaElem, PMatrix, cocycle, kappa_split, meta_inv, meta_mul  # noqa: E402
-from metaplectic.phigamma import identity_matrix, make_induced, mat_inv, mat_mul, psi  # noqa: E402
+from metaplectic.phigamma import dual, identity_matrix, make_induced, mat_inv, mat_mul, psi  # noqa: E402
 
 MIN_REP_S = 0.05
 REPEAT = 3
@@ -94,6 +100,7 @@ GAMMA_FIELDS = [(p, m) for p in (5, 7, 13) for m in (1, 2, 4)]
 GAMMA_SIZE = 1000
 MODULE_FIELD = (7, 1)
 MODULE_SIZE = 1000
+INDUCED_MODULE = (5, 4, 2, 16)  # p, n, h, N: the modules workload's largest module
 ELEM_FIELDS = ((7, 4), (3, 8))  # q = 2401 is tabled, q = 6561 is not
 ELEM_COUNT = 1000
 VERIFY_FIELDS = ((7, 4), (31, 1), (11, 3), (13, 3), (11, 4), (13, 4), (211, 1))
@@ -102,6 +109,7 @@ LEMMA2_PRIME, LEMMA2_COUNT = 101, 1000
 INVERT_PRIMES = (101, 10007)  # 10007 at --scale 1 only
 INVERT_COUNT = 10
 SIMULATE_PRIMES = (101, 1009)  # at --scale 1 only
+SIMULATE_GAMMA = (101, 2, 3)  # p, c, digits; r = 1 and i = 1
 INDUCED_GAMMA = (5, 4, 39, 30000)  # p, n, h, N; at --scale 1 only
 GAMMA_LARGE = (1000003, 1, 40, 2)  # p, m, N, c; at --scale 1 only
 POW_FIELD, POW_SIZE = 101, 10000  # at --scale 1 only
@@ -195,6 +203,17 @@ def rows(scale, keep):
         ident = identity_matrix(spec, 4, N)
         R = [[ident[i][j] + dense(rng, spec, N).shift(2) for j in range(4)] for i in range(4)]
         out += zip(names, [lambda D=D, vec=vec: psi(D, vec), lambda A=mat_mul(D.phi, R): mat_inv(A)])
+    p, n, h, N = INDUCED_MODULE
+    tag = f"p={p} m=1 n={n} h={h} N={N}"
+    names = [f"phigamma.psi {tag}", f"phigamma.dual {tag}"]
+    rng = group_rng(keep, names)
+    if rng is not None:
+        spec, N = field_make(p), max(2, round(N * scale))
+        vec = [dense(rng, spec, N * p) for _ in range(n)]
+        out += zip(names, [
+            lambda s=spec, n=n, h=h, N=N, vec=vec: psi(make_induced(s, n, h, prec=N), vec),
+            lambda s=spec, n=n, h=h, N=N: dual(make_induced(s, n, h, prec=N)),
+        ])
     for p, m in ELEM_FIELDS:
         tag = f"p={p} m={m} n={ELEM_COUNT}"
         names = [f"coeff.{op} {tag}" for op in ("elem", "mul", "inv", "pow")]
@@ -221,6 +240,10 @@ def rows(scale, keep):
         name = f"classify.simulate_dual_frobenius p={p} r=1 i=1 K=4"
         if keep(name):
             out.append((name, lambda d=ss_data(field_make(p), 1): simulate_dual_frobenius(d, 1, 4)))
+    p, c, digits = SIMULATE_GAMMA
+    name = f"classify.simulate_dual_gamma p={p} r=1 i=1 c={c} digits={digits}"
+    if keep(name):
+        out.append((name, lambda d=ss_data(field_make(p), 1), c=c, k=digits: simulate_dual_gamma(d, 1, c, k)))
     if scale >= 1:
         p, n, h, N = INDUCED_GAMMA
         name = f"phigamma.induced_gamma p={p} m=1 n={n} h={h} N={N}"

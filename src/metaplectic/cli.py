@@ -177,11 +177,13 @@ def module_from_json(obj, spec):
 
 def params_from_json(obj, spec):
     """The parameter {"n", "H", "Lam"} over spec; its degree n must be an
-    int in 1..MAX_DEGREE."""
-    n = obj["n"]
+    int in 1..MAX_DEGREE and its exponent H an int."""
+    n, H = obj["n"], obj["H"]
     if type(n) is not int or not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"degree n {n!r} is not an int in 1..{MAX_DEGREE}")
-    return InducedParams(n, obj["H"], elem_from_json(obj["Lam"], spec))
+    if type(H) is not int:
+        raise ValueError(f"exponent H {H!r} is not an int")
+    return InducedParams(n, H, elem_from_json(obj["Lam"], spec))
 
 
 def _params_json(P):

@@ -87,15 +87,15 @@ class LaurentSeries:
 
     @classmethod
     def zero(cls, spec, prec):
-        return cls(spec, {}, prec)
+        return _series(spec, prec, [], prec)
 
     @classmethod
     def one(cls, spec, prec):
-        return cls(spec, {0: spec.one()}, prec)
+        return cls.monomial(spec, 0, prec)
 
     @classmethod
     def monomial(cls, spec, exp, prec, coeff=None):
-        return cls(spec, {exp: spec.one() if coeff is None else coeff}, prec)
+        return _series(spec, exp, list((spec.one() if coeff is None else coeff).coeffs), prec)
 
     @classmethod
     def from_int_coeffs(cls, spec, terms, prec):
@@ -174,7 +174,8 @@ class LaurentSeries:
         """The inverse series; valuation negates, precision drops by 2*val.
 
         Newton iteration b <- b + b(1 - u*b) on the unit part u doubles the
-        known digits of b = u^-1 each step.
+        known digits of b = u^-1 each step.  A monomial needs none:
+        a X^v + O(X^N) inverts exactly to a^-1 X^-v + O(X^(N-2v)).
         """
         v = self.valuation
         if v is None:
@@ -184,7 +185,7 @@ class LaurentSeries:
         # w = -u for the unit part u = X^-v self; b starts at u^-1 mod X
         w = [-c % spec.p for c in self.res]
         b = list(self.leading_coeff().inv().coeffs)
-        known = 1
+        known = n if len(w) == len(b) else 1
         while known < n:
             # b is u^-1 mod X^known as an exact polynomial, so b + b(1 - u*b)
             # adds the digits known..2*known-1; b has none there, so they are

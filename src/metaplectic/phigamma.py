@@ -130,9 +130,10 @@ class PhiGammaModule:
     """A rank-n etale (phi,Gamma)-module at precision N.
 
     Never changed after construction but for its caches of phi^-1 and
-    of gamma matrices; the gamma oracle must be pure.  Matrix
-    columns hold images of basis vectors, so applying phi to a coordinate
-    vector v computes Phi . phi_ring(v).
+    of gamma matrices; the gamma oracle must be pure.  Phi is inverted
+    once, on first use, and that inverse serves both `psi` and `dual`.
+    Matrix columns hold images of basis vectors, so applying phi to a
+    coordinate vector v computes Phi . phi_ring(v).
     """
 
     __slots__ = ("spec", "n", "phi", "_gamma_oracle", "prec", "_phi_inv", "_gamma_cache")
@@ -238,7 +239,7 @@ def twist(D, chi):
 
 def dual(D):
     """The dual module: inverse-transpose matrices, making evaluation equivariant."""
-    phi = mat_transpose(mat_inv(D.phi))
+    phi = mat_transpose(D.phi_inv())
 
     def oracle(c, prec):
         return mat_transpose(mat_inv(D.gamma_matrix(c, prec)))

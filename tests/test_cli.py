@@ -288,6 +288,12 @@ MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
         (["dual", "--p", "3", "{m}"],
          {"m": {**RANK1, "phi": [[{"coeffs": {"0": {**LAM3, "coeffs": [1.5]}}, "precision": 20}]]}},
          "coefficients [1.5] are not all ints"),
+        (["galois-iso", "--p", "5", "{a}", "{a}"], {"a": {"n": 4, "H": 1.5, "Lam": LAM5}},
+         "exponent H 1.5 is not an int"),
+        (["galois-iso", "--p", "5", "{a}", "{a}"], {"a": {"n": 4, "H": True, "Lam": LAM5}},
+         "exponent H True is not an int"),
+        (["galois-iso", "--p", "5", "{a}", "{a}"], {"a": {"n": 4, "H": "7", "Lam": LAM5}},
+         "exponent H '7' is not an int"),
     ],
 )
 def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, message):

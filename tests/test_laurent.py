@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import metaplectic.laurent as laurent
@@ -321,12 +321,42 @@ def test_kernel_mul_matches_schoolbook(data):
     same(a * a, schoolbook_mul(a, a))
 
 
+def with_examples(name, values):
+    """Hypothesis explicit examples, one per value, passed as `name`."""
+    def apply(test):
+        for value in values:
+            test = example(**{name: value})(test)
+        return test
+    return apply
+
+
+# a X^v + O(X^(v+k)), a outside F_p over F_{3^2}: invert_series skips Newton's
+# loop for a single coefficient, so each of these is a case of its own
+MONOMIALS = [
+    LaurentSeries.monomial(spec, v, v + k, spec.elem(coeffs))
+    for spec, coeffs in ((F5, [3]), (field_make(3, 2), [2, 1]))
+    for v in (-3, 0, 2)
+    for k in (1, 7)
+]
+
+
 @kernel_settings
-@given(st.data())
-def test_kernel_invert_matches_recurrence(data):
-    spec = data.draw(st.sampled_from(KERNEL_FIELDS))
-    f = data.draw(kernel_series(spec).filter(lambda f: not f.is_zero()))
+@with_examples("f", MONOMIALS)
+@given(f=st.sampled_from(KERNEL_FIELDS).flatmap(kernel_series).filter(lambda f: not f.is_zero()))
+def test_kernel_invert_matches_recurrence(f):
     same(f.invert_series(), recurrence_invert(f))
+
+
+@pytest.mark.parametrize("spec", [F5, field_make(3, 2)])
+@pytest.mark.parametrize("exp", [-3, 0, 2, 7])
+@pytest.mark.parametrize("prec", [-4, 0, 1, 3, 7])
+def test_constructors_match_the_dict_constructor(spec, exp, prec):
+    # the grid holds exp >= prec, prec <= 0 and a zero coefficient
+    assert LaurentSeries.zero(spec, prec) == LaurentSeries(spec, {}, prec)
+    assert LaurentSeries.one(spec, prec) == LaurentSeries(spec, {0: spec.one()}, prec)
+    assert LaurentSeries.monomial(spec, exp, prec) == LaurentSeries(spec, {exp: spec.one()}, prec)
+    for a in (spec.zero(), spec.from_int(2), spec.elem([0] * (spec.m - 1) + [1])):
+        assert LaurentSeries.monomial(spec, exp, prec, a) == LaurentSeries(spec, {exp: a}, prec)
 
 
 @settings(kernel_settings, max_examples=300)

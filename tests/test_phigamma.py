@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import metaplectic.phigamma as phigamma
 from metaplectic.coeff import field_make
 from metaplectic.chars import TameChar, quadratic_chars
 from metaplectic.cli import module_from_json, module_to_json
@@ -101,6 +102,23 @@ def test_dual():
         from metaplectic.phigamma import PhiGammaModule
 
         dual(PhiGammaModule(F5, [[zero]], lambda c, n: [[zero]], 10))
+
+
+def test_phi_is_inverted_once_for_psi_and_dual(monkeypatch):
+    inverted = []
+
+    def counting_inv(A):
+        inverted.append(A)
+        return mat_inv(A)
+
+    monkeypatch.setattr(phigamma, "mat_inv", counting_inv)
+    D = make_induced(F5, 4, 2, prec=16)
+    v = [LaurentSeries.one(F5, 16)] * 4
+    psi(D, v)
+    Dd = dual(D)
+    psi(D, v)
+    assert [A is D.phi for A in inverted] == [True]
+    assert Dd.phi == [list(col) for col in zip(*mat_inv(D.phi))]
 
 
 def test_psi_examples():
