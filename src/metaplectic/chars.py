@@ -47,10 +47,6 @@ class TameChar:
     def trivial(cls, spec):
         return cls(spec.one(), 0)
 
-    @classmethod
-    def omega_power(cls, spec, a):
-        return cls(spec.one(), a)
-
     def mul(self, other):
         return TameChar(self.unram * other.unram, self.tame + other.tame)
 
@@ -83,10 +79,6 @@ class SChar:
     @property
     def spec(self):
         return self.val_p2.spec
-
-    @classmethod
-    def trivial(cls, spec):
-        return cls(spec.one(), 0)
 
     def mul(self, other):
         return SChar(self.val_p2 * other.val_p2, self.tame + other.tame)

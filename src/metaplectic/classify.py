@@ -131,6 +131,12 @@ class CyclicForm:
     noise: tuple  # 1-unit series g_i, or None entries meaning exactly 1
 
     def __post_init__(self):
+        lengths = [len(self.d), len(self.t), len(self.b), len(self.noise)]
+        if self.n < 1 or lengths != [self.n] * 4:
+            raise ValueError(
+                f"cyclic form of rank {self.n} needs n >= 1 and n entries in each of"
+                f" d, t, b and noise, not {lengths}"
+            )
         p = self.spec.p
         object.__setattr__(self, "b", tuple(x % (p - 1) for x in self.b))
         for di in self.d:

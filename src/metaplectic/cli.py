@@ -348,15 +348,20 @@ def _psi(args, spec):
 def _normalize(args, spec):
     obj = _load_json(args.form)
     with _malformed_input():
+        n, d, t, b = obj["n"], obj["d"], tuple(obj["t"]), tuple(obj["b"])
+        if type(n) is not int:
+            raise ValueError(f"rank n {n!r} is not an int")
+        if not all(type(x) is int for x in t + b):
+            raise ValueError(f"exponents t {list(t)} and b {list(b)} are not all ints")
         form = CyclicForm(
             spec,
-            obj["n"],
-            tuple(elem_from_json(x, spec) for x in obj["d"]),
-            tuple(obj["t"]),
-            tuple(obj["b"]),
+            n,
+            tuple(elem_from_json(x, spec) for x in d),
+            t,
+            b,
             tuple(
                 series_from_json(g, spec) if g is not None else None
-                for g in obj.get("noise", [None] * obj["n"])
+                for g in obj.get("noise", [None] * len(d))
             ),
         )
     nf, hs = normalize_cyclic(form, args.prec)

@@ -414,12 +414,11 @@ def gamma_act(c, f):
     _GAMMA_LEAF digits is one linear combination sum_d a_d X^d u^d of the
     rows u^d mod X^_GAMMA_LEAF.  Row d is row d-1 times u, taken as a
     combination over the nonzero residues of u; the rows are built once per
-    call, and only up to the highest d a leaf reads.  A longer P with at
-    most two nonzero residues, and the p terms of an upper level, are summed
-    by Horner's rule over the gaps between their exponents.  Negative
-    exponents of the substituted variable are handled by inverting u at the
-    precision the output needs, so no precision is lost against the
-    contract.
+    call, and only up to the highest d a leaf reads.  The p terms of an
+    upper level are summed by Horner's rule over the gaps between their
+    exponents.  Negative exponents of the substituted variable are handled
+    by inverting u at the precision the output needs, so no precision is
+    lost against the contract.
     """
     spec = f.spec
     if c < 1:
@@ -456,14 +455,11 @@ def gamma_act(c, f):
         if K <= _GAMMA_LEAF:
             out = _lincomb(p, [(a, i, row(i // m)) for i, a in enumerate(P) if a], K * m)
             return out + [0] * (-len(out) % m)
-        if len(P) - P.count(0) <= 2:
-            terms = [(i // m, P[i : i + m]) for i in range(0, len(P), m) if any(P[i : i + m])]
-        else:
-            terms = []
-            for j in range(min(p, len(P) // m)):
-                part = _decimate(P, m, j, p)
-                if any(part):
-                    terms.append((j, _stretch(compose(part, -(-(K - j) // p)), m, p)))
+        terms = []
+        for j in range(min(p, len(P) // m)):
+            part = _decimate(P, m, j, p)
+            if any(part):
+                terms.append((j, _stretch(compose(part, -(-(K - j) // p)), m, p)))
         # Horner's rule over the gaps between the terms' exponents: the terms
         # from exponent lo up are summed mod X^(K - lo)
         hi, acc = terms[-1]

@@ -3,9 +3,9 @@ supersingular / twist-invariant-Galois correspondence.
 
 Irreducible genuine representations are stored as finite parameter
 records: a supersingular is (r, eta) with 0 <= r <= p-1, r != (p-1)/2
-and a tame twist eta; a principal series is classified by the pair of
-restrictions to the squares S.  No infinite-dimensional space is ever
-materialized; the image formulas are parameter-to-parameter.
+and a tame twist eta; a principal series is its pair of tame characters
+(chi1, chi2).  No infinite-dimensional space is ever materialized; the
+image formulas are parameter-to-parameter.
 
 The image of a supersingular (r, eta) has underlying degree-4 induced
 parameter with exponent (p^2+1)/2 * s' (s' = p - 2r or 3p - 2r), tame
@@ -52,11 +52,8 @@ from .metagroup import chi_z
 
 __all__ = [
     "SSRep",
-    "PSRep",
-    "HeckeExtension",
     "MetaPhiGamma",
     "irr_iso_test",
-    "hecke_cokernel",
     "meta_ind",
     "meta_irred_test",
     "ps_image",
@@ -88,60 +85,6 @@ class SSRep:
     @classmethod
     def plain(cls, spec, r):
         return cls(spec, r, TameChar.trivial(spec))
-
-
-@dataclass(frozen=True)
-class PSRep:
-    """A genuine principal series, classified by the restrictions to S."""
-
-    chi1_s: SChar
-    chi2_s: SChar
-
-    @classmethod
-    def from_hecke(cls, spec, r, lam, eta=None):
-        """The principal series attached to a nonzero Hecke eigenvalue.
-
-        The underlying torus-of-squares character sends diag(p^2, 1) to
-        lam^{-1}, diag(1, p^2) to lam and is 1 (x) omega^r on units; a
-        twist eta multiplies both components by eta restricted to S.
-        """
-        if lam.is_zero():
-            raise ValueError("nonzero Hecke eigenvalue required")
-        if eta is None:
-            eta = TameChar.trivial(spec)
-        u2 = eta.unram ** 2
-        chi1 = SChar(lam.inv() * u2, eta.tame)
-        chi2 = SChar(lam * u2, r + eta.tame)
-        return cls(chi1, chi2)
-
-
-@dataclass(frozen=True)
-class HeckeExtension:
-    """The lambda = 0 cokernel: an extension of two supersingulars.
-
-    constituents is None exactly at r = (p-1)/2, where the quotient is a
-    split sum whose pieces fall outside the (r, eta) parameter chart.
-    """
-
-    split: bool
-    constituents: tuple | None
-
-
-def hecke_cokernel(spec, r, lam):
-    """Cokernel of T - lam on the spherical universal module at weight r."""
-    p = spec.p
-    if not 0 <= r <= p - 1:
-        raise ValueError("parameter out of range")
-    if not lam.is_zero():
-        return PSRep.from_hecke(spec, r, lam)
-    half = (p - 1) // 2
-    if r == half:
-        return HeckeExtension(split=True, constituents=None)
-    constituents = (
-        SSRep.plain(spec, r),
-        SSRep(spec, p - 1 - r, TameChar.omega_power(spec, r)),
-    )
-    return HeckeExtension(split=False, constituents=constituents)
 
 
 def _swap_partner(p, r):
@@ -177,19 +120,11 @@ def ss_class_key(rep):
 
 
 def irr_iso_test(a, b):
-    """Isomorphism of absolutely irreducible genuine parameters.
-
-    Supersingular pairs compare through their class keys (the r-partner
-    rule with the tame and fourth-power conditions); principal series
-    compare through the restrictions to S; mixed comparisons are False.
-    """
-    if isinstance(a, SSRep) and isinstance(b, SSRep):
-        if a.spec != b.spec:
-            raise ValueError("incomparable")
-        return ss_class_key(a) == ss_class_key(b)
-    if isinstance(a, PSRep) and isinstance(b, PSRep):
-        return a.chi1_s == b.chi1_s and a.chi2_s == b.chi2_s
-    return False
+    """Isomorphism of supersingular parameters: equal class keys (the
+    r-partner rule with the tame and fourth-power conditions)."""
+    if a.spec != b.spec:
+        raise ValueError("incomparable")
+    return ss_class_key(a) == ss_class_key(b)
 
 
 def admissible(p):

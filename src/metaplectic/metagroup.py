@@ -150,10 +150,6 @@ class PMatrix:
         return (self.a, self.b, self.c, self.d)
 
     @classmethod
-    def identity(cls):
-        return cls(1, 0, 0, 1)
-
-    @classmethod
     def scalar(cls, z):
         return cls(z, 0, 0, z)
 

@@ -204,6 +204,7 @@ ONE3 = {"coeffs": {"0": LAM3}, "precision": 20}
 RANK1 = {"rank": 1, "precision": 10, "phi": [[ONE3]]}
 ONE5 = {"coeffs": {"0": LAM5}, "precision": 20}
 ZERO_PHI5 = {"rank": 1, "precision": 10, "phi": [[{"coeffs": {}, "precision": 20}]]}
+FORM3 = {"n": 2, "d": [LAM3, LAM3], "t": [-1, -1], "b": [0, 1]}
 MODULE5 = json.loads((Path(__file__).parent / "golden" / "inputs" / "module.json").read_text())
 MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
 
@@ -294,6 +295,24 @@ MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
          "exponent H True is not an int"),
         (["galois-iso", "--p", "5", "{a}", "{a}"], {"a": {"n": 4, "H": "7", "Lam": LAM5}},
          "exponent H '7' is not an int"),
+        (["normalize", "--p", "3", "{f}"], {"f": {**FORM3, "noise": [None]}},
+         "entries in each of d, t, b and noise, not [2, 2, 2, 1]"),
+        (["normalize", "--p", "3", "{f}"], {"f": {**FORM3, "n": 0}},
+         "cyclic form of rank 0 needs n >= 1"),
+        (["normalize", "--p", "3", "{f}"], {"f": {**FORM3, "n": -1}},
+         "cyclic form of rank -1 needs n >= 1"),
+        (["normalize", "--p", "3", "{f}"], {"f": {**FORM3, "n": True}},
+         "rank n True is not an int"),
+        (["normalize", "--p", "3", "{f}"], {"f": {**FORM3, "t": [-1.0, -1.0]}},
+         "exponents t [-1.0, -1.0] and b [0, 1] are not all ints"),
+        (["normalize", "--p", "3", "{f}"], {"f": {**FORM3, "b": [0.5, 1.5]}},
+         "exponents t [-1, -1] and b [0.5, 1.5] are not all ints"),
+        (["normalize", "--p", "3", "{f}"], {"f": {**FORM3, "d": [LAM3]}},
+         "entries in each of d, t, b and noise, not [1, 2, 2, 1]"),
+        (["normalize", "--p", "3", "{f}"], {"f": {**FORM3, "t": [-1, -1, 0]}},
+         "entries in each of d, t, b and noise, not [2, 3, 2, 2]"),
+        (["normalize", "--p", "3", "{f}"], {"f": {**FORM3, "b": [0]}},
+         "entries in each of d, t, b and noise, not [2, 2, 1, 2]"),
     ],
 )
 def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, message):

@@ -389,9 +389,9 @@ def test_gamma_act_leaf_boundaries_match_per_exponent(p, m):
     # K = N - v digits on both sides of the leaf size 16 and of a second
     # split (3 * 16 = 48).  The coefficient w^(m-1) has one residue, the last
     # of its block: a leaf that reads only it must pad its result to a whole
-    # block before an upper level stretches it.  Two terms of two residues
-    # take the Horner shortcut above the leaves; with the other term a full
-    # unit (2m residues), m > 1 takes the split instead
+    # block before an upper level stretches it.  Above the leaves every shape
+    # takes the Frobenius split: two terms of two residues, and two terms
+    # whose second is a full unit (m + 1 residues), as well as the dense one
     spec = field_make(p, m)
     grid_rng = random.Random(p * 10 + m)
     w_top = spec.elem([0] * (m - 1) + [1])
@@ -438,9 +438,14 @@ def test_gamma_act_at_a_large_prime_decimates_only_present_residues(monkeypatch)
 
     monkeypatch.setattr(laurent, "_decimate", counted)
     coeffs = random.Random(N)
-    f = LaurentSeries(spec, {e: spec.elem([coeffs.randrange(1, p)]) for e in range(N)}, N)
-    same(gamma_act(2, f), per_exponent_gamma(2, f))
-    assert 0 < len(calls) <= N
+    dense = {e: spec.elem([coeffs.randrange(1, p)]) for e in range(N)}
+    # two residues, the first and the last, are split like a dense P
+    two = {0: spec.one(), N - 1: spec.elem([coeffs.randrange(1, p)])}
+    for terms in (dense, two):
+        calls.clear()
+        f = LaurentSeries(spec, terms, N)
+        same(gamma_act(2, f), per_exponent_gamma(2, f))
+        assert 0 < len(calls) <= N
 
 
 @kernel_settings

@@ -43,7 +43,7 @@ def test_make_rank1_examples():
     D = make_rank1(TameChar(F3.from_int(2), 0), 20)
     assert int(D.phi[0][0].coeff(0)) == 2
     assert D.gamma_matrix(2)[0][0].agrees_with(LaurentSeries.one(F3, 20))
-    D = make_rank1(TameChar.omega_power(F3, 1), 20)
+    D = make_rank1(TameChar(F3.one(), 1), 20)
     assert D.phi[0][0].agrees_with(LaurentSeries.one(F3, 20))
     assert int(D.gamma_matrix(2)[0][0].coeff(0)) == 2
 

@@ -1,9 +1,12 @@
-"""Every public name of the library has a caller outside the tests.
+"""Every public name of the library, and every member of a reached class,
+has a caller outside the tests.
 
 The roots are the handlers of the CLI commands, the selftest laws and
 whatever the perfbench workloads import.  From them the audit follows the
 references between the top-level definitions of `src/metaplectic`, read
-with `ast`, and lists each `__all__` name it never reaches.
+with `ast`, and lists each `__all__` name it never reaches.  A member
+(method, classmethod or property) counts as called when some reached
+definition or some workload file reads an attribute of its name.
 """
 
 import ast
@@ -15,9 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "metaplectic"
 WORKLOADS = ROOT / "perfbench" / "workloads"
 
-# hecke_cokernel is the paper's cokernel of T - lambda, which builds the
-# supersingulars and the principal series; no command prints it yet
-UNREACHED = {("meta", "hecke_cokernel"), ("meta", "HeckeExtension")}
+UNREACHED = set()
 
 
 def library_module(node):
@@ -76,12 +77,48 @@ def roots():
     return handlers | used | {("selftest", "CHECKS")}
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
-    edges, public = reference_graph()
+def reached(edges):
     seen, todo = set(), list(roots())
     while todo:
         node = todo.pop()
         if node not in seen:
             seen.add(node)
             todo += edges.get(node, ())
-    assert public - seen == UNREACHED
+    return seen
+
+
+def attributes(tree):
+    """The attribute names that a syntax tree reads."""
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def members(cls):
+    """The non-dunder methods, classmethods and properties of a class."""
+    names = []
+    for stmt in cls.body:
+        value = getattr(stmt, "value", None)
+        if isinstance(stmt, ast.FunctionDef):
+            names.append(stmt.name)
+        elif isinstance(value, ast.Call) and getattr(value.func, "id", None) == "property":
+            names += bound_names(stmt)
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    edges, public = reference_graph()
+    assert public - reached(edges) == UNREACHED
+
+
+def test_every_member_of_a_reached_class_is_read_outside_the_tests():
+    seen = reached(reference_graph()[0])
+    read, defined = set(), set()
+    for path in WORKLOADS.glob("*.py"):
+        read |= attributes(ast.parse(path.read_text()))
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for stmt in ast.parse(path.read_text()).body:
+            if any((module, name) in seen for name in bound_names(stmt)):
+                read |= attributes(stmt)
+                if isinstance(stmt, ast.ClassDef):
+                    defined |= {(module, stmt.name, m) for m in members(stmt)}
+    assert {member for member in defined if member[2] not in read} == set()
