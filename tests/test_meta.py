@@ -57,9 +57,18 @@ def test_irr_iso_ss_brute_force():
         if got:
             fixing.append(eta)
     assert len(fixing) == 16  # 4 fourth roots of unity x 4 tame exponents
-    # the constituents (1, 1) and (3, omega) of the lambda = 0 Hecke
-    # cokernel at r = 1 are not isomorphic
-    assert not irr_iso_test(SSRep.plain(F5, 1), SSRep(F5, 3, TameChar(F5.one(), 1)))
+
+
+def test_hecke_cokernel():
+    # the constituents (r, 1) and (p-1-r, omega^r) of the lambda = 0 Hecke
+    # cokernel are never isomorphic; at r = (p-1)/2 the extension splits and
+    # neither constituent is a supersingular parameter
+    for r in (0, 1, 3, 4):
+        c1 = SSRep.plain(F5, r)
+        c2 = SSRep(F5, 4 - r, TameChar(F5.one(), r))
+        assert not irr_iso_test(c1, c2)
+    with pytest.raises(ValueError, match="excluded parameter"):
+        SSRep(F5, 2, TameChar(F5.one(), 2))
 
 
 def test_meta_ind_summands():
