@@ -35,7 +35,9 @@ at r = 1 over F_101 and F_1009, and the `classify.simulate_dual_gamma`
 row computes three digits of gamma_c(f_1), c = 2, at r = 1 over F_101.
 The `phigamma.induced_gamma` row builds the gamma matrix of c = p + 1 on
 the rank-4 induced module (h = 39) over F_5 at N = 30000, from a fresh
-module each call, so no cache answers it.  The `laurent.pow` row at
+module each call, so no cache answers it; its F_{5^8} row builds the gamma
+matrix of the unit c = 99999, whose 1-unit u = ((1+X)^c - 1)/(cX) is dense,
+at N = 5000, at every scale.  The `laurent.pow` row at
 p = 101 raises a dense unit over F_101 (every coefficient below X^N
 nonzero, N = 10^4) to an exponent with three nonzero base-p digits, which
 takes `pow`'s Frobenius-digit branch.  The
@@ -59,7 +61,7 @@ regular expression matches (`re.search`), so the rows of one claim can be
 re-run in both orders in seconds.  `--scale` below 1 shrinks every N, the
 pair counts and MIN_REP_S alike, runs the `verify_bijection` rows over
 F_{3^4} and F_5, and leaves out the `simulate_dual_frobenius`,
-`induced_gamma`, p = 101 `pow`, p = 1000003 `gamma_act` and p = 10007
+F_5 `induced_gamma`, p = 101 `pow`, p = 1000003 `gamma_act` and p = 10007
 `invert_ss_image` rows, for a quick smoke run.
 """
 
@@ -111,6 +113,7 @@ INVERT_COUNT = 10
 SIMULATE_PRIMES = (101, 1009)  # at --scale 1 only
 SIMULATE_GAMMA = (101, 2, 3)  # p, c, digits; r = 1 and i = 1
 INDUCED_GAMMA = (5, 4, 39, 30000)  # p, n, h, N; at --scale 1 only
+INDUCED_DENSE = (5, 8, 4, 39, 5000, 99999)  # p, m, n, h, N, c: a dense unit over F_{5^8}
 GAMMA_LARGE = (1000003, 1, 40, 2)  # p, m, N, c; at --scale 1 only
 POW_FIELD, POW_SIZE = 101, 10000  # at --scale 1 only
 COVER_PRIMES = (3, 7)
@@ -258,6 +261,14 @@ def rows(scale, keep):
         if rng is not None:
             u = dense(rng, field_make(p), POW_SIZE).shift(1)
             out.append((name, lambda u=u, e=e: u.pow(e)))
+    p, m, n, h, N, c = INDUCED_DENSE
+    name = f"phigamma.induced_gamma p={p} m={m} n={n} h={h} N={N} c={c}"
+    if keep(name):
+        out.append((
+            name,
+            lambda s=field_make(p, m), n=n, h=h, N=max(2, round(N * scale)), c=c:
+                make_induced(s, n, h, prec=N).gamma_matrix(c),
+        ))
     for p in COVER_PRIMES:
         tag = f"p={p} pairs={COVER_PAIRS}"
         names = [f"metagroup.{op} {tag}" for op in ("cocycle", "meta_mul", "kappa_split", "mul", "meta_inv")]

@@ -50,18 +50,12 @@ class TameChar:
     def mul(self, other):
         return TameChar(self.unram * other.unram, self.tame + other.tame)
 
-    def inv(self):
-        return TameChar(self.unram.inv(), -self.tame)
-
     def value_at_unit(self, c):
         """The value at an integer unit c: omega(c)^tame."""
         spec = self.spec
         if c % spec.p == 0:
             raise ValueError("not a unit")
         return spec.from_int(pow(c % spec.p, self.tame, spec.p))
-
-    def is_trivial(self):
-        return self.unram.is_one() and self.tame == 0
 
 
 @dataclass(frozen=True)
@@ -79,9 +73,6 @@ class SChar:
     @property
     def spec(self):
         return self.val_p2.spec
-
-    def mul(self, other):
-        return SChar(self.val_p2 * other.val_p2, self.tame + other.tame)
 
     def is_trivial(self):
         return self.val_p2.is_one() and self.tame == 0

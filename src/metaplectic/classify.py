@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .coeff import FieldElem, FieldSpec, factorial_in
 from .chars import HChar
 from .galois import InducedParams, tame_twist
-from .laurent import LaurentSeries, binom_neg_mod_p, frobenius_phi, gamma_act
+from .laurent import LaurentSeries, binom_neg_mod_p, frobenius_phi, gamma_act, one_unit_exponent
 
 __all__ = [
     "SSData",
@@ -338,10 +338,7 @@ def simulate_dual_gamma(data, i, c, digits=3):
     _, e_m = e_exponents(data, i, m)
     if e_m < digits:
         raise ValueError("window too small")
-    M = 1
-    while p ** M <= e_m + 1:
-        M += 1
-    c_inv = pow(c, -1, p ** M)
+    c_inv = pow(c, -1, one_unit_exponent(p, e_m + 2))
     chi_val = spec.from_int(pow(c_inv % p, data.gamma_exponents()[i - 1], p))
     coeffs = {
         l: gamma_act(c_inv, LaurentSeries.monomial(spec, e_m - l, e_m + 1)).coeff(e_m) * chi_val

@@ -258,7 +258,7 @@ _M = _opt("--m", 8, type=int, default=1, help="coefficient field degree")
 _PREC = _opt("--prec", 10 ** 5, type=int, default=40, help="X-adic precision")
 _R = _opt("--r", type=int, required=True)
 _H = _opt("--h", type=int, required=True)
-# each unit builds and prints a Gamma matrix: 4 small ones take about 4 s at --p 5 --m 8 --prec 10^5
+# each unit builds and prints a Gamma matrix: 4 small ones take about 2 s at --p 5 --m 8 --prec 10^5
 _UNITS = _opt("--units", 4, default="2", help="comma list of sampled units")
 _MODULE = _opt("module", help="module JSON file, or - for stdin")
 _FORMAT = _opt("--format", choices=("json", "table"), default="json")

@@ -143,6 +143,17 @@ def half_twist_exponents(p):
     return out
 
 
+def window_split(y, p):
+    """The window split (a, h') of y (module docstring), y read mod 2(p^2 - 1)."""
+    return divmod(y % (2 * (p * p - 1)), 2 * (p + 1))
+
+
+def window_splits(H, p):
+    """The window splits of x/half over the conjugates x of H that half divides."""
+    half = (p * p + 1) // 2
+    return [window_split(x // half, p) for x in orbit(H, 4, p) if not x % half]
+
+
 def lemma1_classify(P):
     """Classify a 4-dimensional parameter invariant under the tame quadratic twist.
 
@@ -153,23 +164,14 @@ def lemma1_classify(P):
     larger p distinct windows can be twist-equivalent, e.g. 3 and 5 at
     p = 7, and the minimum is the canonical representative).  None is
     the negative answer.
-
-    A window match is a Frobenius conjugate x of H whose window split (module
-    docstring) reads h' in the window: half | x and h' = x/half mod 2(p + 1)
-    odd in [3, 2p).
     """
     if P.n != 4:
         raise ValueError("incomparable")
     p, H = P.p, P.H
     if H == 0 or not primitive(H, 4, p):
         return None
-    half = (p * p + 1) // 2
-    matches = set()
-    for x in orbit(H, 4, p):
-        hp = x // half % (2 * (p + 1))
-        if not x % half and hp % 2 and 3 <= hp < 2 * p:
-            matches.add(hp)
-    return min(matches, default=None)
+    window = [hp for _, hp in window_splits(H, p) if hp % 2 and 3 <= hp < 2 * p]
+    return min(window) if window else None
 
 
 def lemma2_reduce(h, p):
@@ -180,7 +182,7 @@ def lemma2_reduce(h, p):
     """
     if h % 2 == 0:
         raise ValueError("odd required")
-    a, hp = divmod(h % (2 * (p * p - 1)), 2 * (p + 1))
+    a, hp = window_split(h, p)
     return a, {1: p, 2 * p + 1: p + 2}.get(hp, hp)
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "binom_neg_mod_p",
     "gamma_transform",
     "frobenius_phi",
+    "extend_scalars",
     "gamma_act",
     "one_unit_root",
     "one_unit_exponent",
@@ -380,6 +381,16 @@ def frobenius_phi(f, k=1, prec=None):
     return _series(f.spec, f.v * s, _stretch(f.res, f.spec.m, s), prec)
 
 
+def extend_scalars(f, spec):
+    """f, a series over F_p, as the same series over spec = F_{p^m}: each
+    residue fills w-degree 0 of its coefficient.  f itself when m = 1."""
+    if spec.m == 1:
+        return f
+    res = [0] * (len(f.res) * spec.m)
+    res[:: spec.m] = f.res
+    return _series(spec, f.v, res, f.prec)
+
+
 def gamma_transform(c, spec, prec):
     """(1+X)^c - 1 modulo X^prec for an exact integer unit c >= 1."""
     p, m = spec.p, spec.m
@@ -500,50 +511,35 @@ def one_unit_exponent(p, prec):
     return q
 
 
-def phi_basis_decompose(f):
-    """Components (g_0, ..., g_{p-1}) with f = sum_i (1+X)^i g_i(X^p).
+def _phi_rows(f, rows):
+    """The components g_0, ..., g_(rows-1) of f in the (1+X)^i basis.
 
-    Exponents of f are grouped by residue mod p and the unipotent Pascal
-    matrix binom(i, j) is inverted by its signed counterpart.  The
-    guaranteed output precision is floor(N/p) - 1 for input precision N;
-    the reported precision is the tightest provable one (at least that).
+    f splits as sum_j X^j u_j(X^p) over the residue classes j present in
+    f, and the unipotent Pascal matrix binom(i, j) inverts to its signed
+    counterpart: g_i = sum_{j >= i} (-1)^(j-i) binom(j, i) u_j.  u_j is
+    known mod X^ceil((N - j)/p) for input precision N, so every g_i is known
+    exactly mod X^(N//p), the least of these, at j = p - 1.
     """
     spec = f.spec
     p, m = spec.p, spec.m
-    N = f.prec
-    # residue components u_j with f = sum_j X^j u_j(X^p), u_j known modulo
-    # X^{Q_j}; the coefficient of X^(v+k) with k = (j - v) % p is u_j's first
+    prec = f.prec // p
     u = []
-    for j in range(p):
-        k = (j - f.v) % p
-        q = (N - 1 - j) // p + 1
-        u.append(_series(spec, (f.v + k - j) // p, _decimate(f.res, m, k, p), q))
-    # g_i = sum_{j >= i} (-1)^{j-i} binom(j, i) u_j
+    for k in range(min(p, len(f.res) // m)):
+        j = (f.v + k) % p
+        u.append((j, _series(spec, (f.v + k - j) // p, _decimate(f.res, m, k, p), prec)))
     out = []
-    for i in range(p):
-        parts = [((-1) ** (j - i) * binom_mod_p(j, i, p), u[j]) for j in range(i, p)]
-        out.append(_combine(parts, min(uj.prec for uj in u[i:])))
+    for i in range(rows):
+        parts = [((-1) ** (j - i) * (comb(j, i) % p), uj) for j, uj in u if j >= i]
+        out.append(_combine(parts, prec) if parts else _series(spec, prec, [], prec))
     return out
 
 
-def psi_ring(f):
-    """psi on the coefficient ring: the 0-component of the (1+X)^i basis.
+def phi_basis_decompose(f):
+    """Components (g_0, ..., g_{p-1}) with f = sum_i (1+X)^i g_i(X^p), known mod X^(N//p)."""
+    return _phi_rows(f, f.spec.p)
 
-    With f = sum_j X^j u_j(X^p), that is g_0 = sum_j (-1)^j u_j, equal to
-    phi_basis_decompose(f)[0] (valuation, residues and precision) without
-    its p components and O(p^2) binomials: only the residue classes that
-    occur in f are visited.  Each u_j is cut at its own precision
-    (N - 1 - j)//p + 1, not at N, which for N < 0 lies below it; the sum
-    is known mod X^(N//p), the least of them.
-    """
-    spec = f.spec
-    p, m = spec.p, spec.m
-    N = f.prec
-    parts = []
-    for k in range(min(p, len(f.res) // m)):
-        j = (f.v + k) % p
-        u = _series(spec, (f.v + k - j) // p, _decimate(f.res, m, k, p), (N - 1 - j) // p + 1)
-        parts.append((-1 if j % 2 else 1, u))
-    if not parts:
-        return _series(spec, N // p, [], N // p)
-    return _combine(parts, N // p)
+
+def psi_ring(f):
+    """psi on the coefficient ring: g_0 = sum_j (-1)^j u_j, the 0-component
+    of `phi_basis_decompose`, known mod X^(N//p)."""
+    return _phi_rows(f, 1)[0]

@@ -47,6 +47,7 @@ from .galois import (
     orbit,
     primitive,
     quad_twist,
+    window_splits,
 )
 from .metagroup import chi_z
 
@@ -242,8 +243,8 @@ def invert_ss_image(M):
     Classifies the twist-invariant exponent to get h' (hence r), then
     solves for the first eta, in enumerate_tame_chars order, whose image
     is M.  The image exponent depends only on the tame part of eta: a
-    conjugate x of M.H whose window split (galois module docstring) reads
-    h' is the image of the tame (a - r + 1) mod (p - 1), and that part is
+    conjugate x of M.H whose window split (a, h') (galois.window_splits)
+    reads h' is the image of the tame (a - r + 1) mod (p - 1), and that part is
     the least of these.  The image's Lam is lam0(r) eta(p)^4, so eta(p)
     is the least fourth root of Lam / lam0(r) in counting order (index
     sum c_j p^j, not the lexicographic order of nth_roots).  Raises when
@@ -259,12 +260,7 @@ def invert_ss_image(M):
         raise ValueError("not twist-invariant-irreducible")
     p = spec.p
     r = _r_of_hprime(p, hprime)
-    half, width = (p * p + 1) // 2, 2 * (p + 1)
-    tame = min(
-        (x // half // width - r + 1) % (p - 1)
-        for x in orbit(M.H, 4, p)
-        if not x % half and x // half % width == hprime
-    )
+    tame = min((a - r + 1) % (p - 1) for a, hp in window_splits(M.H, p) if hp == hprime)
     roots = nth_roots(M.Lam / ss_lam0(spec, r), 4)
     if not roots:
         raise ValueError("lambda not a norm in field")

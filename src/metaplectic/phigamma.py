@@ -18,8 +18,10 @@ of the phi-matrix.
 
 from __future__ import annotations
 
+from .coeff import field_make
 from .laurent import (
     LaurentSeries,
+    extend_scalars,
     frobenius_phi,
     gamma_act,
     gamma_transform,
@@ -215,11 +217,12 @@ def make_induced(spec, n, h, lam_n=None, tame=0, prec=40):
             raise ValueError("insufficient precision")
         if c < 1 or c % p == 0:
             raise ValueError("unit must be a positive integer coprime to p")
-        # chi(c) u^a = chi(c) w^{h(p-1)}, the exponent read mod q
-        u = gamma_transform(c, spec, req_prec + 1).shift(-1).scale(spec.from_int(c).inv())
+        # chi(c) u^a = chi(c) w^{h(p-1)}, exponent read mod q, built over F_p, extended once
+        fp = field_make(p)
+        u = gamma_transform(c, fp, req_prec + 1).shift(-1).scale(fp.from_int(c).inv())
         q = one_unit_exponent(p, req_prec)
         w_h = u.pow(h * (p - 1) * pow(1 - p ** n, -1, q) % q)
-        w_h = w_h.scale(spec.from_int(pow(c % p, tame, p)))
+        w_h = extend_scalars(w_h.scale(fp.from_int(pow(c % p, tame, p))), spec)
         zero = LaurentSeries.zero(spec, req_prec)
         diag = [frobenius_phi(w_h, i, req_prec) for i in range(n)]
         return [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]

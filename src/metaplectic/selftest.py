@@ -198,8 +198,8 @@ def reassembly_law(rng, spec, samples, prec):
     for _ in range(samples):
         f = rand_series(rng, spec, prec)
         comps = phi_basis_decompose(f)
-        bound = min(c.prec for c in comps) * p
-        _require(bound >= (prec // p - 1) * p, "phi-basis components keep N // p - 1 digits")
+        _require(all(c.prec == prec // p for c in comps), "phi-basis components keep N // p digits")
+        bound = prec // p * p
         one_plus = LaurentSeries.from_int_coeffs(spec, {0: 1, 1: 1}, bound + p)
         acc = LaurentSeries.zero(spec, bound)
         for i, gi in enumerate(comps):

@@ -172,9 +172,22 @@ def test_binom_neg():
 
 
 def test_precision_contracts():
-    f = rand_series(rng, F5, 23)
-    for c in phi_basis_decompose(f):
-        assert c.prec >= 23 // 5 - 1
+    # every phi-basis component, and psi, is known mod X^(N // p) exactly:
+    # dense, N <= 0, sparse, one residue class, and the zero series
+    cases = [
+        rand_series(rng, F5, 23),
+        rand_series(rng, F5, -3, lo=-12),
+        rand_series(rng, F5, 0, lo=-9),
+        rand_series(rng, F3, 40, density=0.05),
+        LaurentSeries.from_int_coeffs(F5, {2: 1, 7: 3, 12: 4}, 14),
+        LaurentSeries.from_int_coeffs(F5, {-8: 2, -3: 1}, -1),
+        LaurentSeries.zero(F5, 11),
+        LaurentSeries.zero(F3, -7),
+    ]
+    for f in cases:
+        p = f.spec.p
+        assert [c.prec for c in phi_basis_decompose(f)] == [f.prec // p] * p
+        assert psi_ring(f).prec == f.prec // p
     g = rand_series(rng, F3, 11, lo=-3)
     assert gamma_act(2, g).prec == 11
     assert frobenius_phi(g).prec == 33
@@ -473,7 +486,9 @@ def test_psi_ring_is_the_zero_component_of_the_decomposition(data):
     # shifted kernel series reach precisions from -24 up, zero series included
     spec = data.draw(st.sampled_from(PSI_FIELDS))
     f = data.draw(kernel_series(spec, max_len=60)).shift(data.draw(st.integers(-20, 20)))
-    same(psi_ring(f), phi_basis_decompose(f)[0])
+    comps = phi_basis_decompose(f)
+    same(psi_ring(f), comps[0])
+    assert all(c.prec == f.prec // spec.p for c in comps)
 
 
 @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=repr)

@@ -117,7 +117,8 @@ def test_ss_image_twist_compatibility():
     assert M1.base == InducedParams(
         4, M2.base.H + chi.tame * step, M2.base.Lam * chi.unram ** 4
     )
-    assert M1.s_char == M2.s_char.mul(SChar(chi.unram ** 4, 2 * chi.tame))
+    s2 = M2.s_char
+    assert M1.s_char == SChar(s2.val_p2 * chi.unram ** 4, s2.tame + 2 * chi.tame)
 
 
 def test_ss_image_lemma1_and_invariance():

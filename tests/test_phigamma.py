@@ -88,7 +88,7 @@ def test_twist():
 def test_dual():
     chi = TameChar(F5.from_int(2), 1)
     Dd = dual(make_rank1(chi, 15))
-    assert Dd.phi[0][0].agrees_with(make_rank1(chi.inv(), 15).phi[0][0])
+    assert Dd.phi[0][0].agrees_with(make_rank1(TameChar(chi.unram.inv(), -chi.tame), 15).phi[0][0])
     # evaluation equivariance: (phi-matrix of dual)^T . phi-matrix = identity
     D = make_induced(F5, 4, 5, prec=20)
     Ddual = dual(D)
@@ -281,6 +281,7 @@ def reference_induced_gamma(spec, n, h, tame, c, req_prec):
 
 
 INDUCED_FIELDS = [field_make(p, m) for p in (3, 5, 7, 11, 13) for m in (1, 2)]
+INDUCED_FIELDS += [field_make(3, 4), field_make(5, 4)]
 
 
 @pytest.mark.parametrize("spec", INDUCED_FIELDS, ids=repr)
