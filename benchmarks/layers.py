@@ -7,7 +7,9 @@
 Run from anywhere: the library is imported from the `src/` beside this
 directory.  Each row times one operation on seeded dense inputs: series
 mul, add, invert, `phi_basis_decompose` and the power f^(2p+3) of a
-valuation-0 series over F_7 at N = 10^3 and 10^4; `gamma_act` at c = p + 1
+valuation-0 series over F_7 at N = 10^3 and 10^4; at N = 10^4, the
+product of 3X^2 and a series over F_7 and the scale of a series over
+F_{7^2} by 3, an element of F_7; `gamma_act` at c = p + 1
 over F_{p^m} for p in {5, 7, 13} and m in {1, 2, 4} at N = 1000, and at
 c = 2 over F_1000003 at N = 40, where a loop over all p residue classes
 would dominate; and, for the rank-4 induced module D (h = 3) over F_7 whose
@@ -187,6 +189,16 @@ def rows(scale, keep):
             f.invert_series,
             lambda f=f: phi_basis_decompose(f),
             lambda u=f.shift(1), e=e: u.pow(e),
+        ])
+    spec, N = field_make(*SERIES_FIELD), SERIES_SIZES[-1]
+    names = [f"laurent.mul p={spec.p} m=1 N={N} one-term", f"laurent.scale p={spec.p} m=2 N={N}"]
+    rng = group_rng(keep, names)
+    if rng is not None:
+        n, square = max(2, round(N * scale)), field_make(spec.p, 2)
+        f, g = dense(rng, spec, n), dense(rng, square, n)
+        out += zip(names, [
+            lambda f=f, a=LaurentSeries.monomial(spec, 2, n, spec.from_int(3)): a * f,
+            lambda g=g, c=square.from_int(3): g.scale(c),
         ])
     gammas = [(p, m, GAMMA_SIZE, p + 1) for p, m in GAMMA_FIELDS]
     for p, m, N, c in gammas + ([GAMMA_LARGE] if scale >= 1 else []):

@@ -39,6 +39,7 @@ __all__ = [
     "quad_twist",
     "half_twist_exponents",
     "lemma1_classify",
+    "lemma1_window",
     "lemma2_reduce",
     "lfield_param",
     "dual_params",
@@ -148,12 +149,6 @@ def window_split(y, p):
     return divmod(y % (2 * (p * p - 1)), 2 * (p + 1))
 
 
-def window_splits(H, p):
-    """The window splits of x/half over the conjugates x of H that half divides."""
-    half = (p * p + 1) // 2
-    return [window_split(x // half, p) for x in orbit(H, 4, p) if not x % half]
-
-
 def lemma1_classify(P):
     """Classify a 4-dimensional parameter invariant under the tame quadratic twist.
 
@@ -165,13 +160,20 @@ def lemma1_classify(P):
     p = 7, and the minimum is the canonical representative).  None is
     the negative answer.
     """
+    return lemma1_window(P)[0]
+
+
+def lemma1_window(P):
+    """(lemma1_classify(P), splits): the window splits of x/half over the
+    conjugates x of P.H that half divides; none when P.H is 0 or not primitive."""
     if P.n != 4:
         raise ValueError("incomparable")
     p, H = P.p, P.H
     if H == 0 or not primitive(H, 4, p):
-        return None
-    window = [hp for _, hp in window_splits(H, p) if hp % 2 and 3 <= hp < 2 * p]
-    return min(window) if window else None
+        return None, []
+    half = (p * p + 1) // 2
+    splits = [window_split(x // half, p) for x in orbit(H, 4, p) if not x % half]
+    return min((hp for _, hp in splits if hp % 2 and 3 <= hp < 2 * p), default=None), splits
 
 
 def lemma2_reduce(h, p):

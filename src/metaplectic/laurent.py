@@ -344,12 +344,19 @@ def _kronecker_mul(spec, a, b, count):
     never carries.  The slots of w-degree 2m-2 down to m are folded into the
     lower ones by the modulus, one plane of all coefficients at a time, and
     every slot is reduced mod p.  The list ends at the product's last
-    coefficient below `count`; the coefficients past it are zero.
+    coefficient below `count`; the coefficients past it are zero.  An
+    operand of one coefficient c in F_p packs nothing: the product is the
+    other operand's residues times c mod p, or those residues when c = 1.
     """
     p, m = spec.p, spec.m
     na, nb = min(len(a) // m, count), min(len(b) // m, count)
     if na <= 0 or nb <= 0:
         return []
+    if na == 1 and not any(a[1:m]):
+        a, b, na, nb = b, a, nb, na
+    if nb == 1 and not any(b[1:m]):
+        c = b[0]
+        return a[: na * m] if c == 1 else [r * c % p for r in a[: na * m]]
     stride = 2 * m - 1
     bound = min(na, nb) * m * (p - 1) ** 2
     width, code = next(wc for wc in _SLOT_CODES if bound >> (8 * wc[0]) == 0)
@@ -436,8 +443,8 @@ def gamma_act(c, f):
         raise ValueError("positive unit required")
     if c % spec.p == 0:
         raise ValueError("unit must be coprime to p")
-    if c == 1 or f.is_zero():
-        return f
+    if c == 1 or f.is_zero() or f.v == 0 and len(f.res) == spec.m:
+        return f  # Gamma fixes constants
     p, m = spec.p, spec.m
     v = f.v
     known = f.prec - v
@@ -520,17 +527,16 @@ def _phi_rows(f, rows):
     known mod X^ceil((N - j)/p) for input precision N, so every g_i is known
     exactly mod X^(N//p), the least of these, at j = p - 1.
     """
-    spec = f.spec
+    spec, v = f.spec, f.v
     p, m = spec.p, spec.m
-    prec = f.prec // p
-    u = []
-    for k in range(min(p, len(f.res) // m)):
-        j = (f.v + k) % p
-        u.append((j, _series(spec, (f.v + k - j) // p, _decimate(f.res, m, k, p), prec)))
+    prec, lo = f.prec // p, v // p
+    # (j, offset of u_j past X^lo, residues of u_j) for the class of X^(v+k)
+    u = [((v + k) % p, ((v + k) // p - lo) * m, _decimate(f.res, m, k, p))
+         for k in range(min(p, len(f.res) // m))]
     out = []
     for i in range(rows):
-        parts = [((-1) ** (j - i) * (comb(j, i) % p), uj) for j, uj in u if j >= i]
-        out.append(_combine(parts, prec) if parts else _series(spec, prec, [], prec))
+        terms = [((-1) ** (j - i) * (comb(j, i) % p), at, uj) for j, at, uj in u if j >= i]
+        out.append(_series(spec, lo, _lincomb(p, terms, (prec - lo) * m) if terms else [], prec))
     return out
 
 

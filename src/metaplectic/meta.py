@@ -44,10 +44,10 @@ from .galois import (
     canonicalize,
     half_twist_exponents,
     lemma1_classify,
+    lemma1_window,
     orbit,
     primitive,
     quad_twist,
-    window_splits,
 )
 from .metagroup import chi_z
 
@@ -243,7 +243,7 @@ def invert_ss_image(M):
     Classifies the twist-invariant exponent to get h' (hence r), then
     solves for the first eta, in enumerate_tame_chars order, whose image
     is M.  The image exponent depends only on the tame part of eta: a
-    conjugate x of M.H whose window split (a, h') (galois.window_splits)
+    conjugate x of M.H whose window split (a, h') (galois.lemma1_window)
     reads h' is the image of the tame (a - r + 1) mod (p - 1), and that part is
     the least of these.  The image's Lam is lam0(r) eta(p)^4, so eta(p)
     is the least fourth root of Lam / lam0(r) in counting order (index
@@ -255,12 +255,12 @@ def invert_ss_image(M):
     if isinstance(M, MetaPhiGamma):
         M = M.base
     spec = M.spec
-    hprime = lemma1_classify(M)
+    hprime, splits = lemma1_window(M)
     if hprime is None:
         raise ValueError("not twist-invariant-irreducible")
     p = spec.p
     r = _r_of_hprime(p, hprime)
-    tame = min((a - r + 1) % (p - 1) for a, hp in window_splits(M.H, p) if hp == hprime)
+    tame = min((a - r + 1) % (p - 1) for a, hp in splits if hp == hprime)
     roots = nth_roots(M.Lam / ss_lam0(spec, r), 4)
     if not roots:
         raise ValueError("lambda not a norm in field")

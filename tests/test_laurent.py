@@ -360,6 +360,83 @@ def test_kernel_invert_matches_recurrence(f):
     same(f.invert_series(), recurrence_invert(f))
 
 
+# -- one-coefficient operands: a product with c in F_p scales residues --------
+#
+# The kernel packs nothing when one operand is a single coefficient c in F_p;
+# a single coefficient outside F_p still takes the packed path.
+
+ONE_TERM_FIELDS = [field_make(p, m) for p in (3, 5, 1009) for m in (1, 2, 4)]
+
+
+@st.composite
+def one_coefficient(draw, spec):
+    """1, another element of F_p, or (m > 1) an element outside F_p."""
+    p, m = spec.p, spec.m
+    kind = draw(st.sampled_from(["one", "prime field", "extension"] if m > 1 else ["one", "prime field"]))
+    if kind == "one":
+        return spec.one()
+    if kind == "prime field":
+        return spec.from_int(draw(st.integers(2, p - 1)))
+    top = draw(st.integers(1, p - 1))
+    return spec.elem([draw(st.integers(0, p - 1)) for _ in range(m - 1)] + [top])
+
+
+@st.composite
+def one_term_series(draw, spec):
+    """a X^v + O(X^(v+k)), v in -4..2: k from 1 reaches below the length of
+    the other operand, so the product's precision cuts that operand."""
+    v = draw(st.integers(-4, 2))
+    return LaurentSeries.monomial(spec, v, v + draw(st.integers(1, 30)), draw(one_coefficient(spec)))
+
+
+@kernel_settings
+@given(st.data())
+def test_one_coefficient_product_matches_schoolbook(data):
+    spec = data.draw(st.sampled_from(ONE_TERM_FIELDS))
+    a = data.draw(one_term_series(spec))
+    f = data.draw(kernel_series(spec))
+    same(a * f, schoolbook_mul(a, f))
+    same(f * a, schoolbook_mul(f, a))
+    same(a * a, schoolbook_mul(a, a))
+
+
+@kernel_settings
+@given(st.data())
+def test_scale_matches_coefficientwise_products(data):
+    spec = data.draw(st.sampled_from(ONE_TERM_FIELDS))
+    f = data.draw(kernel_series(spec))
+    c = data.draw(one_coefficient(spec))
+    same(f.scale(c), LaurentSeries(spec, {e: b * c for e, b in f.terms().items()}, f.prec))
+
+
+@kernel_settings
+@given(st.data())
+def test_invert_with_a_one_coefficient_first_step_matches_recurrence(data):
+    # Newton's first step multiplies by the one coefficient of the inverse
+    # of the leading term: 1, another F_p element or one outside F_p
+    spec = data.draw(st.sampled_from(ONE_TERM_FIELDS))
+    lead = data.draw(one_term_series(spec))
+    tail = data.draw(kernel_series(spec))
+    f = lead if tail.is_zero() else lead + tail.shift(lead.v + 1 - tail.v)
+    same(f.invert_series(), recurrence_invert(f))
+
+
+@pytest.mark.parametrize("spec", ONE_TERM_FIELDS, ids=repr)
+def test_gamma_act_returns_a_constant_unchanged(spec):
+    p, m = spec.p, spec.m
+    constants = [spec.one(), spec.from_int(p - 1)]
+    if m > 1:
+        constants.append(spec.elem([0] * (m - 1) + [1]))
+    for c in (2, p + 1, 99999):
+        if c % p == 0:  # 99999 = 3^2 * 41 * 271
+            continue
+        for a in constants:
+            for N in (1, 2, 17):
+                f = LaurentSeries.monomial(spec, 0, N, a)
+                assert gamma_act(c, f) is f
+                same(f, per_exponent_gamma(c, f))
+
+
 @pytest.mark.parametrize("spec", [F5, field_make(3, 2)])
 @pytest.mark.parametrize("exp", [-3, 0, 2, 7])
 @pytest.mark.parametrize("prec", [-4, 0, 1, 3, 7])
