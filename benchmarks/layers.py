@@ -30,7 +30,12 @@ exponents drawn from 0..q-2.  The `meta.verify_bijection` rows solve
 both sides of the supersingular correspondence over F_{7^4}, F_31,
 F_{11^3}, F_{13^3}, F_{11^4}, F_{13^4} and F_211.  The
 `galois.lemma2_reduce` row reduces 1,000 seeded odd h with |h| below 10^6
-at p = 101, and the `meta.invert_ss_image` rows invert the images of 10
+at p = 101.  The parameter-record rows build records and compare them:
+`meta.ps_image` takes `ps_image` and `meta_irred_test` of 1,000 seeded
+pairs of tame characters over F_25, and `galois.iso_test` builds the two
+degree-4 parameters of 1,000 seeded odd h at p = 7 (one of them through
+`tame_twist`, with h reduced by `lemma2_reduce` up front) and tests them
+for isomorphism.  The `meta.invert_ss_image` rows invert the images of 10
 seeded supersingulars (r, eta) over F_101 and F_10007.  The
 `classify.simulate_dual_frobenius` rows compute phi(f_1) to K = 4 digits
 at r = 1 over F_101 and F_1009, and the `classify.simulate_dual_gamma`
@@ -89,9 +94,17 @@ import speed  # noqa: E402
 from metaplectic.classify import simulate_dual_frobenius, simulate_dual_gamma, ss_data  # noqa: E402
 from metaplectic.chars import TameChar  # noqa: E402
 from metaplectic.coeff import FieldElem, field_make  # noqa: E402
-from metaplectic.galois import lemma2_reduce  # noqa: E402
+from metaplectic.galois import InducedParams, iso_test, lemma2_reduce, tame_twist  # noqa: E402
 from metaplectic.laurent import LaurentSeries, gamma_act, phi_basis_decompose  # noqa: E402
-from metaplectic.meta import SSRep, admissible, invert_ss_image, ss_image, verify_bijection  # noqa: E402
+from metaplectic.meta import (  # noqa: E402
+    SSRep,
+    admissible,
+    invert_ss_image,
+    meta_irred_test,
+    ps_image,
+    ss_image,
+    verify_bijection,
+)
 from metaplectic.metagroup import MetaElem, PMatrix, cocycle, kappa_split, meta_inv, meta_mul  # noqa: E402
 from metaplectic.phigamma import dual, identity_matrix, make_induced, mat_inv, mat_mul, psi  # noqa: E402
 
@@ -110,6 +123,8 @@ ELEM_COUNT = 1000
 VERIFY_FIELDS = ((7, 4), (31, 1), (11, 3), (13, 3), (11, 4), (13, 4), (211, 1))
 SMOKE_VERIFY_FIELDS = ((3, 4), (5, 1), (3, 2), (5, 2), (3, 3))  # below --scale 1
 LEMMA2_PRIME, LEMMA2_COUNT = 101, 1000
+PS_FIELD, PS_COUNT = (5, 2), 1000
+ISO_PRIME, ISO_COUNT = 7, 1000
 INVERT_PRIMES = (101, 10007)  # 10007 at --scale 1 only
 INVERT_COUNT = 10
 SIMULATE_PRIMES = (101, 1009)  # at --scale 1 only
@@ -305,6 +320,26 @@ def rows(scale, keep):
         n = max(2, round(LEMMA2_COUNT * scale))
         hs = [2 * rng.randrange(-10 ** 6, 10 ** 6) + 1 for _ in range(n)]
         out.append((name, lambda p=p, hs=hs: [lemma2_reduce(h, p) for h in hs]))
+    spec = field_make(*PS_FIELD)
+    name = f"meta.ps_image p={spec.p} m={spec.m} n={PS_COUNT}"
+    rng = group_rng(keep, [name])
+    if rng is not None:
+        n, p = max(2, round(PS_COUNT * scale)), spec.p
+        chars = [[TameChar(nonzero(rng, spec), rng.randrange(p - 1)) for _ in range(2)] for _ in range(n)]
+        out.append((name, lambda chars=chars: [meta_irred_test(ps_image(c1, c2)) for c1, c2 in chars]))
+    p = ISO_PRIME
+    name = f"galois.iso_test p={p} m=1 n={ISO_COUNT}"
+    rng = group_rng(keep, [name])
+    if rng is not None:
+        n, half = max(2, round(ISO_COUNT * scale)), (p * p + 1) // 2
+        cases = [(h, *lemma2_reduce(h, p)) for h in (2 * rng.randrange(p ** 4 - 1) + 1 for _ in range(n))]
+        out.append((
+            name,
+            lambda one=field_make(p).one(), half=half, cases=cases: [
+                iso_test(InducedParams(4, half * h, one), tame_twist(InducedParams(4, half * hp, one), a))
+                for h, a, hp in cases
+            ],
+        ))
     for p in INVERT_PRIMES if scale >= 1 else INVERT_PRIMES[:1]:
         name = f"meta.invert_ss_image p={p} m=1 n={INVERT_COUNT}"
         rng = group_rng(keep, [name])

@@ -14,9 +14,7 @@ characters are pairs of omega-exponents mod p-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .coeff import FieldElem
+from .record import Record
 
 __all__ = [
     "TameChar",
@@ -27,17 +25,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TameChar:
+class TameChar(Record):
     """A tame character of Qp^*: unram = value at p, omega^tame on units."""
 
-    unram: FieldElem
-    tame: int
+    __slots__ = ("unram", "tame")
 
-    def __post_init__(self):
-        if self.unram.is_zero():
+    def __init__(self, unram, tame):
+        if unram.is_zero():
             raise ValueError("unram must be nonzero")
-        object.__setattr__(self, "tame", self.tame % (self.unram.spec.p - 1))
+        self.unram = unram
+        self.tame = tame % (unram.spec.p - 1)
 
     @property
     def spec(self):
@@ -58,17 +55,16 @@ class TameChar:
         return spec.from_int(pow(c % spec.p, self.tame, spec.p))
 
 
-@dataclass(frozen=True)
-class SChar:
+class SChar(Record):
     """A tame character of S (the squares): value at p^2, exponent mod (p-1)/2."""
 
-    val_p2: FieldElem
-    tame: int
+    __slots__ = ("val_p2", "tame")
 
-    def __post_init__(self):
-        if self.val_p2.is_zero():
+    def __init__(self, val_p2, tame):
+        if val_p2.is_zero():
             raise ValueError("val_p2 must be nonzero")
-        object.__setattr__(self, "tame", self.tame % ((self.val_p2.spec.p - 1) // 2))
+        self.val_p2 = val_p2
+        self.tame = tame % ((val_p2.spec.p - 1) // 2)
 
     @property
     def spec(self):
@@ -81,17 +77,15 @@ class SChar:
         return (self.tame, self.val_p2.coeffs)
 
 
-@dataclass(frozen=True)
-class HChar:
+class HChar(Record):
     """A character omega^{e1} (x) omega^{e2} of the torus of GL2(F_p)."""
 
-    p: int
-    e1: int
-    e2: int
+    __slots__ = ("p", "e1", "e2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "e1", self.e1 % (self.p - 1))
-        object.__setattr__(self, "e2", self.e2 % (self.p - 1))
+    def __init__(self, p, e1, e2):
+        self.p = p
+        self.e1 = e1 % (p - 1)
+        self.e2 = e2 % (p - 1)
 
     def bracket(self, i, j):
         half = (self.p - 1) // 2

@@ -25,12 +25,11 @@ construction and on entry to the normalizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .coeff import FieldElem, FieldSpec, factorial_in
+from .coeff import factorial_in
 from .chars import HChar
 from .galois import InducedParams, tame_twist
 from .laurent import LaurentSeries, binom_neg_mod_p, frobenius_phi, gamma_act, one_unit_exponent
+from .record import Record
 
 __all__ = [
     "SSData",
@@ -50,17 +49,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SSData:
+class SSData(Record):
     """The cycle tables attached to a supersingular parameter r."""
 
-    spec: FieldSpec
-    r: int
-    r_prime: int
-    chi: tuple  # 4 HChar eigencharacters
-    s: tuple  # 4 cycle exponents, s_i = r_{i+1}
-    c: tuple  # 4 nonzero constants
-    weights: tuple  # 4 pairs (r_i, b_i)
+    __slots__ = ("spec", "r", "r_prime", "chi", "s", "c", "weights")
+
+    def __init__(self, spec, r, r_prime, chi, s, c, weights):
+        self.spec = spec
+        self.r = r
+        self.r_prime = r_prime
+        self.chi = chi  # 4 HChar eigencharacters
+        self.s = s  # 4 cycle exponents, s_i = r_{i+1}
+        self.c = c  # 4 nonzero constants
+        self.weights = weights  # 4 pairs (r_i, b_i)
 
     @property
     def p(self):
@@ -118,48 +119,50 @@ def ss_data(spec, r):
     return data
 
 
-@dataclass(frozen=True)
-class CyclicForm:
+class CyclicForm(Record):
     """A cyclic phi-basis: phi(f_i) = d_i g_i(X) X^{t_i} f_{i+1},
     gamma(f_i) = omega(gamma)^{b_i} (1-unit) f_i."""
 
-    spec: FieldSpec
-    n: int
-    d: tuple  # nonzero constants
-    t: tuple  # integer exponents
-    b: tuple  # omega-exponents mod p-1
-    noise: tuple  # 1-unit series g_i, or None entries meaning exactly 1
+    __slots__ = ("spec", "n", "d", "t", "b", "noise")
 
-    def __post_init__(self):
-        lengths = [len(self.d), len(self.t), len(self.b), len(self.noise)]
-        if self.n < 1 or lengths != [self.n] * 4:
+    def __init__(self, spec, n, d, t, b, noise):
+        lengths = [len(d), len(t), len(b), len(noise)]
+        if n < 1 or lengths != [n] * 4:
             raise ValueError(
-                f"cyclic form of rank {self.n} needs n >= 1 and n entries in each of"
+                f"cyclic form of rank {n} needs n >= 1 and n entries in each of"
                 f" d, t, b and noise, not {lengths}"
             )
-        p = self.spec.p
-        object.__setattr__(self, "b", tuple(x % (p - 1) for x in self.b))
-        for di in self.d:
+        p = spec.p
+        b = tuple(x % (p - 1) for x in b)
+        for di in d:
             if di.is_zero():
                 raise ValueError("cycle constants must be nonzero")
-        for i in range(self.n):
-            if (self.b[(i + 1) % self.n] - self.b[i] + self.t[i]) % (p - 1):
+        for i in range(n):
+            if (b[(i + 1) % n] - b[i] + t[i]) % (p - 1):
                 raise ValueError("not phi-gamma compatible")
-        for g in self.noise:
+        for g in noise:
             if g is not None and not g.is_one_unit():
                 raise ValueError("noise must be a 1-unit")
+        self.spec = spec
+        self.n = n
+        self.d = d  # nonzero constants
+        self.t = t  # integer exponents
+        self.b = b  # omega-exponents mod p-1
+        self.noise = noise  # 1-unit series g_i, or None entries meaning exactly 1
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Record):
     """The noise-free invariants of a cyclic form: total exponent, product
     constant, and the omega-exponent of the first basis vector."""
 
-    spec: FieldSpec
-    n: int
-    t: int
-    d: FieldElem
-    b1: int
+    __slots__ = ("spec", "n", "t", "d", "b1")
+
+    def __init__(self, spec, n, t, d, b1):
+        self.spec = spec
+        self.n = n
+        self.t = t
+        self.d = d
+        self.b1 = b1
 
 
 def cycle_form(spec, s, c, a):

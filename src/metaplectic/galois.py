@@ -27,9 +27,7 @@ shifts keep that congruence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .coeff import FieldElem
+from .record import Record
 
 __all__ = [
     "InducedParams",
@@ -46,19 +44,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InducedParams:
+class InducedParams(Record):
     """(degree n, total exponent H mod p^n - 1, unramified value Lam = lambda^n)."""
 
-    n: int
-    H: int
-    Lam: FieldElem
+    __slots__ = ("n", "H", "Lam")
 
-    def __post_init__(self):
-        if self.Lam.is_zero():
+    def __init__(self, n, H, Lam):
+        if Lam.is_zero():
             raise ValueError("unramified value must be nonzero")
-        mod = self.spec.p ** self.n - 1
-        object.__setattr__(self, "H", self.H % mod)
+        self.n = n
+        self.H = H % (Lam.spec.p ** n - 1)
+        self.Lam = Lam
 
     @property
     def spec(self):
@@ -79,8 +75,10 @@ def orbit(H, n, p):
 
 
 def canonicalize(P):
-    """Replace H by the minimum of its Frobenius orbit; Lam unchanged."""
-    return InducedParams(P.n, min(orbit(P.H, P.n, P.p)), P.Lam)
+    """Replace H by the minimum of its Frobenius orbit; Lam unchanged.
+    P itself when its H is that minimum already."""
+    H = min(orbit(P.H, P.n, P.p))
+    return P if H == P.H else InducedParams(P.n, H, P.Lam)
 
 
 def iso_test(P1, P2):

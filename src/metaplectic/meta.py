@@ -32,11 +32,10 @@ root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .coeff import FieldSpec, factorial_in, nth_roots
+from .coeff import factorial_in, nth_roots
 from .chars import SChar, TameChar, char_restrict_S
 from .classify import ss_partner
 from .galois import (
@@ -50,6 +49,7 @@ from .galois import (
     quad_twist,
 )
 from .metagroup import chi_z
+from .record import Record
 
 __all__ = [
     "SSRep",
@@ -68,20 +68,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SSRep:
+class SSRep(Record):
     """A genuine supersingular parameter (r, eta)."""
 
-    spec: FieldSpec
-    r: int
-    eta: TameChar
+    __slots__ = ("spec", "r", "eta")
 
-    def __post_init__(self):
-        p = self.spec.p
-        if not 0 <= self.r <= p - 1:
+    def __init__(self, spec, r, eta):
+        p = spec.p
+        if not 0 <= r <= p - 1:
             raise ValueError("parameter out of range")
-        if self.r == (p - 1) // 2:
+        if r == (p - 1) // 2:
             raise ValueError("excluded parameter")
+        self.spec = spec
+        self.r = r
+        self.eta = eta
 
     @classmethod
     def plain(cls, spec, r):
@@ -145,20 +145,23 @@ def coset_quad_chars(p):
     """The quadratic characters chi_g for the fixed coset representatives
     {1, u0, p, u0 p} of the squares, u0 the least positive nonsquare.
 
-    Memoized per p; the tuple and its frozen entries cannot be mutated."""
+    Memoized per p; the tuple is shared, and like every record its
+    entries are never changed after construction."""
     u0 = least_nonsquare_unit(p)
     return tuple(chi_z(g, p) for g in (1, u0, p, u0 * p))
 
 
-@dataclass(frozen=True)
-class MetaPhiGamma:
+class MetaPhiGamma(Record):
     """A metaplectic module in parameter form: the character of the
     squares acting, a base InducedParams, and its orbit under the 4
     quadratic twists (indexed by the coset representatives {1, u0, p, u0 p})."""
 
-    s_char: SChar
-    base: InducedParams
-    summands: tuple
+    __slots__ = ("s_char", "base", "summands")
+
+    def __init__(self, s_char, base, summands):
+        self.s_char = s_char
+        self.base = base
+        self.summands = summands
 
 
 def meta_ind(s_char, base):

@@ -31,10 +31,11 @@ the test suite rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
+
+from .record import Record
 
 __all__ = [
     "PMatrix",
@@ -114,7 +115,7 @@ def _reduced(na, nb, nc, nd, den):
     return g
 
 
-class PMatrix:
+class PMatrix(Record):
     """An invertible 2x2 matrix over Q: ints na, nb, nc, nd over den > 0 with content
     gcd(na, nb, nc, nd, den) = 1, so equal matrices have equal slots; `Fraction` only at the edge."""
 
@@ -153,15 +154,6 @@ class PMatrix:
     def scalar(cls, z):
         return cls(z, 0, 0, z)
 
-    def _slots(self):
-        return (self.na, self.nb, self.nc, self.nd, self.den)
-
-    def __eq__(self, other):
-        return isinstance(other, PMatrix) and self._slots() == other._slots()
-
-    def __hash__(self):
-        return hash(self._slots())
-
     def __repr__(self):
         a, b, c, d = map(frac_str, self.entries())
         return f"PMatrix[[{a}, {b}], [{c}, {d}]]"
@@ -174,18 +166,16 @@ def frac_str(x):
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-@dataclass(frozen=True)
-class MetaElem:
+class MetaElem(Record):
     """An element (g, zeta) of the cover; zeta in {+1, -1}."""
 
-    # not slots=True: before Python 3.12 that makes setting a non-field raise TypeError
     __slots__ = ("g", "zeta")
-    g: PMatrix
-    zeta: int
 
-    def __post_init__(self):
-        if self.zeta not in (1, -1):
+    def __init__(self, g, zeta):
+        if zeta not in (1, -1):
             raise ValueError("zeta must be +1 or -1")
+        self.g = g
+        self.zeta = zeta
 
 
 def cocycle(g1, g2, p):
@@ -231,17 +221,16 @@ def kappa_split(g, zeta, p):
     return MetaElem(g, zeta)
 
 
-@dataclass(frozen=True)
-class QuadCharParams:
+class QuadCharParams(Record):
     """An order <= 2 character of Qp^*: sign at p and tame omega-power."""
 
     __slots__ = ("unram", "tame")
-    unram: int
-    tame: int  # exponent of omega on units, 0 or (p-1)/2
 
-    def __post_init__(self):
-        if self.unram not in (1, -1):
+    def __init__(self, unram, tame):
+        if unram not in (1, -1):
             raise ValueError("unram must be +1 or -1")
+        self.unram = unram
+        self.tame = tame  # exponent of omega on units, 0 or (p-1)/2
 
 
 def chi_z(z, p):

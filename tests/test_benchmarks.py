@@ -20,10 +20,10 @@ def test_layer_benchmark_writes_and_compares(tmp_path):
     layers("--scale", "0.005", "--out", str(out))
     bench = json.loads(out.read_text())
     assert {"commit", "python", "machine", "layers"} <= set(bench)
-    assert len(bench["layers"]) == 52
+    assert len(bench["layers"]) == 54
     assert all(row["ms"] > 0 and row["ref_ms"] > 0 for row in bench["layers"].values())
     lines = layers("--compare", str(out), str(out)).stdout.splitlines()
-    assert len(lines) == 53 and all(line.endswith(" 1.00") for line in lines[1:])
+    assert len(lines) == 55 and all(line.endswith(" 1.00") for line in lines[1:])
 
 
 def test_layer_benchmark_only_times_the_rows_it_matches(tmp_path):

@@ -3,9 +3,15 @@
 Read with `ast`: no module of `src/metaplectic` but `cli` imports `json` or
 defines a name ending in `_json`, and no class anywhere defines `to_json`, so
 the math modules take and return values.
+
+Importing the CLI in a fresh interpreter loads neither `dataclasses` nor
+`inspect` (which brings `ast`, `dis` and `tokenize`): every process that
+starts the library pays for what it imports.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "metaplectic"
@@ -44,3 +50,14 @@ def test_only_the_cli_reads_or_writes_json():
     # the check sees the readers and writers where they are
     assert {"json", "series_from_json", "module_to_json"} <= set(json_names(trees["cli"]))
     assert [method for tree in trees.values() for method in to_json_methods(tree)] == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import metaplectic.cli, metaplectic.meta; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(SRC.parent)], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert done.stdout.strip() == "[]"

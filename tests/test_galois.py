@@ -32,6 +32,10 @@ def test_canonicalize_examples():
     assert canonicalize(InducedParams(4, 0, F3.one())).H == 0
     P = InducedParams(4, 25, F3.one())
     assert canonicalize(P) == P
+    # a least H keeps its record; at n = 1 every H is least
+    Q = InducedParams(1, 3, F5.one())
+    assert canonicalize(P) is P and canonicalize(Q) is Q
+    assert canonicalize(InducedParams(4, 75, F3.one())) == P
     assert canonicalize(canonicalize(InducedParams(4, 7, F5.one()))) == canonicalize(
         InducedParams(4, 7, F5.one())
     )
