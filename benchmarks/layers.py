@@ -12,9 +12,12 @@ product of 3X^2 and a series over F_7 and the scale of a series over
 F_{7^2} by 3, an element of F_7; `gamma_act` at c = p + 1
 over F_{p^m} for p in {5, 7, 13} and m in {1, 2, 4} at N = 1000, and at
 c = 2 over F_1000003 at N = 40, where a loop over all p residue classes
-would dominate; and, for the rank-4 induced module D (h = 3) over F_7 whose
-phi entries are known to about N = 1000 digits, `psi` on a vector of four
-series and `mat_inv` on Phi * (I + X S), S a 4x4 matrix of series; and,
+would dominate; `gamma_act` over F_7 at N = 1000 at a new seeded unit c
+per call ("fresh c"), so that no kept leaf-row table answers it and the
+row times the first call at a unit; and, for the rank-4 induced module D
+(h = 3) over F_7 whose phi entries are known to about N = 1000 digits,
+`psi` on a vector of four series and `mat_inv` on Phi * (I + X S), S a
+4x4 matrix of series; and,
 at the `modules` workload's largest module (F_5, n = 4, h = 2, N = 16),
 `psi` on four series known to 5N digits and `dual`, each on a fresh
 module per call, so that both rows invert Phi (whose pivots are
@@ -63,18 +66,23 @@ time at reference speed: scaled by perfbench's reference loop read around
 each repetition (see perfbench/speed.py), so two files from one machine
 compare even when its speed changed between the runs.  `--compare a b`
 prints each row's ref_ms in a and b and the ratio a/b (above 1: b is
-faster).  `--only REGEX` builds and times only the rows whose name the
-regular expression matches (`re.search`), so the rows of one claim can be
-re-run in both orders in seconds.  `--scale` below 1 shrinks every N, the
-pair counts and MIN_REP_S alike, runs the `verify_bijection` rows over
-F_{3^4} and F_5, and leaves out the `simulate_dual_frobenius`,
-F_5 `induced_gamma`, p = 101 `pow`, p = 1000003 `gamma_act` and p = 10007
-`invert_ss_image` rows, for a quick smoke run.
+faster).  A file also records `src_sha256`, the sha256 of the library
+sources the run imported (`src/metaplectic/*.py` by sorted file name, each
+as its name, a NUL byte and its bytes), so a run from a copy without git
+history still names what it timed.  `--only REGEX` builds and times only
+the rows whose name the regular expression matches (`re.search`), so the
+rows of one claim can be re-run in both orders in seconds.  `--scale`
+below 1 shrinks every N, the pair counts and MIN_REP_S alike, runs the
+`verify_bijection` rows over F_{3^4} and F_5, and leaves out the
+`simulate_dual_frobenius`, F_5 `induced_gamma`, p = 101 `pow`,
+p = 1000003 `gamma_act` and p = 10007 `invert_ss_image` rows, for a
+quick smoke run.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -132,6 +140,7 @@ SIMULATE_GAMMA = (101, 2, 3)  # p, c, digits; r = 1 and i = 1
 INDUCED_GAMMA = (5, 4, 39, 30000)  # p, n, h, N; at --scale 1 only
 INDUCED_DENSE = (5, 8, 4, 39, 5000, 99999)  # p, m, n, h, N, c: a dense unit over F_{5^8}
 GAMMA_LARGE = (1000003, 1, 40, 2)  # p, m, N, c; at --scale 1 only
+GAMMA_FRESH = (7, 1, 1000)  # p, m, N; a new unit c per call
 POW_FIELD, POW_SIZE = 101, 10000  # at --scale 1 only
 COVER_PRIMES = (3, 7)
 COVER_PAIRS = 1000
@@ -147,6 +156,15 @@ def nonzero(rng, spec):
 def dense(rng, spec, N):
     """Valuation -1, every coefficient below X^N nonzero."""
     return LaurentSeries(spec, {e: nonzero(rng, spec) for e in range(-1, N)}, N)
+
+
+def fresh_units(rng, p):
+    """An endless stream of seeded units c coprime to p below 10^9, one per
+    call of a row: a unit repeats too rarely for kept tables to answer it."""
+    while True:
+        c = rng.randrange(2, 10 ** 9)
+        if c % p:
+            yield c
 
 
 def wide(rng, p, v_range=range(-40, 41)):
@@ -222,6 +240,12 @@ def rows(scale, keep):
         if rng is not None:
             f = dense(rng, field_make(p, m), max(2, round(N * scale)))
             out.append((name, lambda f=f, c=c: gamma_act(c, f)))
+    p, m, N = GAMMA_FRESH
+    name = f"laurent.gamma_act p={p} m={m} N={N} fresh c"
+    rng = group_rng(keep, [name])
+    if rng is not None:
+        f = dense(rng, field_make(p, m), max(2, round(N * scale)))
+        out.append((name, lambda f=f, units=fresh_units(rng, p): gamma_act(next(units), f)))
     spec = field_make(*MODULE_FIELD)
     tag = f"p={spec.p} m={spec.m} n=4 N={MODULE_SIZE}"
     names = [f"phigamma.psi {tag}", f"phigamma.mat_inv {tag}"]
@@ -384,6 +408,16 @@ def commit():
     return done.stdout.strip() or None
 
 
+def sources():
+    """The sha256 of the library sources imported so far (see the module docstring)."""
+    modules = [module for name, module in list(sys.modules.items()) if name.split(".")[0] == "metaplectic"]
+    paths = sorted(Path(module.__file__) for module in modules)
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def machine():
     model = platform.processor()
     try:
@@ -405,6 +439,7 @@ def measure(scale, keep):
         print(f"{name:45s} {ms:10.3f} ms {ref_ms:10.3f} ref_ms", file=sys.stderr)
     return {
         "commit": commit(),
+        "src_sha256": sources(),
         "python": platform.python_version(),
         "machine": machine(),
         "seed": SEED,

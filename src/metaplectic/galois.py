@@ -105,9 +105,8 @@ def quad_twist(P, eps):
     The tame part is tame_twist by eps.tame; the unramified part
     multiplies Lam by (+-1)^n.
     """
-    if eps.unram != 1 and P.n % 2:
-        P = InducedParams(P.n, P.H, -P.Lam)
-    return tame_twist(P, eps.tame)
+    p, Lam = P.p, -P.Lam if eps.unram != 1 and P.n % 2 else P.Lam
+    return InducedParams(P.n, P.H + eps.tame * ((p ** P.n - 1) // (p - 1)), Lam)
 
 
 def tame_twist(P, a):

@@ -30,6 +30,7 @@ from __future__ import annotations
 import sys
 from array import array
 from math import comb
+from operator import mul
 
 from .coeff import FieldElem
 
@@ -321,50 +322,54 @@ def _decimate(res, m, start, k):
 
 # array type code for each slot width in bytes, narrowest first
 _SLOT_CODES = sorted((array(code).itemsize, code) for code in "BHIQ")
+# packed ints are little-endian, slot i at bits 8*width*i; array items are native
+_SWAP = sys.byteorder != "little"
 
 
-def _pack(res, n, m, stride, code):
-    """The first n coefficients of res as one int, `stride` slots per
-    coefficient, w-degree j in slot j."""
-    slots = array(code, [0]) * (n * stride)
-    for j in range(m):
-        slots[j::stride] = array(code, res[j : n * m : m])
-    return int.from_bytes(slots, sys.byteorder)
+def _slot_width(bound):
+    """(bytes per slot, array code) for slots that hold every value up to
+    bound: the narrowest array width, or past 8 bytes the least whole number
+    of bytes and code None."""
+    for width, code in _SLOT_CODES:
+        if bound >> (8 * width) == 0:
+            return width, code
+    return (bound.bit_length() + 7) // 8, None
 
 
-def _kronecker_mul(spec, a, b, count):
-    """The residue list of the product of the residue lists a and b below
-    its coefficient `count`, from one big-int product.
+def _pack(res, n, m, stride, width, code):
+    """The first n coefficients of res as one int, `stride` slots of `width`
+    bytes per coefficient, w-degree j in slot j."""
+    if code is None:
+        slots = [0] * (n * stride)
+        for j in range(m):
+            slots[j::stride] = res[j : n * m : m]
+        return int.from_bytes(b"".join(s.to_bytes(width, "little") for s in slots), "little")
+    if stride == m:
+        slots = array(code, res[: n * m])
+    else:
+        slots = array(code, [0]) * (n * stride)
+        for j in range(m):
+            slots[j::stride] = array(code, res[j : n * m : m])
+    if _SWAP:
+        slots.byteswap()
+    return int.from_bytes(slots, "little")
 
-    Each operand is packed into one int (Kronecker substitution) with a slot
-    per (coefficient, w-degree) pair and 2m-1 slots per coefficient, so the
-    w-degree products of F_{p^m} coefficients cannot overlap.  Only the
-    first `count` coefficients of each operand are packed.  A slot sums at
-    most min(na, nb)*m products of two residues, so a slot of that bound
-    never carries.  The slots of w-degree 2m-2 down to m are folded into the
-    lower ones by the modulus, one plane of all coefficients at a time, and
-    every slot is reduced mod p.  The list ends at the product's last
-    coefficient below `count`; the coefficients past it are zero.  An
-    operand of one coefficient c in F_p packs nothing: the product is the
-    other operand's residues times c mod p, or those residues when c = 1.
-    """
+
+def _unpack(spec, x, size, n, stride, width, code):
+    """The residue list of the first n of the `size` coefficients packed in x
+    (see `_pack`).  With stride 2m-1 the slots of w-degree 2m-2 down to m are
+    folded into the lower ones by the modulus, one plane of all coefficients
+    at a time; every slot is reduced mod p."""
     p, m = spec.p, spec.m
-    na, nb = min(len(a) // m, count), min(len(b) // m, count)
-    if na <= 0 or nb <= 0:
-        return []
-    if na == 1 and not any(a[1:m]):
-        a, b, na, nb = b, a, nb, na
-    if nb == 1 and not any(b[1:m]):
-        c = b[0]
-        return a[: na * m] if c == 1 else [r * c % p for r in a[: na * m]]
-    stride = 2 * m - 1
-    bound = min(na, nb) * m * (p - 1) ** 2
-    width, code = next(wc for wc in _SLOT_CODES if bound >> (8 * wc[0]) == 0)
-    x = _pack(a, na, m, stride, code)
-    y = x if b is a else _pack(b, nb, m, stride, code)
-    n = na + nb - 1
-    slots = array(code, (x * y).to_bytes(n * stride * width, sys.byteorder))
-    n = min(n, count)
+    data = x.to_bytes(size * stride * width, "little")
+    if code is None:
+        slots = [int.from_bytes(data[i : i + width], "little") for i in range(0, n * stride * width, width)]
+    else:
+        slots = array(code, data)
+        if _SWAP:
+            slots.byteswap()
+    if stride == m:
+        return [s % p for s in slots[: n * m]]
     planes = [slots[j : n * stride : stride] for j in range(stride)]
     modulus = spec.modulus
     for top in range(stride - 1, m - 1, -1):
@@ -377,6 +382,38 @@ def _kronecker_mul(spec, a, b, count):
     for j in range(m):
         out[j::m] = [s % p for s in planes[j]]
     return out
+
+
+def _kronecker_mul(spec, a, b, count):
+    """The residue list of the product of the residue lists a and b below
+    its coefficient `count`, from one big-int product.
+
+    Each operand is packed into one int (Kronecker substitution) with a slot
+    per (coefficient, w-degree) pair and 2m-1 slots per coefficient, so the
+    w-degree products of F_{p^m} coefficients cannot overlap.  Only the
+    first `count` coefficients of each operand are packed.  A slot sums at
+    most min(na, nb)*m products of two residues, so a slot of that bound
+    never carries.  `_unpack` folds the product by the modulus and reduces
+    it mod p.  The list ends at the product's last coefficient below
+    `count`; the coefficients past it are zero.  An operand of one
+    coefficient c in F_p packs nothing: the product is the other operand's
+    residues times c mod p, or those residues when c = 1.
+    """
+    p, m = spec.p, spec.m
+    na, nb = min(len(a) // m, count), min(len(b) // m, count)
+    if na <= 0 or nb <= 0:
+        return []
+    if na == 1 and not any(a[1:m]):
+        a, b, na, nb = b, a, nb, na
+    if nb == 1 and not any(b[1:m]):
+        c = b[0]
+        return a[: na * m] if c == 1 else [r * c % p for r in a[: na * m]]
+    stride = 2 * m - 1
+    width, code = _slot_width(min(na, nb) * m * (p - 1) ** 2)
+    x = _pack(a, na, m, stride, width, code)
+    y = x if b is a else _pack(b, nb, m, stride, width, code)
+    n = na + nb - 1
+    return _unpack(spec, x * y, n, min(n, count), stride, width, code)
 
 
 def frobenius_phi(f, k=1, prec=None):
@@ -406,9 +443,37 @@ def gamma_transform(c, spec, prec):
     return _series(spec, 1, res, prec)
 
 
-# a P needed to at most this many digits is one linear combination of the
-# rows u^d mod X^_GAMMA_LEAF, each built once per gamma_act call
+# a P needed to at most this many digits is one packed combination of the
+# rows of `_leaf_rows`, which are kept for the last _LEAF_ROWS_KEPT (p, m, c)
 _GAMMA_LEAF = 16
+_LEAF_ROWS_KEPT = 32
+_LEAF_ROWS = {}
+
+
+def _leaf_rows(spec, c):
+    """(slot width, array code, rows) for the leaves of gamma_act at c over
+    spec: rows[i] packs X^(i//m) w^(i%m) u^(i//m) mod X^_GAMMA_LEAF, one slot
+    per residue, for g = (1+X)^c - 1 = X u.  u has coefficients in F_p, so
+    rows[i] has residues only at w-degree i%m, and a leaf's slot sums at most
+    _GAMMA_LEAF products of two residues: the width holds that bound, which
+    also bounds a slot of u^(d-1) * u."""
+    p, m = spec.p, spec.m
+    key = (p, m, c)
+    table = _LEAF_ROWS.get(key)
+    if table is None:
+        L = _GAMMA_LEAF
+        width, code = _slot_width(L * (p - 1) ** 2)
+        bits, mask = 8 * width, (1 << (8 * width * L * m)) - 1
+        u = gamma_transform(c, spec, L + 1).res
+        u = _pack(u, len(u) // m, m, m, width, code)
+        rows, power = [], 1  # power = u^d, packed
+        for d in range(L):
+            rows += [power << (bits * i) & mask for i in range(d * m, d * m + m)]
+            power = _pack(_unpack(spec, power * u, 2 * L - 1, L, m, width, code), L, m, m, width, code)
+        if len(_LEAF_ROWS) >= _LEAF_ROWS_KEPT:
+            del _LEAF_ROWS[next(iter(_LEAF_ROWS))]
+        table = _LEAF_ROWS[key] = (width, code, rows)
+    return table
 
 
 def gamma_act(c, f):
@@ -429,14 +494,15 @@ def gamma_act(c, f):
     where each P_j(g) comes from the same recursion and is needed only mod
     X^ceil((K-j)/p): X^j phi(P_j(g)) is then known below
     j + p*ceil((K-j)/p) >= K.  A P = sum_d a_d X^d needed to at most
-    _GAMMA_LEAF digits is one linear combination sum_d a_d X^d u^d of the
-    rows u^d mod X^_GAMMA_LEAF.  Row d is row d-1 times u, taken as a
-    combination over the nonzero residues of u; the rows are built once per
-    call, and only up to the highest d a leaf reads.  The p terms of an
-    upper level are summed by Horner's rule over the gaps between their
-    exponents.  Negative exponents of the substituted variable are handled
-    by inverting u at the precision the output needs, so no precision is
-    lost against the contract.
+    _GAMMA_LEAF digits is one packed sum of a_d times the rows of
+    `_leaf_rows`, reduced once.  An upper level sums its p terms in one
+    packed int, sum_j pack(phi(P_j(g))) pack(g^j) shifted by j
+    coefficients, and reduces once: g^j is in F_p, so one slot per residue
+    suffices, and phi(P_j(g)) has at most ceil((K-j)/p) nonzero coefficients
+    below X^(K-j), so a slot sums at most sum_j ceil((K-j)/p) = K products
+    of two residues.  Negative exponents of the substituted variable are
+    handled by inverting u at the precision the output needs, so no
+    precision is lost against the contract.
     """
     spec = f.spec
     if c < 1:
@@ -450,45 +516,39 @@ def gamma_act(c, f):
     known = f.prec - v
     g = gamma_transform(c, spec, known + 1)
     powers = {}  # d -> g^d, at the highest precision a level has asked for
+    leaf_width, leaf_code, rows = _leaf_rows(spec, c)
 
     def power(d, prec):
-        """The residues of g^d from its valuation d, known mod X^prec."""
+        """The residues of g^d from its valuation d, known mod X^prec: g^(d-1)
+        times g when g^(d-1) is known that far."""
         gd = powers.get(d)
         if gd is None or gd.prec < prec:
-            gd = powers[d] = g.truncate(prec).pow(d)
+            below = powers.get(d - 1)
+            base = g.truncate(prec)
+            gd = powers[d] = below * base if below is not None and below.prec >= prec else base.pow(d)
         return gd.res
-
-    L = min(_GAMMA_LEAF, known)
-    u = [(a, i) for i, a in enumerate(g.res[: L * m]) if a]  # g = X u
-    rows = [[1] + [0] * (m - 1)]  # rows[d] = the residues of u^d mod X^L
-
-    def row(d):
-        while len(rows) <= d:
-            rows.append(_lincomb(p, [(a, i, rows[-1]) for a, i in u], L * m))
-        return rows[d]
 
     def compose(P, K):
         """The residues of P(g) mod X^K, for the residue list P of a
         polynomial of degree below K."""
         if K <= _GAMMA_LEAF:
-            out = _lincomb(p, [(a, i, row(i // m)) for i, a in enumerate(P) if a], K * m)
-            return out + [0] * (-len(out) % m)
+            return _unpack(spec, sum(map(mul, P, rows)), _GAMMA_LEAF, K, m, leaf_width, leaf_code)
         terms = []
         for j in range(min(p, len(P) // m)):
             part = _decimate(P, m, j, p)
             if any(part):
                 terms.append((j, _stretch(compose(part, -(-(K - j) // p)), m, p)))
-        # Horner's rule over the gaps between the terms' exponents: the terms
-        # from exponent lo up are summed mod X^(K - lo)
-        hi, acc = terms[-1]
-        for lo, a in reversed(terms[:-1]):
-            gap = hi - lo
-            prod = _kronecker_mul(spec, acc, power(gap, K), K - hi)
-            acc = _lincomb(p, [(1, gap * m, prod), (1, 0, a)], (K - lo) * m)
-            hi = lo
-        if hi:
-            acc = [0] * (hi * m) + _kronecker_mul(spec, acc, power(hi, K), K - hi)
-        return acc
+        if len(terms) == 1 and terms[0][0] == 0:
+            return terms[0][1]
+        width, code = _slot_width(K * (p - 1) ** 2)
+        bits, acc = 8 * width * m, 0
+        for j, part in terms:
+            x = _pack(part, min(len(part) // m, K - j), m, m, width, code)
+            if j:
+                gj = power(j, K)
+                x = x * _pack(gj, min(len(gj) // m, K - j), m, m, width, code) << (bits * j)
+            acc += x
+        return _unpack(spec, acc, 2 * K - 1, K, m, width, code)
 
     composed = _series(spec, 0, compose(f.res, known), known)
     return (composed * g.shift(-1).pow(v)).shift(v)

@@ -1,12 +1,14 @@
 """Smoke run of the layer benchmark at tiny sizes; the timings are not checked."""
 
+import hashlib
 import json
 import subprocess
 import symtable
 import sys
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parent.parent / "benchmarks" / "layers.py"
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ROOT / "benchmarks" / "layers.py"
 
 
 def layers(*args):
@@ -19,18 +21,24 @@ def test_layer_benchmark_writes_and_compares(tmp_path):
     out = tmp_path / "BENCH_0.json"
     layers("--scale", "0.005", "--out", str(out))
     bench = json.loads(out.read_text())
-    assert {"commit", "python", "machine", "layers"} <= set(bench)
-    assert len(bench["layers"]) == 54
+    assert {"commit", "src_sha256", "python", "machine", "layers"} <= set(bench)
+    # the harness imports every library module but the CLI and the selftest
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "metaplectic").glob("*.py")):
+        if path.name not in ("cli.py", "selftest.py"):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert bench["src_sha256"] == digest.hexdigest()
+    assert len(bench["layers"]) == 55
     assert all(row["ms"] > 0 and row["ref_ms"] > 0 for row in bench["layers"].values())
     lines = layers("--compare", str(out), str(out)).stdout.splitlines()
-    assert len(lines) == 55 and all(line.endswith(" 1.00") for line in lines[1:])
+    assert len(lines) == 56 and all(line.endswith(" 1.00") for line in lines[1:])
 
 
 def test_layer_benchmark_only_times_the_rows_it_matches(tmp_path):
     out = tmp_path / "BENCH_0.json"
     layers("--only", r"laurent\.gamma_act", "--scale", "0.005", "--out", str(out))
     names = list(json.loads(out.read_text())["layers"])
-    assert len(names) == 9 and all(name.startswith("laurent.gamma_act p=") for name in names)
+    assert len(names) == 10 and all(name.startswith("laurent.gamma_act p=") for name in names)
 
 
 def test_layer_rows_read_no_variable_of_rows():

@@ -334,6 +334,26 @@ def test_kernel_mul_matches_schoolbook(data):
     same(a * a, schoolbook_mul(a, a))
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_kernel_mul_with_slots_past_8_bytes_matches_schoolbook(m):
+    # at p = 999999937 a slot sums up to min(na, nb) m (p-1)^2 >= 2^64 from
+    # 19 dense terms on: the kernel must then pack wider slots than 8 bytes
+    spec = field_make(999999937, m)
+    terms = random.Random(m)
+
+    def dense(v, length):
+        return LaurentSeries(spec, {e: spec.elem([terms.randrange(1, spec.p) for _ in range(m)])
+                                    for e in range(v, v + length)}, v + length)
+
+    for length in (18, 19, 30):
+        a, b = dense(-2, length), dense(1, length + 3)
+        same(a * b, schoolbook_mul(a, b))
+        same(a * a, schoolbook_mul(a, a))
+    # every residue p - 1: the middle slots of the square reach the bound
+    top = LaurentSeries(spec, {e: spec.elem([spec.p - 1] * m) for e in range(30)}, 30)
+    same(top * top, schoolbook_mul(top, top))
+
+
 def with_examples(name, values):
     """Hypothesis explicit examples, one per value, passed as `name`."""
     def apply(test):
@@ -473,13 +493,15 @@ def test_kernel_gamma_act_matches_per_exponent(data):
     assert out.prec == f.prec
 
 
-@pytest.mark.parametrize("m", [1, 2, 4])
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize(
+    "p, m", [(p, m) for p in (3, 5) for m in (1, 2, 4)] + [(1000003, 1), (999999937, 1), (999999937, 2)]
+)
 def test_gamma_act_leaf_boundaries_match_per_exponent(p, m):
     # K = N - v digits on both sides of the leaf size 16 and of a second
-    # split (3 * 16 = 48).  The coefficient w^(m-1) has one residue, the last
-    # of its block: a leaf that reads only it must pad its result to a whole
-    # block before an upper level stretches it.  Above the leaves every shape
+    # split (3 * 16 = 48).  At p = 999999937 a level's slot bound K (p-1)^2
+    # needs more than 8 bytes from K = 19 up.  The coefficient w^(m-1) has
+    # one residue, the last of its block: a leaf that reads only it must pad
+    # its result to a whole block before an upper level stretches it.  Above the leaves every shape
     # takes the Frobenius split: two terms of two residues, and two terms
     # whose second is a full unit (m + 1 residues), as well as the dense one
     spec = field_make(p, m)
@@ -501,7 +523,7 @@ def test_gamma_act_leaf_boundaries_match_per_exponent(p, m):
                 "two residues": {v: spec.one(), v + K - 1: w_top},
                 "two terms": {v: w_top, v + K - 1: full},
             }
-            # all coprime to 3 and 5.  Every base-p digit of p^4 - 1 is p - 1,
+            # all coprime to p.  Every base-p digit of p^4 - 1 is p - 1,
             # so its u = g/X has no zero coefficient below X^16: it checks
             # the leaf rows, and the reference's cost for it grows like K^3
             dense_u = (p ** 4 - 1,) if K <= 17 else ()
@@ -536,6 +558,49 @@ def test_gamma_act_at_a_large_prime_decimates_only_present_residues(monkeypatch)
         f = LaurentSeries(spec, terms, N)
         same(gamma_act(2, f), per_exponent_gamma(2, f))
         assert 0 < len(calls) <= N
+
+
+def test_gamma_act_is_the_same_with_the_leaf_rows_cold_and_warm(monkeypatch):
+    # the rows are kept per (p, m, c): F_5 and F_{5^2} take turns at each c,
+    # so rows kept under (p, c) alone would answer one field with the
+    # other's.  The stretched P (exponents 5i) has one upper-level term, at
+    # j = 0, which the level returns as it is
+    kept = {}
+    monkeypatch.setattr(laurent, "_LEAF_ROWS", kept)
+    cases_rng = random.Random(55)
+    cases = []
+    for c in (2, 6, 99999):
+        for spec in (F5, field_make(5, 2)):
+            def unit():
+                while True:
+                    a = spec.elem([cases_rng.randrange(5) for _ in range(spec.m)])
+                    if not a.is_zero():
+                        return a
+            dense = LaurentSeries(spec, {e: unit() for e in range(-2, 40)}, 40)
+            stretched = LaurentSeries(spec, {5 * i: unit() for i in range(20)}, 100)
+            cases += [(c, dense), (c, stretched)]
+    cold = []
+    for c, f in cases:
+        kept.clear()
+        cold.append(gamma_act(c, f))
+    for c, f in cases:
+        gamma_act(c, f)
+    warm = [gamma_act(c, f) for c, f in cases]
+    assert len(kept) == 6
+    for (c, f), a, b in zip(cases, cold, warm):
+        same(a, b)
+        same(a, per_exponent_gamma(c, f))
+
+
+def test_leaf_rows_are_kept_for_a_bounded_number_of_units(monkeypatch):
+    kept = {}
+    monkeypatch.setattr(laurent, "_LEAF_ROWS", kept)
+    f = LaurentSeries.from_int_coeffs(F5, {0: 1, 1: 2, 7: 3}, 12)
+    units = [c for c in range(2, 200) if c % 5][: laurent._LEAF_ROWS_KEPT + 5]
+    for c in units:
+        same(gamma_act(c, f), per_exponent_gamma(c, f))
+        assert len(kept) <= laurent._LEAF_ROWS_KEPT
+    assert list(kept) == [(5, 1, c) for c in units[-laurent._LEAF_ROWS_KEPT :]]
 
 
 @kernel_settings
