@@ -57,7 +57,12 @@ pairs of matrices with entries p^v n/d, v in -40..40 and n/d a unit with
 with signs, then the matrix product `*` on the pair and `meta_inv` on its
 first element.  `kappa_split` runs over 1,000 seeded elements of K of the
 same kind (a and d units, b and c of valuation 0..40 and 1..40, so c lies
-in pZp and the sign is twisted).
+in pZp and the sign is twisted).  `PMatrix` builds the 2,000 matrices of
+the pairs again from their `Fraction` entries, as the CLI's matrix reader
+passes them, and `scalar_conjugation` takes 1,000 seeded central elements
+z of the same kind, each with the first matrix g of a pair, through
+`PMatrix.scalar(z)`, `chi_z(z)` and `quadchar_eval` at det g: the
+conjugation law's side that is not the group law.
 
 A repetition calls the operation `number` times, with `number` raised until
 one repetition lasts at least MIN_REP_S; a row reports the best of REPEAT
@@ -113,7 +118,16 @@ from metaplectic.meta import (  # noqa: E402
     ss_image,
     verify_bijection,
 )
-from metaplectic.metagroup import MetaElem, PMatrix, cocycle, kappa_split, meta_inv, meta_mul  # noqa: E402
+from metaplectic.metagroup import (  # noqa: E402
+    MetaElem,
+    PMatrix,
+    chi_z,
+    cocycle,
+    kappa_split,
+    meta_inv,
+    meta_mul,
+    quadchar_eval,
+)
 from metaplectic.phigamma import dual, identity_matrix, make_induced, mat_inv, mat_mul, psi  # noqa: E402
 
 MIN_REP_S = 0.05
@@ -323,6 +337,7 @@ def rows(scale, keep):
     for p in COVER_PRIMES:
         tag = f"p={p} pairs={COVER_PAIRS}"
         names = [f"metagroup.{op} {tag}" for op in ("cocycle", "meta_mul", "kappa_split", "mul", "meta_inv")]
+        names += [f"metagroup.PMatrix {tag}", f"metagroup.scalar_conjugation p={p} n={COVER_PAIRS}"]
         rng = group_rng(keep, names)
         if rng is None:
             continue
@@ -330,12 +345,18 @@ def rows(scale, keep):
         pairs = [(wide_matrix(rng, p), wide_matrix(rng, p)) for _ in range(n)]
         elems = [(MetaElem(g1, 1), MetaElem(g2, -1)) for g1, g2 in pairs]
         ks = [k_matrix(rng, p) for _ in range(n)]
+        ents = [g.entries() for pair in pairs for g in pair]
+        conj = [(wide(rng, p), g1) for g1, _ in pairs]
         out += zip(names, [
             lambda p=p, pairs=pairs: [cocycle(g1, g2, p) for g1, g2 in pairs],
             lambda p=p, elems=elems: [meta_mul(x, y, p) for x, y in elems],
             lambda p=p, ks=ks: [kappa_split(g, 1, p) for g in ks],
             lambda pairs=pairs: [g1 * g2 for g1, g2 in pairs],
             lambda p=p, elems=elems: [meta_inv(x, p) for x, _ in elems],
+            lambda ents=ents: [PMatrix(*e) for e in ents],
+            lambda p=p, conj=conj: [
+                (PMatrix.scalar(z), quadchar_eval(chi_z(z, p), g.det, p)) for z, g in conj
+            ],
         ])
     p = LEMMA2_PRIME
     name = f"galois.lemma2_reduce p={p} n={LEMMA2_COUNT}"

@@ -19,9 +19,10 @@ the Hilbert symbol is the closed form
 
 which is omega((-1)^{v(a) v(b)} * b^{v(a)} / a^{v(b)})^{(p-1)/2} read off
 the splits, with no power of a rational formed.  The split is multiplicative
-(v adds, e multiplies) and sees only square classes, so `cocycle` reads
-c(g1 g2) off the product's lower row as an integer over den1 den2 and splits
-two integer quotients: it forms no matrix and no Fraction.
+(v adds, e multiplies) and sees only square classes, so a rational n/d reads
+as the integer n d.  `cocycle` reads c(g1 g2) off the product's lower row as
+an integer over den1 den2 and takes one symbol of two integers in the
+quotients' square classes: it forms no matrix and no Fraction.
 
 Convention: omega, read as a character of Qp^* via the class-field
 normalization sending p to a (geometric) Frobenius, takes the value 1 at
@@ -66,27 +67,23 @@ def _strip(n, p):
     return k, n
 
 
-def _sign(u, p):
-    """omega(u)^{(p-1)/2} in {+1, -1} for an int u prime to p."""
-    return 1 if pow(u % p, (p - 1) // 2, p) == 1 else -1
-
-
-def _split_nd(n, d, p):
-    """(v, e) of n/d for nonzero ints n and d, which need not be coprime."""
-    vn, n = _strip(n, p)
-    vd, d = _strip(d, p)
-    # n/d and n*d have one square class, as d^2 is a square
-    return vn - vd, _sign(n % p * d, p)
+def _rational(x, zero="nonzero required"):
+    """x as an int or a Fraction, which both carry .numerator and .denominator."""
+    x = x if type(x) is int or type(x) is Fraction else Fraction(x)
+    if not x:
+        raise ValueError(zero)
+    return x
 
 
 def _split(x, p):
     """(v, e) for a nonzero rational x = p^v u: its valuation v and the
     square class e = omega(u)^{(p-1)/2} in {+1, -1} of its unit part u."""
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    if not x:
-        raise ValueError("nonzero required")
-    return _split_nd(x.numerator, x.denominator, p)
+    x = _rational(x)
+    n, d = x.numerator, x.denominator
+    vn, n = _strip(n, p) if n % p == 0 else (0, n)
+    vd, d = _strip(d, p) if d % p == 0 else (0, d)
+    # n/d and n*d have one square class, as d^2 is a square
+    return vn - vd, 1 if pow(n % p * d % p, (p - 1) // 2, p) == 1 else -1
 
 
 def vp(x, p):
@@ -94,15 +91,21 @@ def vp(x, p):
     return _split(x, p)[0]
 
 
-def _symbol(va, ea, vb, eb, p):
-    """The Hilbert symbol (a, b) from the splits (va, ea) of a and (vb, eb) of b."""
-    eps = 1 if p % 4 == 1 else -1
-    return eps ** (va * vb % 2) * ea ** (vb % 2) * eb ** (va % 2)
+def _int_symbol(x, y, p):
+    """The Hilbert symbol (x, y) of nonzero ints: with x = p^a u and y = p^b t,
+    eps^{ab} e(u)^b e(t)^a, each e read only where its exponent is odd."""
+    a, x = _strip(x, p) if x % p == 0 else (0, x)
+    b, y = _strip(y, p) if y % p == 0 else (0, y)
+    h = (p - 1) // 2  # eps = (-1)^h
+    odd = (a & b & h) + (b & 1 and pow(x % p, h, p) != 1) + (a & 1 and pow(y % p, h, p) != 1)
+    return -1 if odd & 1 else 1
 
 
 def hilbert(a, b, p):
-    """The quadratic Hilbert symbol (a, b) in {+1, -1}."""
-    return _symbol(*_split(a, p), *_split(b, p), p)
+    """The quadratic Hilbert symbol (a, b) in {+1, -1}: a rational n/d has
+    the valuation parity and the square class of the int n d."""
+    a, b = _rational(a), _rational(b)
+    return _int_symbol(a.numerator * a.denominator, b.numerator * b.denominator, p)
 
 
 def _reduced(na, nb, nc, nd, den):
@@ -122,11 +125,12 @@ class PMatrix(Record):
     __slots__ = ("na", "nb", "nc", "nd", "den")
 
     def __init__(self, a, b, c, d):
-        ents = [x if type(x) is Fraction else Fraction(x) for x in (a, b, c, d)]
+        # an int, like a Fraction, carries .numerator and .denominator
+        ents = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in (a, b, c, d)]
         # over the lcm of reduced denominators the content is already 1
-        den = lcm(*(x.denominator for x in ents))
+        dens = {x.denominator for x in ents}
+        self.den = den = dens.pop() if len(dens) == 1 else lcm(*dens)
         self.na, self.nb, self.nc, self.nd = (x.numerator * (den // x.denominator) for x in ents)
-        self.den = den
         if self.na * self.nd == self.nb * self.nc:
             raise ValueError("singular matrix")
 
@@ -150,9 +154,10 @@ class PMatrix(Record):
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
-    @classmethod
-    def scalar(cls, z):
-        return cls(z, 0, 0, z)
+    @staticmethod
+    def scalar(z):
+        z = _rational(z, "singular matrix")
+        return _reduced(z.numerator, 0, 0, z.numerator, z.denominator)
 
     def __repr__(self):
         a, b, c, d = map(frac_str, self.entries())
@@ -178,30 +183,34 @@ class MetaElem(Record):
         self.zeta = zeta
 
 
+def _meta(g, zeta):
+    """MetaElem(g, zeta) for a zeta known to be +1 or -1."""
+    x = object.__new__(MetaElem)
+    x.g, x.zeta = g, zeta
+    return x
+
+
 def cocycle(g1, g2, p):
     """The 2-cocycle sigma(g1, g2) in {+1, -1}: with c(g1 g2) = n / (den1 den2),
-    c(gi) = ci / deni and det(g1) = D / den1^2, the symbol of n / (c1 den2) and
-    n D / (c2 den1), as den1^2 is a square; n is split once for both."""
+    c(gi) = ci / deni and det(g1) = D / den1^2, one symbol of two integers in
+    the square classes of n / (c1 den2) and n D / (c2 den1^3), which differ
+    from them by the squares (c1 den2)^2 and (c2 den1^2)^2."""
     n = g1.nc * g2.na + g1.nd * g2.nc
     if not n:
         n = g1.nc * g2.nb + g1.nd * g2.nd
-    vn, n = _strip(n, p)
-    vD, D = _strip(g1.na * g1.nd - g1.nb * g1.nc, p)
-    va, ua = _strip((g1.nc or g1.nd) * g2.den, p)
-    vb, ub = _strip((g2.nc or g2.nd) * g1.den, p)
-    n %= p
-    return _symbol(vn - va, _sign(n * ua, p), vn + vD - vb, _sign(n * (D % p) * ub, p), p)
+    D = g1.na * g1.nd - g1.nb * g1.nc
+    return _int_symbol(n * (g1.nc or g1.nd) * g2.den, n * D * (g2.nc or g2.nd) * g1.den, p)
 
 
 def meta_mul(x, y, p):
     """(g1, z1) * (g2, z2) = (g1 g2, z1 z2 sigma(g1, g2))."""
-    return MetaElem(x.g * y.g, x.zeta * y.zeta * cocycle(x.g, y.g, p))
+    return _meta(x.g * y.g, x.zeta * y.zeta * cocycle(x.g, y.g, p))
 
 
 def meta_inv(x, p):
     """The inverse in the cover."""
     ginv = x.g.inv()
-    return MetaElem(ginv, x.zeta * cocycle(x.g, ginv, p))
+    return _meta(ginv, x.zeta * cocycle(x.g, ginv, p))
 
 
 def kappa_split(g, zeta, p):
@@ -216,8 +225,8 @@ def kappa_split(g, zeta, p):
     if g.den % p == 0 or det % p == 0:
         raise ValueError("not in K")
     if g.nc and g.nc % p == 0:  # then ad = det + bc is a unit, so d != 0
-        d_det = _split_nd(g.nd * g.den, det, p)  # d / det = nd den / (na nd - nb nc)
-        return MetaElem(g, zeta * _symbol(*_split_nd(g.nc, g.den, p), *d_det, p))
+        # c = nc / den and d / det = nd den / (na nd - nb nc), up to squares
+        return MetaElem(g, zeta * _int_symbol(g.nc * g.den, g.nd * g.den * det, p))
     return MetaElem(g, zeta)
 
 

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,7 +12,6 @@ from metaplectic.laurent import (
     binom_neg_mod_p,
     frobenius_phi,
     gamma_act,
-    gamma_transform,
     one_unit_root,
     phi_basis_decompose,
     psi_ring,
@@ -259,26 +259,44 @@ def square_pow(f, e):
 
 
 def per_exponent_gamma(c, f):
-    """sum_e a_e g^e mod X^N with g = (1+X)^c - 1, one power of g per exponent."""
-    spec, N = f.spec, f.prec
-    v = f.v
-    work = N + (2 * (-v) + 2 if v < 0 else 0)
-    g = gamma_transform(c, spec, work)
-    powers = {0: LaurentSeries.one(spec, work)}
-    for e in range(1, max(f.terms()) + 1):
-        powers[e] = schoolbook_mul(powers[e - 1], g).truncate(N)
+    """sum_e a_e g^e mod X^N with g = (1+X)^c - 1 = X u, one power of u per
+    exponent, in plain integer loops mod p.  u has integer coefficients
+    binom(c, k + 1), so each power u^e (of the recurrence's u^-1 when e < 0)
+    is a list of residues over F_p, and a_e in F_{p^m} scales it residue by
+    residue: no product in F_{p^m} is formed, so none is reduced by the modulus."""
+    spec, N, v, terms = f.spec, f.prec, f.v, f.terms()
+    p, n = spec.p, N - v  # X^e u^e is needed mod X^N, so u^e mod X^(N - e) for e >= v
+    u = [comb(c, k + 1) % p for k in range(n)]
+    acc = [[0] * spec.m for _ in range(n)]  # the coefficient of X^(v + k)
+
+    def times(a, b, length):
+        out = [0] * length
+        for i, x in enumerate(a[:length]):
+            if x:
+                for j, y in enumerate(b[: length - i]):
+                    out[i + j] += x * y
+        return [r % p for r in out]
+
+    def add(e, power):
+        if e in terms:
+            for k, b in enumerate(power[: N - e]):
+                row = acc[e - v + k]
+                for s, a in enumerate(terms[e].coeffs):
+                    row[s] += a * b
+
+    power = [1]
+    for e in range(max(terms) + 1):
+        add(e, power)
+        power = times(power, u, min(n, N - e - 1))
     if v < 0:
-        u_inv = recurrence_invert(g.shift(-1))
-        inv_power = LaurentSeries.one(spec, work)
+        inv = [pow(u[0], -1, p)]
+        for k in range(1, n):
+            inv.append(-inv[0] * sum(u[j] * inv[k - j] for j in range(1, k + 1)) % p)
+        power = inv
         for e in range(-1, v - 1, -1):
-            inv_power = schoolbook_mul(inv_power, u_inv)
-            powers[e] = inv_power.shift(e)
-    acc = LaurentSeries.zero(spec, N)
-    for e, a in f.terms().items():
-        # scaled coefficient by coefficient, not by the packed kernel
-        scaled = {k: a * b for k, b in powers[e].terms().items()}
-        acc = acc + LaurentSeries(spec, scaled, powers[e].prec).truncate(N)
-    return acc
+            add(e, power)
+            power = times(power, inv, n)
+    return LaurentSeries(spec, {v + k: spec.elem(row) for k, row in enumerate(acc)}, N)
 
 
 @st.composite

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -188,6 +188,59 @@ def test_pmatrix_slots_are_canonical(ents, p, unit, k):
         assert (again.na, again.nb, again.nc, again.nd, again.den) == (r.na, r.nb, r.nc, r.nd, r.den)
 
 
+entry_ints = st.one_of(st.integers(-6, 6), st.integers(-10 ** 40, 10 ** 40))
+four = dict(min_size=4, max_size=4)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(entry_ints, **four), st.lists(st.sampled_from([1, 1, 2, 9, 10, 49, 10 ** 30]), **four),
+       st.lists(st.sampled_from(["int", "fraction", "str"]), **four))
+def test_pmatrix_is_one_matrix_from_ints_fractions_and_strings(nums, dens, kinds):
+    # an integral matrix and a rational one; each is built from Fractions, from
+    # ints where its entries are integers, from strings, and from a mix of the three
+    def as_kind(t, kind):
+        if kind == "int" and t.denominator == 1:
+            return t.numerator
+        return str(t) if kind == "str" else t
+
+    for x in ([Fraction(n) for n in nums], [Fraction(n, d) for n, d in zip(nums, dens)]):
+        forms = [x, [str(t) for t in x], [as_kind(t, k) for t, k in zip(x, kinds)]]
+        if all(t.denominator == 1 for t in x):
+            forms.append([t.numerator for t in x])
+        if x[0] * x[3] == x[1] * x[2]:
+            for form in forms:
+                with pytest.raises(ValueError, match="singular matrix"):
+                    PMatrix(*form)
+            continue
+        g = PMatrix(*x)
+        slots = (g.na, g.nb, g.nc, g.nd, g.den)
+        assert g.den == lcm(*(t.denominator for t in x)) and g.entries() == tuple(x)
+        for f in (PMatrix(*form) for form in forms):
+            assert (f.na, f.nb, f.nc, f.nd, f.den) == slots
+            assert f == g and hash(f) == hash(g)
+        for t in x:
+            if t:
+                for z in (t, t.numerator) if t.denominator == 1 else (t,):
+                    s, want = PMatrix.scalar(z), PMatrix(z, 0, 0, z)
+                    assert (s.na, s.nb, s.nc, s.nd, s.den) == (want.na, want.nb, want.nc, want.nd, want.den)
+                    assert s == want and hash(s) == hash(want)
+
+
+def test_singular_matrices_and_bad_signs_are_refused():
+    for z in (0, Fraction(0), "0"):
+        with pytest.raises(ValueError, match="singular matrix"):
+            PMatrix.scalar(z)
+    for ents in ((0, 0, 0, 0), (2, 4, 1, 2), (-3, 6, 1, -2), (10 ** 50, 1, 10 ** 50, 1)):
+        with pytest.raises(ValueError, match="singular matrix"):
+            PMatrix(*ents)
+    g = PMatrix(1, 2, 3, 4)
+    for zeta in (2, 0, -2, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="zeta"):
+            MetaElem(g, zeta)
+        with pytest.raises(ValueError, match="zeta"):
+            kappa_split(PMatrix(1, 0, 3, 1), zeta, 3)
+
+
 def one_at_a_time_vp(n, p):
     k = 0
     while n % p == 0:
@@ -212,12 +265,14 @@ def test_vp_of_long_runs_of_p(p):
 
 def ref_vp(x, p):
     v, num, den = 0, x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+    q, r = divmod(num, p)
+    while not r:
+        num, v = q, v + 1
+        q, r = divmod(num, p)
+    q, r = divmod(den, p)
+    while not r:
+        den, v = q, v - 1
+        q, r = divmod(den, p)
     return v
 
 
@@ -231,6 +286,9 @@ def ref_omega_sign(u, p):
 
 
 def ref_hilbert(a, b, p):
+    # the symbol reads square classes only: dividing a and b by p^(2 floor(v/2))
+    # leaves valuations 0 or 1, so the powers below stay small at any valuation
+    a, b = (x / Fraction(p) ** (ref_vp(x, p) // 2 * 2) for x in (a, b))
     va, vb = ref_vp(a, p), ref_vp(b, p)
     return ref_omega_sign(Fraction(-1) ** (va * vb) * b ** va / a ** vb, p)
 
@@ -331,6 +389,44 @@ def test_cocycle_and_product_match_the_fraction_formulas(p):
         assert (g1 * inv).entries() == (1, 0, 0, 1)
         assert cocycle(g1, g2, p) == ref_cocycle(g1, g2, p)
         assert cocycle(g1, inv, p) == ref_cocycle(g1, inv, p)
+
+
+LONG_RUNS = [k for j in range(13) for k in (2 ** j - 1, 2 ** j, 2 ** j + 1)]
+
+
+def long_run(rng, p, runs=LONG_RUNS, signs=(1, -1)):
+    """p^(s k) u with k from runs, s from signs and u = n/d a unit, |n| and d
+    below 10^3; k = 0 one time in three."""
+    k = rng.choice(runs) * rng.choice(signs) if rng.randrange(3) else 0
+    while True:
+        n, d = rng.randrange(1, 1000), rng.randrange(1, 1000)
+        if n % p and d % p:
+            return Fraction(p) ** k * Fraction(rng.choice((1, -1)) * n, d)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 1000003])
+def test_symbols_on_long_runs_of_p_match_the_fraction_formulas(p):
+    # a symbol strips p from n/d only where p divides it: entries p^k u with
+    # k = 2^j - 1, 2^j, 2^j + 1 up to 4097 take the strip through every
+    # squaring step, and entries with k = 0 skip it
+    local = random.Random(300 + p)
+    for _ in range(40 if p < 100 else 12):
+        g1, g2 = wide_matrix(local, p, long_run), wide_matrix(local, p, long_run)
+        assert cocycle(g1, g2, p) == ref_cocycle(g1, g2, p)
+        assert cocycle(g1, g1.inv(), p) == ref_cocycle(g1, g1.inv(), p)
+        a, b = long_run(local, p), long_run(local, p)
+        assert hilbert(a, b, p) == ref_hilbert(a, b, p)
+        # a and d units, b integral and c in pZp: in K, and the sign is twisted
+        c = long_run(local, p, [0]) * Fraction(p) ** local.choice(LONG_RUNS[1:])
+        g, zeta = PMatrix(long_run(local, p, [0]), long_run(local, p, signs=(1,)), c, 1), local.choice((1, -1))
+        assert kappa_split(g, zeta, p) == ref_kappa_split(g, zeta, p)
+        try:
+            want = ref_kappa_split(g1, zeta, p)
+        except ValueError:
+            with pytest.raises(ValueError, match="not in K"):
+                kappa_split(g1, zeta, p)
+        else:
+            assert kappa_split(g1, zeta, p) == want
 
 
 def integral_or_not(rng, p):
