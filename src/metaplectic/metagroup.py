@@ -80,8 +80,8 @@ def _split(x, p):
     square class e = omega(u)^{(p-1)/2} in {+1, -1} of its unit part u."""
     x = _rational(x)
     n, d = x.numerator, x.denominator
-    vn, n = _strip(n, p) if n % p == 0 else (0, n)
-    vd, d = _strip(d, p) if d % p == 0 else (0, d)
+    vn, n = _strip(n, p)
+    vd, d = _strip(d, p)
     # n/d and n*d have one square class, as d^2 is a square
     return vn - vd, 1 if pow(n % p * d % p, (p - 1) // 2, p) == 1 else -1
 
@@ -94,8 +94,8 @@ def vp(x, p):
 def _int_symbol(x, y, p):
     """The Hilbert symbol (x, y) of nonzero ints: with x = p^a u and y = p^b t,
     eps^{ab} e(u)^b e(t)^a, each e read only where its exponent is odd."""
-    a, x = _strip(x, p) if x % p == 0 else (0, x)
-    b, y = _strip(y, p) if y % p == 0 else (0, y)
+    a, x = _strip(x, p)
+    b, y = _strip(y, p)
     h = (p - 1) // 2  # eps = (-1)^h
     odd = (a & b & h) + (b & 1 and pow(x % p, h, p) != 1) + (a & 1 and pow(y % p, h, p) != 1)
     return -1 if odd & 1 else 1
@@ -128,8 +128,7 @@ class PMatrix(Record):
         # an int, like a Fraction, carries .numerator and .denominator
         ents = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in (a, b, c, d)]
         # over the lcm of reduced denominators the content is already 1
-        dens = {x.denominator for x in ents}
-        self.den = den = dens.pop() if len(dens) == 1 else lcm(*dens)
+        self.den = den = lcm(*(x.denominator for x in ents))
         self.na, self.nb, self.nc, self.nd = (x.numerator * (den // x.denominator) for x in ents)
         if self.na * self.nd == self.nb * self.nc:
             raise ValueError("singular matrix")
@@ -183,13 +182,6 @@ class MetaElem(Record):
         self.zeta = zeta
 
 
-def _meta(g, zeta):
-    """MetaElem(g, zeta) for a zeta known to be +1 or -1."""
-    x = object.__new__(MetaElem)
-    x.g, x.zeta = g, zeta
-    return x
-
-
 def cocycle(g1, g2, p):
     """The 2-cocycle sigma(g1, g2) in {+1, -1}: with c(g1 g2) = n / (den1 den2),
     c(gi) = ci / deni and det(g1) = D / den1^2, one symbol of two integers in
@@ -204,13 +196,13 @@ def cocycle(g1, g2, p):
 
 def meta_mul(x, y, p):
     """(g1, z1) * (g2, z2) = (g1 g2, z1 z2 sigma(g1, g2))."""
-    return _meta(x.g * y.g, x.zeta * y.zeta * cocycle(x.g, y.g, p))
+    return MetaElem(x.g * y.g, x.zeta * y.zeta * cocycle(x.g, y.g, p))
 
 
 def meta_inv(x, p):
     """The inverse in the cover."""
     ginv = x.g.inv()
-    return _meta(ginv, x.zeta * cocycle(x.g, ginv, p))
+    return MetaElem(ginv, x.zeta * cocycle(x.g, ginv, p))
 
 
 def kappa_split(g, zeta, p):
