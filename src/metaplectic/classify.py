@@ -20,7 +20,8 @@ Sign bookkeeping: writing gamma(f_i) = omega(gamma)^{b_i} (1-unit) f_i
 and phi(f_i) = d_i (1-unit) X^{t_i} f_{i+1}, commutation of phi and gamma
 forces b_{i+1} = b_i - t_i mod (p-1); equivalently the eigencharacter
 exponents satisfy a_{i+1} = a_i + s_i.  The chain is validated at
-construction and on entry to the normalizer.
+construction; summed around the cycle, it makes p-1 divide the
+normalizer's sum p^{n-j} t_j.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "dual_basis_form",
     "cycle_form",
     "normalize_cyclic",
-    "galois_of_cycle",
     "galois_of_ss",
     "e_exponents",
     "simulate_dual_frobenius",
@@ -84,7 +84,9 @@ def ss_partner(p, r):
 
 
 def ss_data(spec, r):
-    """All tables for the supersingular parameter r (excluded: r = (p-1)/2)."""
+    """All tables for the supersingular parameter r (excluded: r = (p-1)/2).
+    The eigencharacters (r, 0), (h, r), (r+h, h), (0, r+h) mod p-1, with
+    h = (p-1)/2, are pairwise distinct, so the cycle is irreducible."""
     p = spec.p
     if not 0 <= r <= p - 1:
         raise ValueError("parameter out of range")
@@ -110,13 +112,7 @@ def ss_data(spec, r):
         sign(r + half) * rpf,
         sign(half) * rf,
     )
-    data = SSData(spec, r, r_prime, chis, s, c, weights)
-    # irreducibility condition: equal eigencharacters force distinct exponents
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if chis[i] == chis[j] and s[i] == s[j]:
-                raise ValueError("cycle fails the irreducibility condition")
-    return data
+    return SSData(spec, r, r_prime, chis, s, c, weights)
 
 
 class CyclicForm(Record):
@@ -204,10 +200,7 @@ def normalize_cyclic(form, prec):
         raise ValueError(f"prec (X-adic precision) must be >= 1, got {prec}")
     p = form.spec.p
     n = form.n
-    weighted = sum(p ** (n - j) * form.t[j - 1] for j in range(1, n + 1))
-    if weighted % (p - 1):
-        raise ValueError("inconsistent Gamma data")
-    t = -(weighted // (p - 1))
+    t = -(sum(p ** (n - j) * form.t[j - 1] for j in range(1, n + 1)) // (p - 1))
     d = form.spec.one()
     for di in form.d:
         d = d * di
@@ -223,25 +216,16 @@ def normalize_cyclic(form, prec):
     return NormalForm(form.spec, n, t, d, form.b[0]), hs
 
 
-def galois_of_cycle(spec, n, s, c, a1):
-    """The induced Galois parameter of a cycle: exponent sum(p^{n-j} s_j)/(p-1)
-    twisted by omega^{a1 - 1}, with unramified value prod(c_i)."""
-    p = spec.p
-    weighted = sum(p ** (n - j) * s[j - 1] for j in range(1, n + 1))
-    if weighted % (p - 1):
-        raise ValueError("inconsistent Gamma data")
-    s_tot = weighted // (p - 1)
-    lam = spec.one()
-    for ci in c:
-        if ci.is_zero():
-            raise ValueError("cycle constants must be nonzero")
-        lam = lam * ci
-    return tame_twist(InducedParams(n, s_tot, lam), a1 - 1)
-
-
 def galois_of_ss(data):
-    """The induced parameter of supersingular cycle data (first eigenvector route)."""
-    return galois_of_cycle(data.spec, 4, data.s, data.c, data.gamma_exponents()[0])
+    """The induced parameter of supersingular cycle data (first eigenvector
+    route): exponent e(1)/(p-1) twisted by omega^{a_1 - 1}, with unramified
+    value prod(c_i).  p-1 divides e(1) = (p^2+1)(p r' + r), since r + r' is
+    (p-1)/2 or 3(p-1)/2."""
+    e, _ = e_exponents(data, 1, 1)
+    lam = data.spec.one()
+    for ci in data.c:
+        lam = lam * ci
+    return tame_twist(InducedParams(4, e // (data.p - 1), lam), data.gamma_exponents()[0] - 1)
 
 
 def params_of_normal_form(nf):

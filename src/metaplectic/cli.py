@@ -166,13 +166,14 @@ def module_from_json(obj, spec):
         item["c"]: matrix(item["matrix"], f"gamma sample {item['c']}")
         for item in obj.get("gamma_samples", [])
     }
+    prec = _precision(obj, "module")
 
-    def oracle(c, prec):
+    def oracle(c):
         if c not in samples:
             raise ValueError(f"no gamma sample stored for unit {c}")
         return [[e.truncate(prec) for e in row] for row in samples[c]]
 
-    return PhiGammaModule(spec, phi, oracle, _precision(obj, "module"))
+    return PhiGammaModule(spec, phi, oracle, prec)
 
 
 def params_from_json(obj, spec):

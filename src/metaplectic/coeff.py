@@ -215,16 +215,12 @@ class FieldSpec:
         self._exp, self._log = exp, log
         return log
 
-    def elements(self):
-        """All field elements in counting order of coefficient vectors."""
-        p, m = self.p, self.m
-        for idx in range(p ** m):
-            yield FieldElem(self, _digits(idx, p, m))
-
     def nonzero_elements(self):
-        for e in self.elements():
-            if not e.is_zero():
-                yield e
+        """The nonzero field elements in counting order of coefficient
+        vectors; index 0 is the zero vector."""
+        p, m = self.p, self.m
+        for idx in range(1, p ** m):
+            yield FieldElem(self, _digits(idx, p, m))
 
     # the modulus is a function of (p, m), so (p, m) names the field
     def __eq__(self, other):

@@ -88,12 +88,6 @@ class SSRep(Record):
         return cls(spec, r, TameChar.trivial(spec))
 
 
-def _swap_partner(p, r):
-    """ss_partner(p, r), or None when that is (p-1)/2 (r = 0 or p-1)."""
-    partner = ss_partner(p, r)
-    return None if partner == (p - 1) // 2 else partner
-
-
 def _class_head(p, r, tame):
     """The (r, tau) part of a supersingular class key, tau = tame mod (p-1)/2:
     the lesser of (r, tau) and its partner (partner(r), tau + r).  The
@@ -101,8 +95,8 @@ def _class_head(p, r, tame):
     sides of the identification."""
     half = (p - 1) // 2
     tau = tame % half
-    partner = _swap_partner(p, r)
-    if partner is None:
+    partner = ss_partner(p, r)
+    if partner == half:  # r = 0 or p-1
         return (r, tau)
     return min((r, tau), (partner, (tau + r) % half))
 

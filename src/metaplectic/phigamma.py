@@ -1,11 +1,11 @@
 """Etale (phi,Gamma)-modules over k((X)) at finite X-adic precision.
 
-A module of rank n is stored through its phi-matrix (column j holds the
-coordinates of phi(e_j)) and a Gamma-oracle mapping an exact integer unit
-c and a requested precision to the matrix of the action of the unit.  The
-action of Gamma is an oracle rather than stored data: the group is
-infinite, every constructed module has a closed-form action, and generic
-modules supply finitely many sampled units.
+A module of rank n, known to one X-adic precision N, is stored through
+its phi-matrix (column j holds the coordinates of phi(e_j)) and a
+Gamma-oracle mapping an exact integer unit c to the matrix of its action
+at precision N.  The action of Gamma is an oracle rather than stored
+data: the group is infinite, every constructed module has a closed-form
+action, and generic modules supply finitely many sampled units.
 
 Constructors implement the standard dictionary entries: rank-1 modules of
 tame characters, the n-dimensional modules attached to induced
@@ -132,8 +132,10 @@ class PhiGammaModule:
     """A rank-n etale (phi,Gamma)-module at precision N.
 
     Never changed after construction but for its caches of phi^-1 and
-    of gamma matrices; the gamma oracle must be pure.  Phi is inverted
-    once, on first use, and that inverse serves both `psi` and `dual`.
+    of gamma matrices; the gamma oracle maps a checked unit c to its
+    matrix at precision N, once per unit, and must be pure.  Phi is
+    inverted once, on first use, and that inverse serves both `psi` and
+    `dual`.
     Matrix columns hold images of basis vectors, so applying phi to a
     coordinate vector v computes Phi . phi_ring(v).
     """
@@ -146,14 +148,12 @@ class PhiGammaModule:
         self._phi_inv = None
         self._gamma_cache = {}
 
-    def gamma_matrix(self, c, prec=None):
-        if prec is None:
-            prec = self.prec
-        key = (c, prec)
-        got = self._gamma_cache.get(key)
+    def gamma_matrix(self, c):
+        if c < 1 or c % self.spec.p == 0:
+            raise ValueError("unit must be a positive integer coprime to p")
+        got = self._gamma_cache.get(c)
         if got is None:
-            got = self._gamma_oracle(c, prec)
-            self._gamma_cache[key] = got
+            got = self._gamma_cache[c] = self._gamma_oracle(c)
         return got
 
     def phi_inv(self):
@@ -176,8 +176,8 @@ def make_rank1(chi, prec):
 
     phi = [[LaurentSeries(spec, {0: chi.unram}, prec * spec.p)]]
 
-    def oracle(c, req_prec):
-        return [[LaurentSeries(spec, {0: chi.value_at_unit(c)}, req_prec)]]
+    def oracle(c):
+        return [[LaurentSeries(spec, {0: chi.value_at_unit(c)}, prec)]]
 
     return PhiGammaModule(spec, phi, oracle, prec)
 
@@ -212,19 +212,15 @@ def make_induced(spec, n, h, lam_n=None, tame=0, prec=40):
         phi[i + 1][i] = LaurentSeries.one(spec, entry_prec)
     phi[0][n - 1] = LaurentSeries.monomial(spec, -h * (p - 1), entry_prec, lam_n)
 
-    def oracle(c, req_prec):
-        if req_prec < 2:
-            raise ValueError("insufficient precision")
-        if c < 1 or c % p == 0:
-            raise ValueError("unit must be a positive integer coprime to p")
+    def oracle(c):
         # chi(c) u^a = chi(c) w^{h(p-1)}, exponent read mod q, built over F_p, extended once
         fp = field_make(p)
-        u = gamma_transform(c, fp, req_prec + 1).shift(-1).scale(fp.from_int(c).inv())
-        q = one_unit_exponent(p, req_prec)
+        u = gamma_transform(c, fp, prec + 1).shift(-1).scale(fp.from_int(c).inv())
+        q = one_unit_exponent(p, prec)
         w_h = u.pow(h * (p - 1) * pow(1 - p ** n, -1, q) % q)
         w_h = extend_scalars(w_h.scale(fp.from_int(pow(c % p, tame, p))), spec)
-        zero = LaurentSeries.zero(spec, req_prec)
-        diag = [frobenius_phi(w_h, i, req_prec) for i in range(n)]
+        zero = LaurentSeries.zero(spec, prec)
+        diag = [frobenius_phi(w_h, i, prec) for i in range(n)]
         return [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]
 
     return PhiGammaModule(spec, phi, oracle, prec)
@@ -234,8 +230,8 @@ def twist(D, chi):
     """Scale phi by chi(p) and the action of each unit c by chi(c)."""
     phi = mat_scale(D.phi, chi.unram)
 
-    def oracle(c, prec):
-        return mat_scale(D.gamma_matrix(c, prec), chi.value_at_unit(c))
+    def oracle(c):
+        return mat_scale(D.gamma_matrix(c), chi.value_at_unit(c))
 
     return PhiGammaModule(D.spec, phi, oracle, D.prec)
 
@@ -244,8 +240,8 @@ def dual(D):
     """The dual module: inverse-transpose matrices, making evaluation equivariant."""
     phi = mat_transpose(D.phi_inv())
 
-    def oracle(c, prec):
-        return mat_transpose(mat_inv(D.gamma_matrix(c, prec)))
+    def oracle(c):
+        return mat_transpose(mat_inv(D.gamma_matrix(c)))
 
     return PhiGammaModule(D.spec, phi, oracle, D.prec)
 

@@ -4,19 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplectic.coeff import field_make
+from metaplectic.coeff import field_make, is_prime
 from metaplectic.classify import (
     CyclicForm,
     cycle_form,
     dual_basis_form,
     e_exponents,
-    galois_of_cycle,
     galois_of_ss,
     normalize_cyclic,
     simulate_dual_frobenius,
     simulate_dual_gamma,
     ss_data,
 )
+from metaplectic.galois import InducedParams, tame_twist
 from metaplectic.laurent import LaurentSeries, binom_mod_p, binom_neg_mod_p, frobenius_phi
 from metaplectic.meta import admissible
 from metaplectic.selftest import duality_law, normal_form_law, rand_noisy_form
@@ -82,8 +82,6 @@ def test_cyclic_form_validation():
         CyclicForm(F5, 2, (F5.one(), F5.one()), (1, 2), (0, 0), (None, None))
     with pytest.raises(ValueError, match="nonzero"):
         cycle_form(F5, [1, 3], [F5.zero(), F5.one()], [0, 1])
-    with pytest.raises(ValueError, match="inconsistent Gamma data"):
-        galois_of_cycle(F5, 2, [1, 2], [F5.one(), F5.one()], 0)
 
 
 def test_noise_invariance_and_change_of_basis():
@@ -111,8 +109,65 @@ def test_galois_of_cycle_examples():
     assert g.H == 39 and g.Lam.is_one()
     g = galois_of_ss(ss_data(F5, 0))
     assert g.H == (65 + 3 * 156) % 624 and int(g.Lam) == 4
-    g = galois_of_cycle(F5, 1, [4], [F5.from_int(2)], 2)
-    assert g.n == 1 and g.H == (1 + (2 - 1) * 1) % 4 and int(g.Lam) == 2
+
+
+def reference_galois_of_cycle(spec, n, s, c, a1):
+    """The induced Galois parameter of a cycle: exponent sum(p^{n-j} s_j)/(p-1)
+    twisted by omega^{a1 - 1}, with unramified value prod(c_i)."""
+    p = spec.p
+    weighted = sum(p ** (n - j) * s[j - 1] for j in range(1, n + 1))
+    if weighted % (p - 1):
+        raise ValueError("inconsistent Gamma data")
+    s_tot = weighted // (p - 1)
+    lam = spec.one()
+    for ci in c:
+        if ci.is_zero():
+            raise ValueError("cycle constants must be nonzero")
+        lam = lam * ci
+    return tame_twist(InducedParams(n, s_tot, lam), a1 - 1)
+
+
+def test_galois_of_ss_matches_the_cycle_reference():
+    for p in (3, 5, 7, 11, 13, 101):
+        for m in (1, 2):
+            spec = field_make(p, m)
+            for r in admissible(p):
+                data = ss_data(spec, r)
+                expect = reference_galois_of_cycle(spec, 4, data.s, data.c, data.gamma_exponents()[0])
+                assert galois_of_ss(data) == expect, (p, m, r)
+
+
+def test_ss_eigencharacters_are_pairwise_distinct():
+    # (r, 0), (h, r), (r+h, h) and (0, r+h) mod p-1, h = (p-1)/2: two of them
+    # agree only if h = 0 mod p-1, so every supersingular cycle is irreducible
+    for p in filter(is_prime, range(3, 1000, 2)):
+        spec = field_make(p)
+        for r in admissible(p):
+            assert len(set(ss_data(spec, r).chi)) == 4, (p, r)
+
+
+def test_cyclic_form_weighted_exponent_is_divisible():
+    # the chain b_(i+1) = b_i - t_i mod p-1 that CyclicForm checks sums to
+    # sum t_i = 0, and sum p^(n-j) t_j = sum t_j mod p-1
+    grid = random.Random(33)
+    built = 0
+    for _ in range(2000):
+        p = grid.choice((3, 5, 7, 11))
+        spec = field_make(p)
+        n = grid.randrange(1, 6)
+        b = [grid.randrange(p - 1) for _ in range(n)]
+        # a compatible t, each entry moved by a multiple of p-1; half the time
+        # one entry slips by a non-multiple, and the constructor must refuse it
+        t = [b[i] - b[(i + 1) % n] + (p - 1) * grid.randrange(-3, 4) for i in range(n)]
+        if grid.random() < 0.5:
+            t[grid.randrange(n)] += grid.randrange(1, p - 1)
+        try:
+            form = CyclicForm(spec, n, (spec.one(),) * n, tuple(t), tuple(b), (None,) * n)
+        except ValueError:
+            continue
+        built += 1
+        assert sum(p ** (n - j) * form.t[j - 1] for j in range(1, n + 1)) % (p - 1) == 0
+    assert built > 800
 
 
 def test_duality_consistency():

@@ -313,6 +313,11 @@ MISSING, DIRECTORY = object(), object()  # file stand-ins: no file, a directory
          "entries in each of d, t, b and noise, not [2, 3, 2, 2]"),
         (["normalize", "--p", "3", "{f}"], {"f": {**FORM3, "b": [0]}},
          "entries in each of d, t, b and noise, not [2, 2, 1, 2]"),
+        (["build-rank1", "--p", "5", "--units", "-1"], {},
+         "unit must be a positive integer coprime to p"),
+        (["dual", "--p", "3", "{m}", "--units", "3"],
+         {"m": {**RANK1, "gamma_samples": [{"c": 3, "matrix": [[ONE3]]}]}},
+         "unit must be a positive integer coprime to p"),
     ],
 )
 def test_malformed_input_exits_1_without_traceback(tmp_path, args, files, message):

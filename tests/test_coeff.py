@@ -250,7 +250,7 @@ def test_field_make_builds_no_table(monkeypatch):
     spec = field_make(7, 4)
     assert spec._log is None and spec._exp is None
     x = spec.elem((1, 2, 3, 4))
-    assert x + x - x == x and len(list(spec.elements())) == 7 ** 4
+    assert x + x - x == x and len(list(spec.nonzero_elements())) == 7 ** 4 - 1
     assert spec._log is None
     assert x * x == poly_mul(x, x)
     assert len(spec._tables()) == spec.order

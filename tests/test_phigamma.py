@@ -292,9 +292,9 @@ def test_induced_gamma_matches_the_dense_reference(spec):
         unit = grid.choice([c for c in range(2, 10 ** 4) if c % p])
         for c, n in itertools.product((2, p + 1, unit), grid.sample(range(1, 7), 2)):
             tame = grid.randrange(p - 1)
-            D = make_induced(spec, n, h, tame=tame)
             for req in (2, 300, *grid.sample(range(3, 300), 6)):
-                assert D.gamma_matrix(c, req) == reference_induced_gamma(spec, n, h, tame, c, req)
+                D = make_induced(spec, n, h, tame=tame, prec=req)
+                assert D.gamma_matrix(c) == reference_induced_gamma(spec, n, h, tame, c, req)
 
 
 def test_induced_gamma_rejects_non_units():
@@ -302,6 +302,27 @@ def test_induced_gamma_rejects_non_units():
     for c in (0, -1, 3):
         with pytest.raises(ValueError):
             D.gamma_matrix(c)
+
+
+def test_gamma_matrix_is_at_the_module_precision_once_per_unit():
+    F25 = field_make(5, 2)
+    chi = TameChar(F5.from_int(2), 1)
+    base = make_induced(F5, 3, 7, tame=1, prec=30)
+    built = [
+        make_rank1(chi, 25),
+        make_induced(F5, 2, 3, tame=2, prec=30),
+        make_induced(F25, 2, 3, lam_n=F25.elem((1, 1)), prec=20),
+        twist(base, chi),
+        dual(base),
+    ]
+    obj = module_to_json(base, units=(2, 6))
+    read = [module_from_json({**obj, "precision": N}, F5) for N in (12, 30, 50)]
+    for D in built + read:
+        for c in (2, 6):
+            G = D.gamma_matrix(c)
+            precs = {e.prec for e in entries(G)}
+            assert precs == {D.prec} if D in built else max(precs) <= D.prec
+            assert D.gamma_matrix(c) is G
 
 
 def induced_family(spec, h, tame, prec):
@@ -320,7 +341,7 @@ def test_gamma_oracle_at_low_precision_claims_only_true_digits(data):
     tame = data.draw(st.integers(0, p - 2))
     c = data.draw(st.sampled_from((2, p + 1, p ** 2 + 2)))
     M = data.draw(st.integers(2, 40))
-    for D in induced_family(spec, h, tame, 40):
-        got, want = D.gamma_matrix(c, M), D.gamma_matrix(c, 60)
+    for D, D60 in zip(induced_family(spec, h, tame, M), induced_family(spec, h, tame, 60)):
+        got, want = D.gamma_matrix(c), D60.gamma_matrix(c)
         for got_entry, want_entry in zip(entries(got), entries(want), strict=True):
             claims_only_true_digits(got_entry, want_entry)
