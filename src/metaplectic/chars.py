@@ -45,7 +45,10 @@ class TameChar(Record):
         return cls(spec.one(), 0)
 
     def mul(self, other):
-        return TameChar(self.unram * other.unram, self.tame + other.tame)
+        chi = object.__new__(TameChar)  # a product of nonzero values is nonzero
+        chi.unram = unram = self.unram * other.unram
+        chi.tame = (self.tame + other.tame) % (unram.spec.p - 1)
+        return chi
 
     def value_at_unit(self, c):
         """The value at an integer unit c: omega(c)^tame."""
@@ -97,7 +100,10 @@ class HChar(Record):
 
 def char_restrict_S(chi):
     """Restriction of a tame character of Qp^* to the squares S."""
-    return SChar(chi.unram ** 2, chi.tame)
+    psi = object.__new__(SChar)  # the square of a nonzero value is nonzero
+    psi.val_p2 = val = chi.unram ** 2
+    psi.tame = chi.tame % ((val.spec.p - 1) // 2)
+    return psi
 
 
 def quadratic_chars(spec):

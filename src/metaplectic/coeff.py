@@ -224,7 +224,7 @@ class FieldSpec:
 
     # the modulus is a function of (p, m), so (p, m) names the field
     def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self.p == other.p and self.m == other.m
+        return other is self or isinstance(other, FieldSpec) and self.p == other.p and self.m == other.m
 
     def __hash__(self):
         return hash((self.p, self.m))
@@ -290,8 +290,12 @@ class FieldElem:
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.spec.p
-        return FieldElem(self.spec, tuple((-a) % p for a in self.coeffs))
+        spec = self.spec
+        if spec._log:  # -1 = g^((q-1)/2), read only from a table built already
+            k, exp = spec._log[self.coeffs], spec._exp
+            return self if k is None else exp[(k + len(exp) // 2) % len(exp)]
+        p = spec.p
+        return FieldElem(spec, tuple((-a) % p for a in self.coeffs))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -344,10 +348,10 @@ class FieldElem:
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.spec.from_int(other)
-        return (
+        return other is self or (
             isinstance(other, FieldElem)
-            and self.spec == other.spec
             and self.coeffs == other.coeffs
+            and (self.spec is other.spec or self.spec == other.spec)
         )
 
     def __hash__(self):

@@ -8,8 +8,10 @@ which is a complete extension-free invariant.  Tame twists are absorbed
 into H through omega = (level-n character)^{(p^n-1)/(p-1)}, so the pair
 (H mod p^n - 1, Lam) is a unique representation of the parameter.
 
-Isomorphism testing is Frobenius-orbit equality on H together with
-equality of Lam; canonicalize picks the minimum of the orbit.
+Isomorphism testing is membership of one H in the Frobenius orbit of the
+other together with equality of Lam; canonicalize picks the minimum of the
+orbit, which is {H} at n = 1.  Both read p^n - 1 and the p^i from
+frobenius, built once per (n, p).  Twists build their records in _twist.
 
 The degree-4 window split.  Write N = p^4 - 1, half = (p^2 + 1)/2 and
 step = N/(p - 1) = 2(p + 1) half, the shift of H by omega.  An exponent
@@ -27,11 +29,14 @@ shifts keep that congruence.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .record import Record
 
 __all__ = [
     "InducedParams",
     "canonicalize",
+    "frobenius",
     "iso_test",
     "primitive",
     "quad_twist",
@@ -50,42 +55,50 @@ class InducedParams(Record):
     __slots__ = ("n", "H", "Lam")
 
     def __init__(self, n, H, Lam):
+        if n < 1:
+            raise ValueError("degree must be >= 1")
         if Lam.is_zero():
             raise ValueError("unramified value must be nonzero")
-        self.n = n
-        self.H = H % (Lam.spec.p ** n - 1)
-        self.Lam = Lam
+        self.n, self.H, self.Lam = n, H % (Lam.spec.p ** n - 1), Lam
 
     @property
     def spec(self):
         return self.Lam.spec
 
-    @property
-    def p(self):
-        return self.Lam.spec.p
-
     def sort_key(self):
         return (self.n, self.H, self.Lam.coeffs)
 
 
+@lru_cache(maxsize=None)
+def frobenius(n, p):
+    """(p^n - 1, (p^i)_{i<n}): the modulus of the exponents and the Frobenius powers."""
+    return p ** n - 1, tuple(p ** i for i in range(n))
+
+
 def orbit(H, n, p):
     """The Frobenius orbit {H p^i mod p^n - 1 : 0 <= i < n} of an exponent."""
-    mod = p ** n - 1
-    return {H * p ** i % mod for i in range(n)}
+    mod, powers = frobenius(n, p)
+    return {H * q % mod for q in powers}
 
 
 def canonicalize(P):
     """Replace H by the minimum of its Frobenius orbit; Lam unchanged.
-    P itself when its H is that minimum already."""
-    H = min(orbit(P.H, P.n, P.p))
-    return P if H == P.H else InducedParams(P.n, H, P.Lam)
+    P itself when its H is that minimum already, as at n = 1."""
+    n, H = P.n, P.H
+    if n == 1:
+        return P
+    mod, powers = frobenius(n, P.Lam.spec.p)
+    least = min([H * q % mod for q in powers])
+    return P if least == H else InducedParams(n, least, P.Lam)
 
 
 def iso_test(P1, P2):
     """Isomorphism of induced parameters: same Frobenius orbit, same Lam."""
-    if P1.n != P2.n or P1.spec != P2.spec:
+    n, spec = P1.n, P1.Lam.spec
+    if n != P2.n or (P2.Lam.spec is not spec and P2.Lam.spec != spec):
         raise ValueError("incomparable")
-    return P1.Lam == P2.Lam and P2.H in orbit(P1.H, P1.n, P1.p)
+    mod, powers = frobenius(n, spec.p)
+    return P1.Lam == P2.Lam and P2.H in [P1.H * q % mod for q in powers]
 
 
 def primitive(h, n, p):
@@ -105,14 +118,22 @@ def quad_twist(P, eps):
     The tame part is tame_twist by eps.tame; the unramified part
     multiplies Lam by (+-1)^n.
     """
-    p, Lam = P.p, -P.Lam if eps.unram != 1 and P.n % 2 else P.Lam
-    return InducedParams(P.n, P.H + eps.tame * ((p ** P.n - 1) // (p - 1)), Lam)
+    return _twist(P, eps.tame, -P.Lam if eps.unram != 1 and P.n % 2 else P.Lam)
 
 
 def tame_twist(P, a):
     """Twist by omega^a: H shifts by a (p^n - 1)/(p - 1)."""
-    p = P.p
-    return InducedParams(P.n, P.H + a * ((p ** P.n - 1) // (p - 1)), P.Lam)
+    return _twist(P, a, P.Lam)
+
+
+def _twist(P, a, Lam):
+    """The omega^a twist of the checked record P, with the nonzero value Lam:
+    H is normalised as in __init__, and nothing is checked again."""
+    n, p = P.n, Lam.spec.p
+    mod = frobenius(n, p)[0]
+    Q = object.__new__(InducedParams)
+    Q.n, Q.H, Q.Lam = n, (P.H + a * (mod // (p - 1))) % mod, Lam
+    return Q
 
 
 def dual_params(P):
@@ -165,7 +186,7 @@ def lemma1_window(P):
     conjugates x of P.H that half divides; none when P.H is 0 or not primitive."""
     if P.n != 4:
         raise ValueError("incomparable")
-    p, H = P.p, P.H
+    p, H = P.Lam.spec.p, P.H
     if H == 0 or not primitive(H, 4, p):
         return None, []
     half = (p * p + 1) // 2
@@ -182,7 +203,7 @@ def lemma2_reduce(h, p):
     if h % 2 == 0:
         raise ValueError("odd required")
     a, hp = window_split(h, p)
-    return a, {1: p, 2 * p + 1: p + 2}.get(hp, hp)
+    return a, p if hp == 1 else p + 2 if hp == 2 * p + 1 else hp
 
 
 def lfield_param(spec, h):

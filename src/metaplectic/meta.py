@@ -41,10 +41,10 @@ from .classify import ss_partner
 from .galois import (
     InducedParams,
     canonicalize,
+    frobenius,
     half_twist_exponents,
     lemma1_classify,
     lemma1_window,
-    orbit,
     primitive,
     quad_twist,
 )
@@ -286,24 +286,26 @@ def verify_bijection(spec):
     p = spec.p
     n = spec.order - 1
     index = gcd(4, n)
-    step = (p ** 4 - 1) // (p - 1)
+    mod, powers = frobenius(4, p)
+    step = mod // (p - 1)
     weights = admissible(p)
     label = {r: pow(int(ss_lam0(spec, r)), n // index, p) for r in weights}
+
+    def least(x):  # the canonical exponent: the least of the Frobenius orbit
+        return min([x * q % mod for q in powers])
 
     # class head -> (canonical H, label of r) of its first member
     heads = {}
     consistent = True
     for r in weights:
         for tame in range(p - 1):
-            img = (min(orbit(_ss_exponent(p, r, tame), 4, p)), label[r])
+            img = (least(_ss_exponent(p, r, tame)), label[r])
             if heads.setdefault(_class_head(p, r, tame), img) != img:
                 consistent = False
     images = set(heads.values())
     injective = len(images) == len(heads)
 
-    canonical_H = {
-        min(orbit(H, 4, p)) for H in half_twist_exponents(p) if primitive(H, 4, p)
-    }
+    canonical_H = {least(H) for H in half_twist_exponents(p) if primitive(H, 4, p)}
     qualifying = set()
     for H in canonical_H:
         hprime = lemma1_classify(InducedParams(4, H, spec.one()))
@@ -323,7 +325,7 @@ def verify_bijection(spec):
         twist_classes += 1
         while x not in seen:
             seen.add(x)
-            x = min(orbit(x + step, 4, p))
+            x = least(x + step)
     # on the supersingular side, r up to the partner identification
     ss_twist_classes = len({_class_head(p, r, 0)[0] for r in weights})
 

@@ -1,7 +1,9 @@
 """The one equality of the parameter records.
 
 A record declares its fields in __slots__ and sets them in __init__,
-normalised and checked there.  Records of one class compare and hash
+normalised and checked there; a record derived from checked ones (a twist,
+a product) is built by its module without __init__, normalised the same way
+but not checked again.  Records of one class compare and hash
 field by field; a record never equals a value of another class.
 """
 

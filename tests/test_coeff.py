@@ -256,6 +256,22 @@ def test_field_make_builds_no_table(monkeypatch):
     assert len(spec._tables()) == spec.order
 
 
+@pytest.mark.parametrize("p, m", [(3, 2), (5, 2), (3, 4)])
+def test_tabled_negation_is_coefficientwise(monkeypatch, p, m):
+    monkeypatch.setattr(coeff, "_FIELD_CACHE", {})
+    spec = field_make(p, m)
+    elems = [spec.zero(), *spec.nonzero_elements()]
+    # before the table: negation and equality build none
+    untabled = [-x for x in elems]
+    assert all(-y == x for x, y in zip(elems, untabled)) and spec._log is None
+    spec._tables()
+    antilog = {id(e) for e in spec._exp}
+    for x, y in zip(elems, untabled):
+        neg = -x
+        assert neg.coeffs == tuple(-c % p for c in x.coeffs) and neg == y
+        assert id(neg) in antilog if not x.is_zero() else neg.is_zero()
+
+
 def test_large_field_uses_polynomial_arithmetic(monkeypatch):
     monkeypatch.setattr(coeff, "_FIELD_CACHE", {})
     spec = field_make(67, 2)

@@ -12,11 +12,14 @@ from metaplectic.galois import (
     lemma1_classify,
     lemma2_reduce,
     lfield_param,
+    orbit,
     primitive,
     quad_twist,
     tame_twist,
 )
+from metaplectic.chars import SChar
 from metaplectic.cli import elem_to_json, params_from_json
+from metaplectic.meta import MetaPhiGamma, coset_quad_chars, meta_ind
 from metaplectic.metagroup import QuadCharParams
 from metaplectic.selftest import lemma2_law
 
@@ -110,7 +113,7 @@ def lemma1_oracle(P):
     """lemma1_classify by its definition: for a primitive P fixed by the half
     twist, the least odd h' in 3..2p-1 whose window parameter has a tame
     twist isomorphic to P; None otherwise."""
-    p = P.p
+    p = P.spec.p
     if P.H == 0 or not primitive(P.H, 4, p):
         return None
     if not iso_test(quad_twist(P, QuadCharParams(1, (p - 1) // 2)), P):
@@ -208,3 +211,81 @@ def test_dual():
 def test_serialization():
     P = InducedParams(4, 39, F81.elem((1, 2, 0, 1)))
     assert params_from_json({"n": 4, "H": 39, "Lam": elem_to_json(P.Lam)}, F81) == P
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_induced_params_refuses_a_degree_below_one(n):
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        InducedParams(n, 3, F5.one())
+
+
+# The parameter algebra as it stood before the twists became derived records
+# over cached Frobenius powers: the orbit as a set of powers, every record
+# built by the public constructor, negation coefficient by coefficient.
+def ref_orbit(H, n, p):
+    mod = p ** n - 1
+    return {H * p ** i % mod for i in range(n)}
+
+
+def ref_canonicalize(P):
+    H = min(ref_orbit(P.H, P.n, P.spec.p))
+    return P if H == P.H else InducedParams(P.n, H, P.Lam)
+
+
+def ref_iso_test(P1, P2):
+    if P1.n != P2.n or P1.spec != P2.spec:
+        raise ValueError("incomparable")
+    return P1.Lam == P2.Lam and P2.H in ref_orbit(P1.H, P1.n, P1.spec.p)
+
+
+def ref_quad_twist(P, eps):
+    spec, Lam = P.spec, P.Lam
+    if eps.unram != 1 and P.n % 2:
+        Lam = spec.elem([-c for c in Lam.coeffs])
+    return InducedParams(P.n, P.H + eps.tame * ((spec.p ** P.n - 1) // (spec.p - 1)), Lam)
+
+
+def ref_tame_twist(P, a):
+    p = P.spec.p
+    return InducedParams(P.n, P.H + a * ((p ** P.n - 1) // (p - 1)), P.Lam)
+
+
+def ref_meta_ind(s_char, base):
+    return MetaPhiGamma(s_char, base, tuple(ref_quad_twist(base, q) for q in coset_quad_chars(s_char.spec.p)))
+
+
+def assert_same_record(got, want):
+    assert type(got) is type(want) and got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_parameter_algebra_matches_the_reference(p):
+    rng = random.Random(p)
+    eps_all = [QuadCharParams(u, t) for u in (1, -1) for t in (0, (p - 1) // 2)]
+    for spec in (field_make(p), field_make(p, 2)):
+        for n in (1, 2, 3, 4):
+            mod = p ** n - 1
+            # negative H and H >= p^n - 1 among the drawn exponents
+            edges = [0, 1, -1, mod - 1, mod, mod + 1, -mod, 2 * mod + 3]
+            for H in edges + [rng.randrange(-3 * mod, 3 * mod) for _ in range(12)]:
+                Lam = spec.elem([rng.randrange(p) for _ in range(spec.m)])
+                if Lam.is_zero():
+                    Lam = spec.one()
+                assert orbit(H, n, p) == ref_orbit(H, n, p)
+                P = InducedParams(n, H, Lam)
+                got, want = canonicalize(P), ref_canonicalize(P)
+                assert_same_record(got, want)
+                assert (got is P) == (want is P) and (n > 1 or got is P)
+                conjugate = InducedParams(n, H * p ** rng.randrange(n), Lam)
+                other = InducedParams(n, rng.randrange(-mod, 2 * mod), rng.choice([Lam, spec.one()]))
+                for Q in (P, conjugate, other, canonicalize(other)):
+                    assert iso_test(P, Q) == ref_iso_test(P, Q) == iso_test(Q, P)
+                for eps in eps_all:
+                    assert_same_record(quad_twist(P, eps), ref_quad_twist(P, eps))
+                for a in (0, 1, -1, p - 1, rng.randrange(-3 * p, 3 * p)):
+                    assert_same_record(tame_twist(P, a), ref_tame_twist(P, a))
+                s_char = SChar(Lam * Lam, rng.randrange(p))
+                got, want = meta_ind(s_char, P), ref_meta_ind(s_char, P)
+                assert_same_record(got, want)
+                for a, b in zip(got.summands, want.summands):
+                    assert_same_record(a, b)

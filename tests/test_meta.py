@@ -150,7 +150,7 @@ def test_invert_ss_image_returns_the_first_eta(spec):
 def reference_invert_tame(M, r):
     """The tame exponent of invert_ss_image by a scan: the least t in
     0..p-2 whose weight-r image exponent lies in the Frobenius orbit of M.H."""
-    p = M.p
+    p = M.spec.p
     conjugates = orbit(M.H, 4, p)
     return next(t for t in range(p - 1) if _ss_exponent(p, r, t) % (p ** 4 - 1) in conjugates)
 
