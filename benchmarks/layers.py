@@ -13,8 +13,10 @@ F_{7^2} by 3, an element of F_7; `gamma_act` at c = p + 1
 over F_{p^m} for p in {5, 7, 13} and m in {1, 2, 4} at N = 1000, and at
 c = 2 over F_1000003 at N = 40, where a loop over all p residue classes
 would dominate; `gamma_act` over F_7 at N = 1000 at a new seeded unit c
-per call ("fresh c"), so that no kept leaf-row table answers it and the
-row times the first call at a unit; and, for the rank-4 induced module D
+per call ("fresh c"), so that the unit table (the leaf rows, g, its powers
+and the unit powers kept per (p, m, c)) cannot answer it and the row times
+the first call at a unit, where the rows at one c time the kept path; and,
+for the rank-4 induced module D
 (h = 3) over F_7 whose phi entries are known to about N = 1000 digits,
 `psi` on a vector of four series and `mat_inv` on Phi * (I + X S), S a
 4x4 matrix of series; and,
@@ -45,9 +47,12 @@ at r = 1 over F_101 and F_1009, and the `classify.simulate_dual_gamma`
 row computes three digits of gamma_c(f_1), c = 2, at r = 1 over F_101.
 The `phigamma.induced_gamma` row builds the gamma matrix of c = p + 1 on
 the rank-4 induced module (h = 39) over F_5 at N = 30000, from a fresh
-module each call, so no cache answers it; its F_{5^8} row builds the gamma
-matrix of the unit c = 99999, whose 1-unit u = ((1+X)^c - 1)/(cX) is dense,
-at N = 5000, at every scale.  The `laurent.pow` row at
+module each call, so no module cache answers it, but the unit table keeps
+the power of the unit that its oracle raises; its F_{5^8} row builds the
+gamma matrix of the unit c = 99999, whose 1-unit u = ((1+X)^c - 1)/(cX) is
+dense, at N = 5000, at every scale.  Each has a "fresh c" twin that draws a
+new seeded unit per call, as the `gamma_act` one does, so nothing kept
+answers it.  The `laurent.pow` row at
 p = 101 raises a dense unit over F_101 (every coefficient below X^N
 nonzero, N = 10^4) to an exponent with three nonzero base-p digits, which
 takes `pow`'s Frobenius-digit branch.  The
@@ -319,6 +324,13 @@ def rows(scale, keep):
             out.append(
                 (name, lambda s=field_make(p), n=n, h=h, N=N: make_induced(s, n, h, prec=N).gamma_matrix(s.p + 1))
             )
+        rng = group_rng(keep, [name + " fresh c"])
+        if rng is not None:
+            out.append((
+                name + " fresh c",
+                lambda s=field_make(p), n=n, h=h, N=N, units=fresh_units(rng, p):
+                    make_induced(s, n, h, prec=N).gamma_matrix(next(units)),
+            ))
         p = POW_FIELD
         e = 3 + 50 * p + 97 * p * p
         name = f"laurent.pow p={p} m=1 N={POW_SIZE} e={e}"
@@ -327,12 +339,19 @@ def rows(scale, keep):
             u = dense(rng, field_make(p), POW_SIZE).shift(1)
             out.append((name, lambda u=u, e=e: u.pow(e)))
     p, m, n, h, N, c = INDUCED_DENSE
-    name = f"phigamma.induced_gamma p={p} m={m} n={n} h={h} N={N} c={c}"
-    if keep(name):
+    name = f"phigamma.induced_gamma p={p} m={m} n={n} h={h} N={N}"
+    if keep(f"{name} c={c}"):
         out.append((
-            name,
+            f"{name} c={c}",
             lambda s=field_make(p, m), n=n, h=h, N=max(2, round(N * scale)), c=c:
                 make_induced(s, n, h, prec=N).gamma_matrix(c),
+        ))
+    rng = group_rng(keep, [name + " fresh c"])
+    if rng is not None:
+        out.append((
+            name + " fresh c",
+            lambda s=field_make(p, m), n=n, h=h, N=max(2, round(N * scale)), units=fresh_units(rng, p):
+                make_induced(s, n, h, prec=N).gamma_matrix(next(units)),
         ))
     for p in COVER_PRIMES:
         tag = f"p={p} pairs={COVER_PAIRS}"

@@ -105,13 +105,10 @@ def ss_data(spec, r):
     s = (r_prime, r, r_prime, r)
     rf = factorial_in(spec, r)
     rpf = factorial_in(spec, r_prime)
-    sign = lambda e: spec.from_int((-1) ** (e % 2))
-    c = (
-        sign(r) * rpf,
-        sign(half) * rf,
-        sign(r + half) * rpf,
-        sign(half) * rf,
-    )
+    # the signs (-1)^r, (-1)^half and (-1)^(r+half) by negation, not by a
+    # product, so no log table of spec is built
+    c_half = -rf if half % 2 else rf
+    c = (-rpf if r % 2 else rpf, c_half, -rpf if (r + half) % 2 else rpf, c_half)
     return SSData(spec, r, r_prime, chis, s, c, weights)
 
 

@@ -180,7 +180,9 @@ class FieldSpec:
         return FieldElem(self, coeffs)
 
     def from_int(self, a):
-        return FieldElem(self, (a % self.p,) + (0,) * (self.m - 1))
+        x = object.__new__(FieldElem)  # a % p is a residue: nothing to check
+        x.spec, x.coeffs = self, (a % self.p,) + self._zero.coeffs[1:]
+        return x
 
     def zero(self):
         return self._zero
@@ -435,12 +437,29 @@ def omega_of_unit(u, spec):
     return spec.from_int(num % p * pow(den % p, p - 2, p))
 
 
+# r! mod p by r, one prefix list per p, grown to the largest r asked up to
+# _FACTORIALS_KEPT
+_FACTORIALS_KEPT = 4096
+_FACTORIALS = {}
+
+
 def factorial_in(spec, r):
-    """r! as an element of F_p inside spec; 0! = 1."""
+    """r! as an element of F_p inside spec; 0! = 1.
+
+    Read from the prefix list of p, which grows to r when r is at most
+    _FACTORIALS_KEPT.  A larger r (the partner r' near p/2 of a large p) is
+    multiplied out from the list's last entry and not kept."""
     if r < 0:
         raise ValueError("negative factorial")
     p = spec.p
-    acc = 1
-    for i in range(2, r + 1):
-        acc = acc * i % p
-    return spec.from_int(acc)
+    table = _FACTORIALS.get(p)
+    if table is None:
+        table = _FACTORIALS[p] = [1]
+    if r > _FACTORIALS_KEPT:
+        acc = table[-1]
+        for i in range(len(table), r + 1):
+            acc = acc * i % p
+        return spec.from_int(acc)
+    for i in range(len(table), r + 1):
+        table.append(table[-1] * i % p)
+    return spec.from_int(table[r])

@@ -42,6 +42,7 @@ __all__ = [
     "frobenius_phi",
     "extend_scalars",
     "gamma_act",
+    "unit_power",
     "one_unit_root",
     "one_unit_exponent",
     "phi_basis_decompose",
@@ -444,36 +445,125 @@ def gamma_transform(c, spec, prec):
 
 
 # a P needed to at most this many digits is one packed combination of the
-# rows of `_leaf_rows`, which are kept for the last _LEAF_ROWS_KEPT (p, m, c)
+# leaf rows of its unit (see `_Unit.leaf_rows`)
 _GAMMA_LEAF = 16
-_LEAF_ROWS_KEPT = 32
-_LEAF_ROWS = {}
+# the unit table: a `_Unit` per (p, m, c), for at most _UNITS_KEPT of them
+# (the oldest is dropped first), whose series hold at most _UNIT_RESIDUES
+# residues together once a call that grew them returns (see `_trim`).  2^16
+# list slots (512 KiB) hold a dense g, its powers and u^v for one gamma_act
+# at N = 1000 over F_{13^4}, but no dense series of precision 10^5
+_UNITS_KEPT = 32
+_UNIT_RESIDUES = 1 << 16
+_UNITS = {}
 
 
-def _leaf_rows(spec, c):
-    """(slot width, array code, rows) for the leaves of gamma_act at c over
-    spec: rows[i] packs X^(i//m) w^(i%m) u^(i//m) mod X^_GAMMA_LEAF, one slot
-    per residue, for g = (1+X)^c - 1 = X u.  u has coefficients in F_p, so
-    rows[i] has residues only at w-degree i%m, and a leaf's slot sums at most
-    _GAMMA_LEAF products of two residues: the width holds that bound, which
-    also bounds a slot of u^(d-1) * u."""
-    p, m = spec.p, spec.m
-    key = (p, m, c)
-    table = _LEAF_ROWS.get(key)
-    if table is None:
-        L = _GAMMA_LEAF
-        width, code = _slot_width(L * (p - 1) ** 2)
-        bits, mask = 8 * width, (1 << (8 * width * L * m)) - 1
-        u = gamma_transform(c, spec, L + 1).res
-        u = _pack(u, len(u) // m, m, m, width, code)
-        rows, power = [], 1  # power = u^d, packed
-        for d in range(L):
-            rows += [power << (bits * i) & mask for i in range(d * m, d * m + m)]
-            power = _pack(_unpack(spec, power * u, 2 * L - 1, L, m, width, code), L, m, m, width, code)
-        if len(_LEAF_ROWS) >= _LEAF_ROWS_KEPT:
-            del _LEAF_ROWS[next(iter(_LEAF_ROWS))]
-        table = _LEAF_ROWS[key] = (width, code, rows)
-    return table
+class _Unit:
+    """What the table keeps of one unit c over spec = F_{p^m}, for
+    g = (1+X)^c - 1 = X u: in `powers`, g^d by d (g itself at d = 1; `gamma_act`
+    asks only d < p), and in `units`, u^e by e, each the exact series mod X^P
+    for the highest precision P asked so far, so that a smaller precision is
+    a cut of it; and the leaf rows of `gamma_act`, built on first use.  `size`
+    counts the residues of the kept series."""
+
+    __slots__ = ("spec", "c", "powers", "units", "leaf", "size")
+
+    def __init__(self, spec, c):
+        self.spec, self.c = spec, c
+        self.powers, self.units, self.leaf, self.size = {}, {}, None, 0
+
+    def _keep(self, kept, key, f):
+        old = kept.get(key)
+        self.size += len(f.res) - (0 if old is None else len(old.res))
+        kept[key] = f
+        return f
+
+    def power(self, d, prec):
+        """g^d known mod X^prec or further: g from `gamma_transform`, g^d as
+        g^(d-1) times g when g^(d-1) is kept that far, else by `pow`."""
+        gd = self.powers.get(d)
+        if gd is None or gd.prec < prec:
+            if d == 1:
+                gd = gamma_transform(self.c, self.spec, prec)
+            else:
+                below, base = self.powers.get(d - 1), self.power(1, prec).truncate(prec)
+                gd = below * base if below is not None and below.prec >= prec else base.pow(d)
+            self._keep(self.powers, d, gd)
+        return gd
+
+    def unit_power(self, e, prec):
+        """u^e mod X^prec, raised from g cut to X^(prec+1); for e < 0, u^-e
+        is inverted, since u^-e is at most as long as the dense u^-1."""
+        ue = self.units.get(e)
+        if ue is None or ue.prec < prec:
+            u = self.power(1, prec + 1).truncate(prec + 1).shift(-1)
+            ue = self._keep(self.units, e, u.pow(e) if e >= 0 else u.pow(-e).invert_series())
+        return ue.truncate(prec)
+
+    def leaf_rows(self):
+        """(slot width, array code, rows) for the leaves of gamma_act:
+        rows[i] packs X^(i//m) w^(i%m) u^(i//m) mod X^_GAMMA_LEAF, one slot
+        per residue.  u has coefficients in F_p, so rows[i] has residues
+        only at w-degree i%m, and a leaf's slot sums at most _GAMMA_LEAF
+        products of two residues: the width holds that bound, which also
+        bounds a slot of u^(d-1) * u."""
+        if self.leaf is None:
+            spec, L = self.spec, _GAMMA_LEAF
+            p, m = spec.p, spec.m
+            width, code = _slot_width(L * (p - 1) ** 2)
+            bits, mask = 8 * width, (1 << (8 * width * L * m)) - 1
+            u = self.power(1, L + 1).truncate(L + 1).res
+            u = _pack(u, len(u) // m, m, m, width, code)
+            rows, power = [], 1  # power = u^d, packed
+            for d in range(L):
+                rows += [power << (bits * i) & mask for i in range(d * m, d * m + m)]
+                power = _pack(_unpack(spec, power * u, 2 * L - 1, L, m, width, code), L, m, m, width, code)
+            self.leaf = (width, code, rows)
+        return self.leaf
+
+
+def _unit(spec, c):
+    """The table's `_Unit` of c over spec, made (and the oldest dropped
+    past _UNITS_KEPT) when it has none."""
+    key = (spec.p, spec.m, c)
+    unit = _UNITS.get(key)
+    if unit is None:
+        if len(_UNITS) >= _UNITS_KEPT:
+            del _UNITS[next(iter(_UNITS))]
+        unit = _UNITS[key] = _Unit(spec, c)
+    return unit
+
+
+def _trim(unit):
+    """Drop the oldest units but `unit`, then the series `unit` keeps, until
+    the table holds at most _UNIT_RESIDUES residues."""
+    held = sum(u.size for u in _UNITS.values())
+    for key in list(_UNITS):
+        if held <= _UNIT_RESIDUES:
+            return
+        if _UNITS[key] is not unit:
+            held -= _UNITS.pop(key).size
+    if held > _UNIT_RESIDUES:
+        unit.powers, unit.units, unit.size = {}, {}, 0
+
+
+def unit_power(c, spec, e, prec):
+    """(g/X)^e mod X^prec over spec, for g = (1+X)^c - 1, an exact integer
+    unit c >= 1 coprime to p and any integer e.
+
+    g/X has constant term c, so it is a unit.  The unit table keeps g and
+    (g/X)^e per (p, m, c), each at the highest precision asked (see
+    `_Unit`): an answer at a lower precision is a cut of the kept series,
+    the same residues and precision as a cold build.  The table keeps at
+    most _UNITS_KEPT units; once a call that grew it returns, it holds at
+    most _UNIT_RESIDUES residues, the oldest units dropped first and none of
+    a unit whose own series pass that bound.
+    """
+    unit = _unit(spec, c)
+    size = unit.size
+    out = unit.unit_power(e, prec)
+    if unit.size > size:
+        _trim(unit)
+    return out
 
 
 def gamma_act(c, f):
@@ -494,15 +584,21 @@ def gamma_act(c, f):
     where each P_j(g) comes from the same recursion and is needed only mod
     X^ceil((K-j)/p): X^j phi(P_j(g)) is then known below
     j + p*ceil((K-j)/p) >= K.  A P = sum_d a_d X^d needed to at most
-    _GAMMA_LEAF digits is one packed sum of a_d times the rows of
-    `_leaf_rows`, reduced once.  An upper level sums its p terms in one
+    _GAMMA_LEAF digits is one packed sum of a_d times the leaf rows of
+    c, reduced once.  An upper level sums its p terms in one
     packed int, sum_j pack(phi(P_j(g))) pack(g^j) shifted by j
     coefficients, and reduces once: g^j is in F_p, so one slot per residue
     suffices, and phi(P_j(g)) has at most ceil((K-j)/p) nonzero coefficients
     below X^(K-j), so a slot sums at most sum_j ceil((K-j)/p) = K products
     of two residues.  Negative exponents of the substituted variable are
-    handled by inverting u at the precision the output needs, so no
+    handled by inverting u^(-v) at the precision the output needs, so no
     precision is lost against the contract.
+
+    g, the g^j, u^v and the leaf rows come from the unit table, one entry
+    per (p, m, c) (see `unit_power`): each series is kept at the highest
+    precision asked, and a level packs only its first K - j coefficients,
+    so a call at a unit asked before builds none of them again and answers
+    the same residues and precision as a cold table.
     """
     spec = f.spec
     if c < 1:
@@ -514,19 +610,10 @@ def gamma_act(c, f):
     p, m = spec.p, spec.m
     v = f.v
     known = f.prec - v
-    g = gamma_transform(c, spec, known + 1)
-    powers = {}  # d -> g^d, at the highest precision a level has asked for
-    leaf_width, leaf_code, rows = _leaf_rows(spec, c)
-
-    def power(d, prec):
-        """The residues of g^d from its valuation d, known mod X^prec: g^(d-1)
-        times g when g^(d-1) is known that far."""
-        gd = powers.get(d)
-        if gd is None or gd.prec < prec:
-            below = powers.get(d - 1)
-            base = g.truncate(prec)
-            gd = powers[d] = below * base if below is not None and below.prec >= prec else base.pow(d)
-        return gd.res
+    unit = _unit(spec, c)
+    size = unit.size
+    unit.power(1, max(known, _GAMMA_LEAF) + 1)  # g once at the most digits any step cuts
+    leaf_width, leaf_code, rows = unit.leaf_rows()
 
     def compose(P, K):
         """The residues of P(g) mod X^K, for the residue list P of a
@@ -545,13 +632,16 @@ def gamma_act(c, f):
         for j, part in terms:
             x = _pack(part, min(len(part) // m, K - j), m, m, width, code)
             if j:
-                gj = power(j, K)
+                gj = unit.power(j, K).res
                 x = x * _pack(gj, min(len(gj) // m, K - j), m, m, width, code) << (bits * j)
             acc += x
         return _unpack(spec, acc, 2 * K - 1, K, m, width, code)
 
     composed = _series(spec, 0, compose(f.res, known), known)
-    return (composed * g.shift(-1).pow(v)).shift(v)
+    out = (composed * unit.unit_power(v, known)).shift(v)
+    if unit.size > size:
+        _trim(unit)
+    return out
 
 
 def one_unit_root(f, n):

@@ -24,9 +24,9 @@ from .laurent import (
     extend_scalars,
     frobenius_phi,
     gamma_act,
-    gamma_transform,
     one_unit_exponent,
     psi_ring,
+    unit_power,
 )
 
 __all__ = [
@@ -182,6 +182,26 @@ def make_rank1(chi, prec):
     return PhiGammaModule(spec, phi, oracle, prec)
 
 
+def _pow_length(e, p, length, prec):
+    """About how many coefficients `LaurentSeries.pow` multiplies out to raise
+    a unit over F_p of `length` coefficients, known mod X^prec, to e >= 0:
+    the base-p digit d at position k squares and multiplies the unit cut to
+    K = ceil(prec/p^k) coefficients into u^d, of about n = min(d length, K)
+    coefficients, and each digit past the first multiplies phi^k(u^d), of
+    about n p^k, into the product so far, which grows by as much up to prec."""
+    cost, out, k = 0, 0, 0
+    while e:
+        e, d = divmod(e, p)
+        if d:
+            n = min(d * length, -(-prec // p ** k))
+            cost += (d.bit_length() + bin(d).count("1") - 2) * n
+            grown = min(out + n * p ** k, prec)
+            cost += grown if out else 0
+            out = grown
+        k += 1
+    return cost
+
+
 def make_induced(spec, n, h, lam_n=None, tame=0, prec=40):
     """The n-dimensional module of an induced parameter (exponent h >= 0).
 
@@ -191,6 +211,14 @@ def make_induced(spec, n, h, lam_n=None, tame=0, prec=40):
     polynomial u = gamma(X)/(omega(gamma) X) over F_p, w = u^{1/(1-p^n)} and
     a = h(p-1)/(1-p^n) mod q, q the least power of p that kills the 1-units
     mod X^N.  Requires h >= 0 (shift by p^n - 1 first).
+
+    With g = gamma(X), u = c^-1 g/X, so the oracle of c takes (g/X)^e from
+    `laurent.unit_power` and scales it once, by omega(c)^tame c^-e.  e is a,
+    or a - q (u^q = 1 mod X^N) when raising to q - a and one inversion
+    multiply out fewer coefficients than raising to a.  The unit table
+    keeps g and (g/X)^e per unit at the highest precision asked, within its
+    bounds on units and residues, so a module built again at a unit it has
+    seen raises nothing.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -211,14 +239,20 @@ def make_induced(spec, n, h, lam_n=None, tame=0, prec=40):
     for i in range(n - 1):
         phi[i + 1][i] = LaurentSeries.one(spec, entry_prec)
     phi[0][n - 1] = LaurentSeries.monomial(spec, -h * (p - 1), entry_prec, lam_n)
+    fp = field_make(p)
+    q = one_unit_exponent(p, prec)
+    a = h * (p - 1) * pow(1 - p ** n, -1, q) % q
 
     def oracle(c):
-        # chi(c) u^a = chi(c) w^{h(p-1)}, exponent read mod q, built over F_p, extended once
-        fp = field_make(p)
-        u = gamma_transform(c, fp, prec + 1).shift(-1).scale(fp.from_int(c).inv())
-        q = one_unit_exponent(p, prec)
-        w_h = u.pow(h * (p - 1) * pow(1 - p ** n, -1, q) % q)
-        w_h = extend_scalars(w_h.scale(fp.from_int(pow(c % p, tame, p))), spec)
+        # u^q = 1 mod X^prec, so u^(a-q), one inversion of u^(q-a), serves as
+        # well as u^a: the choice counts the coefficients that pow multiplies
+        # out for g/X, of min(c, prec) coefficients, and about four times
+        # prec for the inversion
+        length = min(c, prec)
+        e = a - q if 4 * prec + _pow_length(q - a, p, length, prec) < _pow_length(a, p, length, prec) else a
+        # chi(c) u^a = omega(c)^tame c^-e (g/X)^e for g = gamma(X), built over F_p, extended once
+        w_h = unit_power(c, fp, e, prec).scale(fp.from_int(pow(c, tame - e, p)))
+        w_h = extend_scalars(w_h, spec)
         zero = LaurentSeries.zero(spec, prec)
         diag = [frobenius_phi(w_h, i, prec) for i in range(n)]
         return [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]

@@ -15,8 +15,10 @@ from metaplectic.laurent import (
     one_unit_root,
     phi_basis_decompose,
     psi_ring,
+    unit_power,
 )
 from metaplectic.cli import series_from_json, series_to_json
+from metaplectic.phigamma import make_induced
 from metaplectic.selftest import gamma_law, rand_series, reassembly_law, root_law
 
 F3 = field_make(3)
@@ -579,12 +581,12 @@ def test_gamma_act_at_a_large_prime_decimates_only_present_residues(monkeypatch)
 
 
 def test_gamma_act_is_the_same_with_the_leaf_rows_cold_and_warm(monkeypatch):
-    # the rows are kept per (p, m, c): F_5 and F_{5^2} take turns at each c,
+    # the unit table is kept per (p, m, c): F_5 and F_{5^2} take turns at each c,
     # so rows kept under (p, c) alone would answer one field with the
     # other's.  The stretched P (exponents 5i) has one upper-level term, at
     # j = 0, which the level returns as it is
     kept = {}
-    monkeypatch.setattr(laurent, "_LEAF_ROWS", kept)
+    monkeypatch.setattr(laurent, "_UNITS", kept)
     cases_rng = random.Random(55)
     cases = []
     for c in (2, 6, 99999):
@@ -612,13 +614,89 @@ def test_gamma_act_is_the_same_with_the_leaf_rows_cold_and_warm(monkeypatch):
 
 def test_leaf_rows_are_kept_for_a_bounded_number_of_units(monkeypatch):
     kept = {}
-    monkeypatch.setattr(laurent, "_LEAF_ROWS", kept)
+    monkeypatch.setattr(laurent, "_UNITS", kept)
     f = LaurentSeries.from_int_coeffs(F5, {0: 1, 1: 2, 7: 3}, 12)
-    units = [c for c in range(2, 200) if c % 5][: laurent._LEAF_ROWS_KEPT + 5]
+    units = [c for c in range(2, 200) if c % 5][: laurent._UNITS_KEPT + 5]
     for c in units:
         same(gamma_act(c, f), per_exponent_gamma(c, f))
-        assert len(kept) <= laurent._LEAF_ROWS_KEPT
-    assert list(kept) == [(5, 1, c) for c in units[-laurent._LEAF_ROWS_KEPT :]]
+        assert len(kept) <= laurent._UNITS_KEPT
+    assert list(kept) == [(5, 1, c) for c in units[-laurent._UNITS_KEPT :]]
+
+
+TABLE_FIELDS = [field_make(p, m) for p in (3, 5, 7, 1009) for m in (1, 2, 4)]
+
+
+def exact(f):
+    return f.v, f.prec, f.res
+
+
+@kernel_settings
+@given(st.data())
+def test_unit_table_answers_as_a_cold_table(data):
+    # a run of asks at units repeated from a pool or fresh, at precisions
+    # rising or falling, on one table; each answer (gamma_act, an induced
+    # module's gamma matrix and (g/X)^v itself) must equal the one a cold
+    # table gives.  Falling precisions read cuts of kept series, rising ones
+    # grow them.  The test empties the table itself, before the run and
+    # before each cold answer
+    spec = data.draw(st.sampled_from(TABLE_FIELDS))
+    p = spec.p
+    units = st.integers(2, 10 ** 6).filter(lambda c: c % p)
+    pool = data.draw(st.lists(units, min_size=1, max_size=3))
+    asks = []
+    for _ in range(data.draw(st.integers(2, 6))):
+        c = data.draw(st.sampled_from(pool) | units)
+        v, K = data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 60))
+        n, h, tame = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 40)), data.draw(st.integers(0, p - 2))
+        asks.append((K, c, v, n, h, tame, data.draw(st.integers(0, 2 ** 32))))
+    asks.sort(reverse=data.draw(st.booleans()))
+
+    def answer(K, c, v, n, h, tame, seed):
+        rng = random.Random(seed)
+        exps = [e for e in range(v, v + K) if e == v or rng.random() < 0.7]
+        f = LaurentSeries(spec, {e: spec.elem([rng.randrange(1, p)] * spec.m) for e in exps}, v + K)
+        G = make_induced(spec, n, h, tame=tame, prec=K + 1).gamma_matrix(c)
+        return exact(gamma_act(c, f)), [[exact(x) for x in row] for row in G], exact(unit_power(c, spec, v, K))
+
+    laurent._UNITS.clear()
+    warm = [answer(*ask) for ask in asks]
+    for ask, got in zip(asks, warm):
+        laurent._UNITS.clear()
+        assert got == answer(*ask)
+
+
+def test_unit_table_holds_its_bounds_after_a_sweep_of_units():
+    # small asks at more units than the table keeps, then asks whose series
+    # pass the residue budget together, then one that passes it alone: after
+    # each call the table holds at most _UNITS_KEPT units, each unit's size
+    # counts the residues of its kept series, and they sum to at most
+    # _UNIT_RESIDUES
+    laurent._UNITS.clear()
+    spec = field_make(7, 4)
+    sweep = random.Random(7)
+
+    def dense(N):
+        return LaurentSeries(spec, {e: spec.elem([sweep.randrange(1, 7)] * 4) for e in range(-1, N)}, N)
+
+    small, large = dense(20), dense(1000)
+    # units above 1000 and far from powers of 7, so that g and its powers are dense
+    units = [c for c in sweep.sample(range(10 ** 5, 10 ** 6), 60) if c % 7][: laurent._UNITS_KEPT + 8]
+    asks = [(c, small) for c in units] + [(c, large) for c in units[:4]]
+    for c, f in asks:
+        gamma_act(c, f)
+        kept = laurent._UNITS.values()
+        assert len(kept) <= laurent._UNITS_KEPT
+        for unit in kept:
+            series = [*unit.powers.values(), *unit.units.values()]
+            assert unit.size == sum(len(s.res) for s in series)
+        assert sum(unit.size for unit in kept) <= laurent._UNIT_RESIDUES
+    assert 0 < len(laurent._UNITS) < 4  # the large asks dropped every small unit
+    # a power whose residues alone pass the budget is built, returned and not kept
+    N = laurent._UNIT_RESIDUES + 10
+    u = unit_power(99999, F5, 3, N)
+    assert u.prec == N and len(u.res) > laurent._UNIT_RESIDUES
+    assert laurent._UNITS[5, 1, 99999].size == 0
+    laurent._UNITS.clear()
 
 
 @kernel_settings
