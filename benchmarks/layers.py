@@ -21,9 +21,10 @@ for the rank-4 induced module D
 `psi` on a vector of four series and `mat_inv` on Phi * (I + X S), S a
 4x4 matrix of series; and,
 at the `modules` workload's largest module (F_5, n = 4, h = 2, N = 16),
-`psi` on four series known to 5N digits and `dual`, each on a fresh
-module per call, so that both rows invert Phi (whose pivots are
-monomials) and no cache answers them.  Every series has valuation -1
+`psi` on four series known to 5N digits, `dual` and `phi_gamma_commutes`
+at c = p + 1, each on a fresh module per call, so that no cache answers
+them: the first two invert Phi (whose pivots are monomials), and the last
+takes two matrix products whose terms are mostly known zeros.  Every series has valuation -1
 (the power's base and S are shifted) and a nonzero
 coefficient at each exponent below N, so a row's cost does not depend on
 the seed.  Each group of rows draws from its own generator, seeded by SEED
@@ -52,7 +53,9 @@ the power of the unit that its oracle raises; its F_{5^8} row builds the
 gamma matrix of the unit c = 99999, whose 1-unit u = ((1+X)^c - 1)/(cX) is
 dense, at N = 5000, at every scale.  Each has a "fresh c" twin that draws a
 new seeded unit per call, as the `gamma_act` one does, so nothing kept
-answers it.  The `laurent.pow` row at
+answers it.  The `phigamma.mat_inv ... diagonal` row inverts that F_{5^8}
+gamma matrix, built up front: the Gamma sample that `dual` inverts in a
+file of `build-induced --p 5 --m 8 --n 4 --h 39 --units 99999`, at N = 5000.  The `laurent.pow` row at
 p = 101 raises a dense unit over F_101 (every coefficient below X^N
 nonzero, N = 10^4) to an exponent with three nonzero base-p digits, which
 takes `pow`'s Frobenius-digit branch.  The
@@ -133,7 +136,15 @@ from metaplectic.metagroup import (  # noqa: E402
     meta_mul,
     quadchar_eval,
 )
-from metaplectic.phigamma import dual, identity_matrix, make_induced, mat_inv, mat_mul, psi  # noqa: E402
+from metaplectic.phigamma import (  # noqa: E402
+    dual,
+    identity_matrix,
+    make_induced,
+    mat_inv,
+    mat_mul,
+    phi_gamma_commutes,
+    psi,
+)
 
 MIN_REP_S = 0.05
 REPEAT = 3
@@ -278,7 +289,7 @@ def rows(scale, keep):
         out += zip(names, [lambda D=D, vec=vec: psi(D, vec), lambda A=mat_mul(D.phi, R): mat_inv(A)])
     p, n, h, N = INDUCED_MODULE
     tag = f"p={p} m=1 n={n} h={h} N={N}"
-    names = [f"phigamma.psi {tag}", f"phigamma.dual {tag}"]
+    names = [f"phigamma.psi {tag}", f"phigamma.dual {tag}", f"phigamma.commutes {tag}"]
     rng = group_rng(keep, names)
     if rng is not None:
         spec, N = field_make(p), max(2, round(N * scale))
@@ -286,6 +297,7 @@ def rows(scale, keep):
         out += zip(names, [
             lambda s=spec, n=n, h=h, N=N, vec=vec: psi(make_induced(s, n, h, prec=N), vec),
             lambda s=spec, n=n, h=h, N=N: dual(make_induced(s, n, h, prec=N)),
+            lambda s=spec, n=n, h=h, N=N: phi_gamma_commutes(make_induced(s, n, h, prec=N), s.p + 1),
         ])
     for p, m in ELEM_FIELDS:
         tag = f"p={p} m={m} n={ELEM_COUNT}"
@@ -353,6 +365,10 @@ def rows(scale, keep):
             lambda s=field_make(p, m), n=n, h=h, N=max(2, round(N * scale)), units=fresh_units(rng, p):
                 make_induced(s, n, h, prec=N).gamma_matrix(next(units)),
         ))
+    name = f"phigamma.mat_inv p={p} m={m} n={n} h={h} N={N} c={c} diagonal"
+    if keep(name):
+        G = make_induced(field_make(p, m), n, h, prec=max(2, round(N * scale))).gamma_matrix(c)
+        out.append((name, lambda G=G: mat_inv(G)))
     for p in COVER_PRIMES:
         tag = f"p={p} pairs={COVER_PAIRS}"
         names = [f"metagroup.{op} {tag}" for op in ("cocycle", "meta_mul", "kappa_split", "mul", "meta_inv")]

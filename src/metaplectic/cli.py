@@ -112,10 +112,14 @@ def elem_from_json(obj, spec):
 
 
 def series_to_json(f):
+    """The series as JSON: each nonzero coefficient written as `elem_to_json`
+    would write it, straight from the residue list."""
+    p, m, res = f.spec.p, f.spec.m, f.res
+    blocks = ((f.v + k, res[i : i + m]) for k, i in enumerate(range(0, len(res), m)))
     return {
         "valuation": f.valuation,
         "precision": f.prec,
-        "coeffs": {str(e): elem_to_json(a) for e, a in f.terms().items()},
+        "coeffs": {str(e): {"p": p, "m": m, "coeffs": b} for e, b in blocks if any(b)},
     }
 
 

@@ -8,7 +8,7 @@ list holds m residues per exponent, w-degree j of the coefficient of
 X^(v+k) at index k*m + j, and its first and last coefficients are nonzero.
 The zero series ("zero to precision N") has no residues and v = N.
 `FieldElem`s appear only where a caller hands in or asks for a
-coefficient: the constructor, `coeff` and `terms`.
+coefficient: the constructor and `coeff`.
 
 The semilinear structure implemented here:
 
@@ -120,12 +120,6 @@ class LaurentSeries:
         if 0 <= i < len(self.res):
             return FieldElem(self.spec, tuple(self.res[i : i + m]))
         return self.spec.zero()
-
-    def terms(self):
-        """The nonzero coefficients as {exponent: FieldElem}."""
-        spec, m, res = self.spec, self.spec.m, self.res
-        blocks = (tuple(res[i : i + m]) for i in range(0, len(res), m))
-        return {self.v + k: FieldElem(spec, b) for k, b in enumerate(blocks) if any(b)}
 
     def leading_coeff(self):
         if not self.res:
@@ -251,9 +245,10 @@ class LaurentSeries:
 
     def __repr__(self):
         terms = []
-        for e, a in self.terms().items():
-            a, x = a.as_string(), "X" if e == 1 else f"X^{e}"
-            terms.append(a if e == 0 else x if a == "1" else f"{a}*{x}")
+        for e in range(self.v, self.v + len(self.res) // self.spec.m):
+            a, x = self.coeff(e).as_string(), "X" if e == 1 else f"X^{e}"
+            if a != "0":
+                terms.append(a if e == 0 else x if a == "1" else f"{a}*{x}")
         return " + ".join(terms + [f"O(X^{self.prec})"])
 
 

@@ -52,44 +52,36 @@ def identity_matrix(spec, n, prec):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def _fma(acc, a, b):
-    """acc + a*b under the matrix ops' one precision rule; acc None is 0.
+def _dot(row, col, start=None):
+    """start + sum a*b over the pairs of row and col; start None is 0.
 
-    A zero known mod X^k is an unknown of valuation >= k, so its product
-    with b is an unknown of valuation >= k + v(b): the precision a*b would
-    claim (Caruso-Roe-Vaccon).  Such a product is not formed; it caps the
-    precision of acc, and changes nothing when acc claims no digit past it.
-    """
-    if a.is_zero():
-        cap = a.prec + b.v
-    elif b.is_zero():
-        cap = b.prec + a.v
-    else:
-        term = a * b
-        if acc is None:
-            return term
-        # a zero acc only caps the precision of the term
-        return term.truncate(acc.prec) if acc.is_zero() else acc + term
-    return LaurentSeries.zero(a.spec, cap) if acc is None else acc.truncate(cap)
+    Only pairs of two nonzero series are multiplied.  A zero known mod X^k
+    is an unknown of valuation >= k, so its product with b is known only to
+    k + v(b), the precision a*b would claim (Caruso-Roe-Vaccon): such a pair
+    only caps the sum, which is cut once, to the least cap."""
+    acc, prec = (None, None) if start is None else (start if start.res else None, start.prec)
+    for a, b in zip(row, col, strict=True):
+        if not a.res:
+            cap = a.prec + b.v
+        elif not b.res:
+            cap = b.prec + a.v
+        else:
+            term = a * b
+            cap = term.prec
+            acc = term if acc is None else acc + term
+        if prec is None or cap < prec:
+            prec = cap
+    return LaurentSeries.zero(row[0].spec, prec) if acc is None else acc.truncate(prec)
 
 
 def mat_mul(A, B):
-    """Matrix product; each entry sums its terms with `_fma`."""
-    out = []
-    for row in A:
-        out_row = []
-        for col in zip(*B):
-            acc = None
-            for a, b in zip(row, col, strict=True):
-                acc = _fma(acc, a, b)
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    """Matrix product, one `_dot` per entry."""
+    return [[_dot(row, col) for col in zip(*B)] for row in A]
 
 
 def mat_vec(A, v):
-    """Matrix-vector product: mat_mul on the column v."""
-    return [row[0] for row in mat_mul(A, [[x] for x in v])]
+    """Matrix-vector product, one `_dot` per row."""
+    return [_dot(row, v) for row in A]
 
 
 def mat_transpose(A):
@@ -106,9 +98,13 @@ def mat_map(fn, A):
 
 def mat_inv(A):
     """Inverse by Gauss-Jordan elimination of [A | I] with least-valuation
-    pivots; raises when no entry left in a column is known to be nonzero."""
-    n = len(A)
-    ident = identity_matrix(A[0][0].spec, n, max(e.prec for row in A for e in row))
+    pivots; raises when no entry left in a column is known to be nonzero.
+    The pivot row is scaled by b = a^-1 for the pivot a, whose own entry is
+    set to 1 at the precision a*b would claim, without the product.  A row
+    whose factor is a known zero is only cut, to the caps of `_dot`; any
+    other row is updated by `_dot`, each entry the starting sum."""
+    n, spec = len(A), A[0][0].spec
+    ident = identity_matrix(spec, n, max(e.prec for row in A for e in row))
     M = [list(row) + ident[i] for i, row in enumerate(A)]
     for j in range(n):
         rows = [i for i in range(j, n) if not M[i][j].is_zero()]
@@ -116,12 +112,17 @@ def mat_inv(A):
             raise ValueError("not etale")
         pivot = min(rows, key=lambda i: M[i][j].valuation)
         M[j], M[pivot] = M[pivot], M[j]
-        piv_inv = M[j][j].invert_series()
-        M[j] = [e * piv_inv for e in M[j]]
+        a = M[j][j]
+        b = a.invert_series()
+        one = LaurentSeries.one(spec, min(a.v + b.prec, b.v + a.prec))
+        top = M[j] = [one if k == j else e * b for k, e in enumerate(M[j])]
         for i in range(n):
-            if i != j:
-                factor = -M[i][j]
-                M[i] = [_fma(a, factor, b) for a, b in zip(M[i], M[j])]
+            f = M[i][j]
+            if i != j and f.res:
+                f = (-f,)
+                M[i] = [_dot(f, (t,), e) for e, t in zip(M[i], top)]
+            elif i != j:
+                M[i] = [e.truncate(f.prec + t.v) for e, t in zip(M[i], top)]
     return [row[n:] for row in M]
 
 

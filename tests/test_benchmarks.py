@@ -28,10 +28,10 @@ def test_layer_benchmark_writes_and_compares(tmp_path):
         if path.name not in ("cli.py", "selftest.py"):
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert bench["src_sha256"] == digest.hexdigest()
-    assert len(bench["layers"]) == 60
+    assert len(bench["layers"]) == 62
     assert all(row["ms"] > 0 and row["ref_ms"] > 0 for row in bench["layers"].values())
     lines = layers("--compare", str(out), str(out)).stdout.splitlines()
-    assert len(lines) == 61 and all(line.endswith(" 1.00") for line in lines[1:])
+    assert len(lines) == 63 and all(line.endswith(" 1.00") for line in lines[1:])
 
 
 def test_layer_benchmark_only_times_the_rows_it_matches(tmp_path):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import metaplectic.laurent as laurent
 import metaplectic.phigamma as phigamma
 from metaplectic.coeff import field_make
 from metaplectic.chars import TameChar, quadratic_chars
 from metaplectic.cli import module_from_json, module_to_json
-from metaplectic.laurent import LaurentSeries, gamma_transform, one_unit_root
+from metaplectic.laurent import LaurentSeries, gamma_act, gamma_transform, one_unit_root
 from metaplectic.phigamma import (
     dual,
     identity_matrix,
@@ -345,3 +346,184 @@ def test_gamma_oracle_at_low_precision_claims_only_true_digits(data):
         got, want = D.gamma_matrix(c), D60.gamma_matrix(c)
         for got_entry, want_entry in zip(entries(got), entries(want), strict=True):
             claims_only_true_digits(got_entry, want_entry)
+
+
+# -- the matrix ops against the term-by-term reference --------------------------
+#
+# The reference folds each entry's terms one `reference_fma` at a time, and
+# its `mat_inv` scales the whole pivot row, pivot included, and updates every
+# other row, whatever its factor.  The ops must give the same series field by
+# field.
+
+
+def reference_fma(acc, a, b):
+    """acc + a*b, acc None is 0; a pair with a known-zero side only caps."""
+    if a.is_zero():
+        cap = a.prec + b.v
+    elif b.is_zero():
+        cap = b.prec + a.v
+    else:
+        term = a * b
+        if acc is None:
+            return term
+        return term.truncate(acc.prec) if acc.is_zero() else acc + term
+    return LaurentSeries.zero(a.spec, cap) if acc is None else acc.truncate(cap)
+
+
+def reference_mat_mul(A, B):
+    out = []
+    for row in A:
+        out_row = []
+        for col in zip(*B):
+            acc = None
+            for a, b in zip(row, col, strict=True):
+                acc = reference_fma(acc, a, b)
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def reference_mat_inv(A):
+    n = len(A)
+    ident = identity_matrix(A[0][0].spec, n, max(e.prec for row in A for e in row))
+    M = [list(row) + ident[i] for i, row in enumerate(A)]
+    for j in range(n):
+        rows = [i for i in range(j, n) if not M[i][j].is_zero()]
+        if not rows:
+            raise ValueError("not etale")
+        pivot = min(rows, key=lambda i: M[i][j].valuation)
+        M[j], M[pivot] = M[pivot], M[j]
+        piv_inv = M[j][j].invert_series()
+        M[j] = [e * piv_inv for e in M[j]]
+        for i in range(n):
+            if i != j:
+                factor = -M[i][j]
+                M[i] = [reference_fma(a, factor, b) for a, b in zip(M[i], M[j])]
+    return [row[n:] for row in M]
+
+
+def fields(x):
+    """(v, res, prec) of each series of a series or nested list of them."""
+    return [(e.v, e.res, e.prec) for e in entries(x)]
+
+
+def random_entry(rng, spec, N, density):
+    """A series mod X^N with coefficients of every w-degree drawn at each
+    exponent of [-2, N) with the given probability."""
+    coeffs = {}
+    for e in range(-2, N):
+        if rng.random() < density:
+            coeffs[e] = spec.elem([rng.randrange(spec.p) for _ in range(spec.m)])
+    return LaurentSeries(spec, coeffs, N)
+
+
+def random_matrix(rng, spec, n, shape):
+    """An n x n matrix of the given shape; "cut" cuts a dense, monomial or
+    diagonal matrix entrywise to mixed precisions, so that entries of
+    positive valuation can become zeros known mod a small X^k."""
+    N = rng.randrange(4, 24)
+    zero = LaurentSeries.zero(spec, N + rng.randrange(0, 8))
+    if shape == "dense":
+        return [[random_entry(rng, spec, N, 0.7) for _ in range(n)] for _ in range(n)]
+    if shape == "monomial":
+        perm = rng.sample(range(n), n)
+        A = [[zero] * n for _ in range(n)]
+        for i, j in enumerate(perm):
+            coeff = spec.elem([rng.randrange(1, spec.p)] + [rng.randrange(spec.p) for _ in range(spec.m - 1)])
+            A[i][j] = LaurentSeries.monomial(spec, rng.randrange(-6, 6), N, coeff)
+        return A
+    if shape == "diagonal":
+        A = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            while A[i][i].is_zero():
+                A[i][i] = random_entry(rng, spec, N, 0.6)
+        return A
+    A = random_matrix(rng, spec, n, rng.choice(("dense", "monomial", "diagonal")))
+    return [[e.truncate(rng.randrange(1, N + 2)) for e in row] for row in A]
+
+
+MATRIX_FIELDS = [field_make(p, m) for p in (3, 5, 7) for m in (1, 2)]
+MATRIX_SHAPES = ("dense", "monomial", "diagonal", "cut")
+
+
+@pytest.mark.parametrize("shape", MATRIX_SHAPES)
+@pytest.mark.parametrize("spec", MATRIX_FIELDS, ids=repr)
+def test_matrix_ops_equal_the_term_by_term_reference(spec, shape):
+    rng = random.Random(f"{spec.p} {spec.m} {shape}")
+    for _ in range(12):
+        n = rng.randrange(1, 5)
+        A, B = random_matrix(rng, spec, n, shape), random_matrix(rng, spec, n, rng.choice(MATRIX_SHAPES))
+        v = [random_entry(rng, spec, rng.randrange(1, 24), 0.5) for _ in range(n)]
+        assert fields(mat_mul(A, B)) == fields(reference_mat_mul(A, B))
+        assert fields(mat_vec(A, v)) == fields(reference_mat_mul(A, [[x] for x in v]))
+        try:
+            want = reference_mat_inv(A)
+        except ValueError:
+            with pytest.raises(ValueError, match="not etale"):
+                mat_inv(A)
+            continue
+        assert fields(mat_inv(A)) == fields(want)
+
+
+@pytest.mark.parametrize("spec", MATRIX_FIELDS, ids=repr)
+def test_pivot_times_its_inverse_is_one_at_the_claimed_precision(spec):
+    # mat_inv sets the pivot entry to 1 at min(v(a) + prec(b), v(b) + prec(a))
+    # for b = a^-1 instead of forming a*b: the product is exactly that
+    rng = random.Random(f"pivot {spec.p} {spec.m}")
+    for _ in range(60):
+        a = LaurentSeries.zero(spec, 1)
+        while a.is_zero():
+            a = random_entry(rng, spec, rng.randrange(1, 30), rng.choice((0.1, 0.5, 1.0)))
+            a = a.truncate(rng.randrange(a.v + 1, a.prec + 1)) if a.res else a
+        b = a.invert_series()
+        one = LaurentSeries.one(spec, min(a.v + b.prec, b.v + a.prec))
+        assert fields(a * b) == fields(one)
+
+
+# -- the Gamma cocycle law --------------------------------------------------------
+#
+# Gamma acts semilinearly: gamma_{c1 c2} = gamma_{c1} gamma_{c2}, and the
+# column j of G(c) holds gamma_c(e_j), so G(c1 c2) = G(c1) gamma_{c1}(G(c2)).
+# The unit table keeps series per unit at the highest precision asked and
+# drops units past _UNITS_KEPT, so a stale, mis-keyed or wrongly cut entry
+# breaks this law across units.
+
+
+def gamma_cocycle_holds(D, c1, c2):
+    """G(c1 c2) = G(c1) gamma_{c1}(G(c2)) entrywise, up to the precision
+    both sides know."""
+    G1, G2 = D.gamma_matrix(c1), D.gamma_matrix(c2)
+    rhs = mat_mul(G1, [[gamma_act(c1, e) for e in row] for row in G2])
+    lhs = D.gamma_matrix(c1 * c2)
+    return all(a.agrees_with(b) for a, b in zip(entries(lhs), entries(rhs), strict=True))
+
+
+def cocycle_modules(rng, spec, N):
+    """make_rank1, make_induced, twist, dual and dual(twist(...)) at precision N."""
+    p = spec.p
+
+    def char():
+        return TameChar(spec.from_int(rng.randrange(1, p)), rng.randrange(p - 1))
+
+    lam = spec.elem([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(spec.m - 1)])
+    D = make_induced(spec, rng.randrange(1, 4), rng.randrange(0, 40), lam_n=lam, tame=rng.randrange(p - 1), prec=N)
+    chi = char()
+    return [make_rank1(char(), N), D, twist(D, chi), dual(D), dual(twist(D, chi))]
+
+
+@pytest.mark.parametrize("spec", MATRIX_FIELDS, ids=repr)
+def test_gamma_matrices_satisfy_the_cocycle_law(spec, monkeypatch):
+    monkeypatch.setattr(laurent, "_UNITS", {})
+    p = spec.p
+    rng = random.Random(f"cocycle {p} {spec.m}")
+    pool = [c for c in range(2, 40 * p) if c % p]
+    units = set()
+    # precisions rise and fall, so that kept series are asked again both
+    # further and less far than they are known
+    for N in (12, 30, 21, 8):
+        for D in cocycle_modules(rng, spec, N):
+            for _ in range(4):
+                c1, c2 = rng.sample(pool, 2)
+                units |= {c1, c2, c1 * c2}
+                assert gamma_cocycle_holds(D, c1, c2), (D.n, N, c1, c2)
+    assert len(units) > laurent._UNITS_KEPT
