@@ -13,8 +13,8 @@ F_{7^2} by 3, an element of F_7; `gamma_act` at c = p + 1
 over F_{p^m} for p in {5, 7, 13} and m in {1, 2, 4} at N = 1000, and at
 c = 2 over F_1000003 at N = 40, where a loop over all p residue classes
 would dominate; `gamma_act` over F_7 at N = 1000 at a new seeded unit c
-per call ("fresh c"), so that the unit table (the leaf rows, g, its powers
-and the unit powers kept per (p, m, c)) cannot answer it and the row times
+per call ("fresh c"), so that the unit table (the leaf rows and the unit
+powers u^e kept per (p, m, c)) cannot answer it and the row times
 the first call at a unit, where the rows at one c time the kept path; and,
 for the rank-4 induced module D
 (h = 3) over F_7 whose phi entries are known to about N = 1000 digits,

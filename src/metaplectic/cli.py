@@ -403,7 +403,7 @@ def _classify_ss(args, spec):
     }
 
 
-# simulate-dual takes p Horner steps over p - 1 + K residues; p = 9973 takes about 7.5 s at K = 4
+# simulate-dual takes p Horner steps over p - 1 + K residues; p = 9973 takes about 6 s at K = 4
 @_command("simulate-dual", "finite-level dual Frobenius expansion",
           _opt("--p", 10 ** 4, type=int, required=True, help="odd prime"), _M, _R,
           _opt("--i", type=int, default=1),
@@ -448,7 +448,7 @@ def _ss_image(args, spec):
     return _meta_json(ss_image(SSRep(spec, args.r, parse_tame_char(args.eta, spec))))
 
 
-# verify-bijection visits about (p-1)^2 class heads whatever m is; p = 599 takes about 5 s
+# verify-bijection visits about (p-1)^2 class heads whatever m is; p = 599 takes about 3 s
 @_command("verify-bijection", "enumerate both sides and report",
           _opt("--p", 600, type=int, required=True, help="odd prime"), _M)
 def _verify_bijection(args, spec):

@@ -445,8 +445,8 @@ _GAMMA_LEAF = 16
 # the unit table: a `_Unit` per (p, m, c), for at most _UNITS_KEPT of them
 # (the oldest is dropped first), whose series hold at most _UNIT_RESIDUES
 # residues together once a call that grew them returns (see `_trim`).  2^16
-# list slots (512 KiB) hold a dense g, its powers and u^v for one gamma_act
-# at N = 1000 over F_{13^4}, but no dense series of precision 10^5
+# list slots (512 KiB) hold the dense powers u^j, j < p, and u^v for one
+# gamma_act at N = 1000 over F_{13^4}, but no dense series of precision 10^5
 _UNITS_KEPT = 32
 _UNIT_RESIDUES = 1 << 16
 _UNITS = {}
@@ -454,45 +454,39 @@ _UNITS = {}
 
 class _Unit:
     """What the table keeps of one unit c over spec = F_{p^m}, for
-    g = (1+X)^c - 1 = X u: in `powers`, g^d by d (g itself at d = 1; `gamma_act`
-    asks only d < p), and in `units`, u^e by e, each the exact series mod X^P
-    for the highest precision P asked so far, so that a smaller precision is
-    a cut of it; and the leaf rows of `gamma_act`, built on first use.  `size`
-    counts the residues of the kept series."""
+    g = (1+X)^c - 1 = X u: in `units`, u^e by e, each the exact series mod
+    X^P for the highest precision P asked so far, so that a smaller
+    precision is a cut of it (g^d = X^d u^d has the residues of u^d, and
+    `gamma_act` asks d < p); and the leaf rows of `gamma_act`, built on
+    first use.  `size` counts the residues of the kept series."""
 
-    __slots__ = ("spec", "c", "powers", "units", "leaf", "size")
+    __slots__ = ("spec", "c", "units", "leaf", "size")
 
     def __init__(self, spec, c):
         self.spec, self.c = spec, c
-        self.powers, self.units, self.leaf, self.size = {}, {}, None, 0
-
-    def _keep(self, kept, key, f):
-        old = kept.get(key)
-        self.size += len(f.res) - (0 if old is None else len(old.res))
-        kept[key] = f
-        return f
-
-    def power(self, d, prec):
-        """g^d known mod X^prec or further: g from `gamma_transform`, g^d as
-        g^(d-1) times g when g^(d-1) is kept that far, else by `pow`."""
-        gd = self.powers.get(d)
-        if gd is None or gd.prec < prec:
-            if d == 1:
-                gd = gamma_transform(self.c, self.spec, prec)
-            else:
-                below, base = self.powers.get(d - 1), self.power(1, prec).truncate(prec)
-                gd = below * base if below is not None and below.prec >= prec else base.pow(d)
-            self._keep(self.powers, d, gd)
-        return gd
+        self.units, self.leaf, self.size = {}, None, 0
 
     def unit_power(self, e, prec):
-        """u^e mod X^prec, raised from g cut to X^(prec+1); for e < 0, u^-e
-        is inverted, since u^-e is at most as long as the dense u^-1."""
-        ue = self.units.get(e)
-        if ue is None or ue.prec < prec:
-            u = self.power(1, prec + 1).truncate(prec + 1).shift(-1)
-            ue = self._keep(self.units, e, u.pow(e) if e >= 0 else u.pow(-e).invert_series())
-        return ue.truncate(prec)
+        """u^e known mod X^prec or further: u from g cut to X^(prec+1), u^e
+        as u^(e-1) times u when u^(e-1) is kept that far, else by `pow`; for
+        e < 0, u^-e is inverted, since u^-e is at most as long as the dense
+        u^-1."""
+        kept = self.units.get(e)
+        if kept is not None and kept.prec >= prec:
+            return kept
+        if e == 1:
+            ue = gamma_transform(self.c, self.spec, prec + 1).shift(-1)
+        else:
+            below, u = self.units.get(e - 1), self.unit_power(1, prec).truncate(prec)
+            if e < 0:
+                ue = u.pow(-e).invert_series()
+            elif e > 1 and below is not None and below.prec >= prec:
+                ue = below * u
+            else:
+                ue = u.pow(e)
+        self.size += len(ue.res) - (0 if kept is None else len(kept.res))
+        self.units[e] = ue
+        return ue
 
     def leaf_rows(self):
         """(slot width, array code, rows) for the leaves of gamma_act:
@@ -506,7 +500,7 @@ class _Unit:
             p, m = spec.p, spec.m
             width, code = _slot_width(L * (p - 1) ** 2)
             bits, mask = 8 * width, (1 << (8 * width * L * m)) - 1
-            u = self.power(1, L + 1).truncate(L + 1).res
+            u = self.unit_power(1, L).truncate(L).res
             u = _pack(u, len(u) // m, m, m, width, code)
             rows, power = [], 1  # power = u^d, packed
             for d in range(L):
@@ -538,15 +532,15 @@ def _trim(unit):
         if _UNITS[key] is not unit:
             held -= _UNITS.pop(key).size
     if held > _UNIT_RESIDUES:
-        unit.powers, unit.units, unit.size = {}, {}, 0
+        unit.units, unit.size = {}, 0
 
 
 def unit_power(c, spec, e, prec):
     """(g/X)^e mod X^prec over spec, for g = (1+X)^c - 1, an exact integer
     unit c >= 1 coprime to p and any integer e.
 
-    g/X has constant term c, so it is a unit.  The unit table keeps g and
-    (g/X)^e per (p, m, c), each at the highest precision asked (see
+    g/X has constant term c, so it is a unit.  The unit table keeps the
+    powers (g/X)^e per (p, m, c), each at the highest precision asked (see
     `_Unit`): an answer at a lower precision is a cut of the kept series,
     the same residues and precision as a cold build.  The table keeps at
     most _UNITS_KEPT units; once a call that grew it returns, it holds at
@@ -555,7 +549,7 @@ def unit_power(c, spec, e, prec):
     """
     unit = _unit(spec, c)
     size = unit.size
-    out = unit.unit_power(e, prec)
+    out = unit.unit_power(e, prec).truncate(prec)
     if unit.size > size:
         _trim(unit)
     return out
@@ -580,16 +574,16 @@ def gamma_act(c, f):
     X^ceil((K-j)/p): X^j phi(P_j(g)) is then known below
     j + p*ceil((K-j)/p) >= K.  A P = sum_d a_d X^d needed to at most
     _GAMMA_LEAF digits is one packed sum of a_d times the leaf rows of
-    c, reduced once.  An upper level sums its p terms in one
-    packed int, sum_j pack(phi(P_j(g))) pack(g^j) shifted by j
-    coefficients, and reduces once: g^j is in F_p, so one slot per residue
+    c, reduced once.  An upper level sums its p terms in one packed int,
+    sum_j pack(phi(P_j(g))) pack(u^j) shifted by j coefficients, since
+    g^j = X^j u^j, and reduces once: u^j is in F_p, so one slot per residue
     suffices, and phi(P_j(g)) has at most ceil((K-j)/p) nonzero coefficients
     below X^(K-j), so a slot sums at most sum_j ceil((K-j)/p) = K products
     of two residues.  Negative exponents of the substituted variable are
     handled by inverting u^(-v) at the precision the output needs, so no
     precision is lost against the contract.
 
-    g, the g^j, u^v and the leaf rows come from the unit table, one entry
+    The u^j, u^v and the leaf rows come from the unit table, one entry
     per (p, m, c) (see `unit_power`): each series is kept at the highest
     precision asked, and a level packs only its first K - j coefficients,
     so a call at a unit asked before builds none of them again and answers
@@ -607,7 +601,7 @@ def gamma_act(c, f):
     known = f.prec - v
     unit = _unit(spec, c)
     size = unit.size
-    unit.power(1, max(known, _GAMMA_LEAF) + 1)  # g once at the most digits any step cuts
+    unit.unit_power(1, max(known, _GAMMA_LEAF))  # u once at the most digits any step cuts
     leaf_width, leaf_code, rows = unit.leaf_rows()
 
     def compose(P, K):
@@ -627,8 +621,8 @@ def gamma_act(c, f):
         for j, part in terms:
             x = _pack(part, min(len(part) // m, K - j), m, m, width, code)
             if j:
-                gj = unit.power(j, K).res
-                x = x * _pack(gj, min(len(gj) // m, K - j), m, m, width, code) << (bits * j)
+                uj = unit.unit_power(j, K - j).res
+                x = x * _pack(uj, min(len(uj) // m, K - j), m, m, width, code) << (bits * j)
             acc += x
         return _unpack(spec, acc, 2 * K - 1, K, m, width, code)
 

@@ -99,31 +99,30 @@ def mat_map(fn, A):
 def mat_inv(A):
     """Inverse by Gauss-Jordan elimination of [A | I] with least-valuation
     pivots; raises when no entry left in a column is known to be nonzero.
-    The pivot row is scaled by b = a^-1 for the pivot a, whose own entry is
-    set to 1 at the precision a*b would claim, without the product.  A row
-    whose factor is a known zero is only cut, to the caps of `_dot`; any
-    other row is updated by `_dot`, each entry the starting sum."""
+    Each step eliminates the first column left and drops it, so after n
+    steps the rows are the inverse.  The pivot row is scaled by b = a^-1
+    for the pivot a.  A row whose factor is a known zero is only cut, to
+    the caps of `_dot`; any other row is updated by `_dot`, each entry the
+    starting sum."""
     n, spec = len(A), A[0][0].spec
     ident = identity_matrix(spec, n, max(e.prec for row in A for e in row))
     M = [list(row) + ident[i] for i, row in enumerate(A)]
     for j in range(n):
-        rows = [i for i in range(j, n) if not M[i][j].is_zero()]
+        rows = [i for i in range(j, n) if not M[i][0].is_zero()]
         if not rows:
             raise ValueError("not etale")
-        pivot = min(rows, key=lambda i: M[i][j].valuation)
+        pivot = min(rows, key=lambda i: M[i][0].valuation)
         M[j], M[pivot] = M[pivot], M[j]
-        a = M[j][j]
-        b = a.invert_series()
-        one = LaurentSeries.one(spec, min(a.v + b.prec, b.v + a.prec))
-        top = M[j] = [one if k == j else e * b for k, e in enumerate(M[j])]
+        b = M[j][0].invert_series()
+        top = M[j] = [e * b for e in M[j][1:]]
         for i in range(n):
-            f = M[i][j]
+            f = M[i][0]
             if i != j and f.res:
                 f = (-f,)
-                M[i] = [_dot(f, (t,), e) for e, t in zip(M[i], top)]
+                M[i] = [_dot(f, (t,), e) for e, t in zip(M[i][1:], top)]
             elif i != j:
-                M[i] = [e.truncate(f.prec + t.v) for e, t in zip(M[i], top)]
-    return [row[n:] for row in M]
+                M[i] = [e.truncate(f.prec + t.v) for e, t in zip(M[i][1:], top)]
+    return M
 
 
 # -- the module class -------------------------------------------------------
@@ -217,9 +216,9 @@ def make_induced(spec, n, h, lam_n=None, tame=0, prec=40):
     `laurent.unit_power` and scales it once, by omega(c)^tame c^-e.  e is a,
     or a - q (u^q = 1 mod X^N) when raising to q - a and one inversion
     multiply out fewer coefficients than raising to a.  The unit table
-    keeps g and (g/X)^e per unit at the highest precision asked, within its
-    bounds on units and residues, so a module built again at a unit it has
-    seen raises nothing.
+    keeps the powers (g/X)^e per unit at the highest precision asked, within
+    its bounds on units and residues, so a module built again at a unit it
+    has seen raises nothing.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")

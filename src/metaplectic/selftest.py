@@ -65,7 +65,7 @@ from .meta import (
     ss_image,
     verify_bijection,
 )
-from .phigamma import make_induced, make_rank1, phi_gamma_commutes, psi
+from .phigamma import dual, make_induced, make_rank1, mat_mul, phi_gamma_commutes, psi, twist
 
 
 class CheckFailed(AssertionError):
@@ -348,6 +348,27 @@ def psi_gamma_law(rng, D, samples, c):
         _require(all(a.agrees_with(b) for a, b in zip(lhs, rhs)), "psi commutes with gamma")
 
 
+def gamma_cocycle_law(rng, D, samples):
+    """Gamma acts semilinearly and the column j of G(c) holds gamma_c(e_j),
+    so G(c1 c2) = G(c1) gamma_{c1}(G(c2)), entrywise up to the precision
+    both sides know, for `samples` pairs of distinct units below 40p.
+    Returns the units asked."""
+    p = D.spec.p
+    pool = [c for c in range(2, 40 * p) if c % p]
+    units = set()
+    for _ in range(samples):
+        c1, c2 = rng.sample(pool, 2)
+        units |= {c1, c2, c1 * c2}
+        G1, G2 = D.gamma_matrix(c1), D.gamma_matrix(c2)
+        rhs = mat_mul(G1, [[gamma_act(c1, e) for e in row] for row in G2])
+        lhs = D.gamma_matrix(c1 * c2)
+        _require(
+            all(a.agrees_with(b) for x, y in zip(lhs, rhs) for a, b in zip(x, y)),
+            f"G({c1 * c2}) = G({c1}) gamma_{c1}(G({c2}))",
+        )
+    return units
+
+
 def rank1_lattice_law(prec):
     """psi keeps the lattice k[[X]] of a rank-1 module over F_3 and reaches
     every valuation below prec/3 - 1."""
@@ -554,6 +575,24 @@ def _check_phigamma(rng):
         psi_law(rng, D, 8)
         psi_gamma_law(rng, D, 8, 2)
     rank1_lattice_law(24)
+    # the cocycle law draws from its own generator, so the laws after this
+    # check draw as before, and asks more units than the unit table keeps
+    from .cli import module_from_json, module_to_json  # cli imports this module
+
+    cocycle, units = random.Random("gamma cocycle"), set()
+    for p in (3, 5):
+        spec = field_make(p)
+        chi = TameChar(spec.from_int(2), 1)
+        D = make_induced(spec, 2, 7, tame=1, prec=24)
+        for E in (make_rank1(chi, 24), D, twist(D, chi), dual(D)):
+            units |= {(p, c) for c in gamma_cocycle_law(cocycle, E, 3)}
+        # a module read back from JSON answers only at its stored units: the
+        # units that the same draws ask of D
+        state = cocycle.getstate()
+        stored = gamma_cocycle_law(cocycle, D, 3)
+        cocycle.setstate(state)
+        gamma_cocycle_law(cocycle, module_from_json(module_to_json(D, sorted(stored)), spec), 3)
+    _require(len(units) > 32, "the cocycle law asks more units than the unit table keeps")
     return {"modules": ["induced(4,5) p=3", "induced(4,5) p=5", "rank1"]}
 
 

@@ -685,7 +685,7 @@ def test_unit_table_holds_its_bounds_after_a_sweep_of_units():
         return LaurentSeries(spec, {e: spec.elem([sweep.randrange(1, 7)] * 4) for e in range(-1, N)}, N)
 
     small, large = dense(20), dense(1000)
-    # units above 1000 and far from powers of 7, so that g and its powers are dense
+    # units above 1000 and far from powers of 7, so that u and its powers are dense
     units = [c for c in sweep.sample(range(10 ** 5, 10 ** 6), 60) if c % 7][: laurent._UNITS_KEPT + 8]
     asks = [(c, small) for c in units] + [(c, large) for c in units[:4]]
     for c, f in asks:
@@ -693,8 +693,7 @@ def test_unit_table_holds_its_bounds_after_a_sweep_of_units():
         kept = laurent._UNITS.values()
         assert len(kept) <= laurent._UNITS_KEPT
         for unit in kept:
-            series = [*unit.powers.values(), *unit.units.values()]
-            assert unit.size == sum(len(s.res) for s in series)
+            assert unit.size == sum(len(s.res) for s in unit.units.values())
         assert sum(unit.size for unit in kept) <= laurent._UNIT_RESIDUES
     assert 0 < len(laurent._UNITS) < 4  # the large asks dropped every small unit
     # a power whose residues alone pass the budget is built, returned and not kept
