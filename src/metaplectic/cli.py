@@ -35,7 +35,6 @@ from .meta import SSRep, ps_image, ss_image, verify_bijection
 from .phigamma import (
     PhiGammaModule, dual as module_dual, make_induced, make_rank1, psi, twist as module_twist,
 )
-from .selftest import run_selftest
 
 SCHEMA = 1
 
@@ -457,6 +456,8 @@ def _verify_bijection(args, spec):
 
 @_command("selftest", "run the full invariant suite", _opt("--seed", type=int, default=0))
 def _selftest(args, spec):
+    from .selftest import run_selftest  # the suite checks this module's JSON readers
+
     return run_selftest(seed=args.seed)
 
 

@@ -27,6 +27,7 @@ from .classify import (
     simulate_dual_frobenius,
     ss_data,
 )
+from .cli import module_from_json, module_to_json
 from .galois import (
     InducedParams,
     canonicalize,
@@ -38,7 +39,7 @@ from .galois import (
     quad_twist,
     tame_twist,
 )
-from .laurent import LaurentSeries, frobenius_phi, gamma_act, one_unit_root, phi_basis_decompose, psi_ring
+from .laurent import _UNITS_KEPT, LaurentSeries, frobenius_phi, gamma_act, one_unit_root, phi_basis_decompose, psi_ring
 from .metagroup import (
     MetaElem,
     PMatrix,
@@ -348,25 +349,27 @@ def psi_gamma_law(rng, D, samples, c):
         _require(all(a.agrees_with(b) for a, b in zip(lhs, rhs)), "psi commutes with gamma")
 
 
-def gamma_cocycle_law(rng, D, samples):
+def gamma_cocycle_holds(D, c1, c2):
     """Gamma acts semilinearly and the column j of G(c) holds gamma_c(e_j),
-    so G(c1 c2) = G(c1) gamma_{c1}(G(c2)), entrywise up to the precision
-    both sides know, for `samples` pairs of distinct units below 40p.
-    Returns the units asked."""
+    so G(c1 c2) = G(c1) gamma_{c1}(G(c2)): both sides have one shape and
+    agree entrywise up to the precision both know."""
+    G1, G2 = D.gamma_matrix(c1), D.gamma_matrix(c2)
+    rhs = mat_mul(G1, [[gamma_act(c1, e) for e in row] for row in G2])
+    lhs = D.gamma_matrix(c1 * c2)
+    return [len(x) for x in lhs] == [len(y) for y in rhs] and all(
+        a.agrees_with(b) for x, y in zip(lhs, rhs) for a, b in zip(x, y)
+    )
+
+
+def gamma_cocycle_law(rng, D, samples):
+    """gamma_cocycle_holds for `samples` pairs of distinct units below 40p.
+    Returns the pairs drawn."""
     p = D.spec.p
     pool = [c for c in range(2, 40 * p) if c % p]
-    units = set()
-    for _ in range(samples):
-        c1, c2 = rng.sample(pool, 2)
-        units |= {c1, c2, c1 * c2}
-        G1, G2 = D.gamma_matrix(c1), D.gamma_matrix(c2)
-        rhs = mat_mul(G1, [[gamma_act(c1, e) for e in row] for row in G2])
-        lhs = D.gamma_matrix(c1 * c2)
-        _require(
-            all(a.agrees_with(b) for x, y in zip(lhs, rhs) for a, b in zip(x, y)),
-            f"G({c1 * c2}) = G({c1}) gamma_{c1}(G({c2}))",
-        )
-    return units
+    pairs = [tuple(rng.sample(pool, 2)) for _ in range(samples)]
+    for c1, c2 in pairs:
+        _require(gamma_cocycle_holds(D, c1, c2), f"G({c1 * c2}) = G({c1}) gamma_{c1}(G({c2}))")
+    return pairs
 
 
 def rank1_lattice_law(prec):
@@ -577,22 +580,20 @@ def _check_phigamma(rng):
     rank1_lattice_law(24)
     # the cocycle law draws from its own generator, so the laws after this
     # check draw as before, and asks more units than the unit table keeps
-    from .cli import module_from_json, module_to_json  # cli imports this module
-
     cocycle, units = random.Random("gamma cocycle"), set()
     for p in (3, 5):
         spec = field_make(p)
         chi = TameChar(spec.from_int(2), 1)
         D = make_induced(spec, 2, 7, tame=1, prec=24)
-        for E in (make_rank1(chi, 24), D, twist(D, chi), dual(D)):
-            units |= {(p, c) for c in gamma_cocycle_law(cocycle, E, 3)}
-        # a module read back from JSON answers only at its stored units: the
-        # units that the same draws ask of D
-        state = cocycle.getstate()
-        stored = gamma_cocycle_law(cocycle, D, 3)
-        cocycle.setstate(state)
-        gamma_cocycle_law(cocycle, module_from_json(module_to_json(D, sorted(stored)), spec), 3)
-    _require(len(units) > 32, "the cocycle law asks more units than the unit table keeps")
+        for E in (make_rank1(chi, 24), twist(D, chi), dual(D), D):
+            pairs = gamma_cocycle_law(cocycle, E, 3)
+            asked = {c for c1, c2 in pairs for c in (c1, c2, c1 * c2)}
+            units |= {(p, c) for c in asked}
+        # a module read back from JSON answers only at its stored units: those
+        # just asked of D, on the same pairs
+        J = module_from_json(module_to_json(D, sorted(asked)), spec)
+        _require(all(gamma_cocycle_holds(J, c1, c2) for c1, c2 in pairs), "the cocycle law read back from JSON")
+    _require(len(units) > _UNITS_KEPT, "the cocycle law asks more units than the unit table keeps")
     return {"modules": ["induced(4,5) p=3", "induced(4,5) p=5", "rank1"]}
 
 

@@ -513,5 +513,6 @@ def test_gamma_matrices_satisfy_the_cocycle_law(spec, monkeypatch):
     # further and less far than they are known
     for N in (12, 30, 21, 8):
         for D in cocycle_modules(rng, spec, N):
-            units |= gamma_cocycle_law(rng, D, 4)
+            pairs = gamma_cocycle_law(rng, D, 4)
+            units |= {c for c1, c2 in pairs for c in (c1, c2, c1 * c2)}
     assert len(units) > laurent._UNITS_KEPT
